@@ -12,7 +12,7 @@ from . import harness, oracle, theory
 from .core import Uniform
 from .ea import DEFAULT_CAP, RlsMutation, RunConfig, run
 from .fitness import FUNCTION_NAMES, make_fitness
-from .harness import ExperimentSpec, PlotSpec, parse_init
+from .harness import ExperimentSpec, PlotSpec, format_value, parse_init, table_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -26,14 +26,6 @@ def _int_list(text: str) -> list[int]:
         return [int(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _emit(lines: Sequence[str], out: Optional[str]) -> None:
@@ -52,7 +44,7 @@ def _cmd_bounds(args) -> int:
             b = theory.BoundSet.for_params(n, r)
             lines.append(
                 ",".join(
-                    _fmt(v)
+                    format_value(v)
                     for v in (n, r, b.lam, b.delta, b.plateau_center, b.majority_uniform)
                 )
             )
@@ -86,7 +78,7 @@ def _cmd_exact(args) -> int:
     lines = [
         "n,r,ell,init,expected,expected_uniform",
         ",".join(
-            _fmt(v)
+            format_value(v)
             for v in (args.n, args.r, args.ell, args.init, expected, uniform)
         ),
     ]
@@ -96,15 +88,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_drift_check(args) -> int:
     rows = oracle.drift_check(args.n, args.r)
-    lines = ["m,drift,lower_bound,slack,rel_slack"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (row.m, row.drift, row.lower_bound, row.slack, row.rel_slack)
-            )
-        )
-    _emit(lines, args.out)
+    _emit(table_lines(rows), args.out)
     if not oracle.drift_check_ok(rows, DRIFT_TOL):
         print(
             f"drift floor violated beyond {DRIFT_TOL:g} relative tolerance",
@@ -182,27 +166,7 @@ def _cmd_sweep(args) -> int:
     spec = _merge_config(args)
     rows = harness.sweep(spec)
     if not spec.csv_path:
-        lines = [harness.CSV_HEADER]
-        for row in rows:
-            s = row.stats
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        row.n,
-                        row.r,
-                        row.ell,
-                        s.runs,
-                        s.mean,
-                        s.median,
-                        s.p25,
-                        s.p75,
-                        s.stderr,
-                        s.censored,
-                    )
-                )
-            )
-        _emit(lines, None)
+        _emit(table_lines(rows), None)
     return EXIT_OK
 
 
@@ -210,24 +174,7 @@ def _cmd_restarts(args) -> int:
     report = harness.restart_experiment(
         args.n, args.r, args.runs, args.seed, cap=args.cap, workers=args.workers
     )
-    lines = [
-        "n,r,runs,censored,p0_hat,p0_stderr,retried_runs,mean_retries,retries_stderr",
-        ",".join(
-            _fmt(v)
-            for v in (
-                report.n,
-                report.r,
-                report.runs,
-                report.censored,
-                report.p0_hat,
-                report.p0_stderr,
-                report.retried_runs,
-                report.mean_retries,
-                report.retries_stderr,
-            )
-        ),
-    ]
-    _emit(lines, args.out)
+    _emit(table_lines([report]), args.out)
     return EXIT_OK
 
 
@@ -235,25 +182,7 @@ def _cmd_wmodel(args) -> int:
     report = harness.dilution_experiment(
         args.blocks, args.k, args.runs, args.seed, cap=args.cap, workers=args.workers
     )
-    lines = [
-        "blocks,k,runs,censored,mean_runtime,stderr,exact_block,ratio,ratio_stderr,block_bound",
-        ",".join(
-            _fmt(v)
-            for v in (
-                report.blocks,
-                report.k,
-                report.runs,
-                report.censored,
-                report.mean_runtime,
-                report.stderr,
-                report.exact_block_time,
-                report.ratio,
-                report.ratio_stderr,
-                report.block_bound,
-            )
-        ),
-    ]
-    _emit(lines, args.out)
+    _emit(table_lines([report]), args.out)
     return EXIT_OK
 
 

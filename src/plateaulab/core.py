@@ -309,6 +309,6 @@ def hypergeom_pmf(n: int, j: int, ell: int, a: int) -> float:
         raise ValueError(f"sample size out of range: ell={ell}, n={n}")
     if not max(0, ell - (n - j)) <= a <= min(j, ell):
         raise ValueError(f"overlap a={a} outside support for n={n}, j={j}, ell={ell}")
-    return math.exp(
-        log_binomial(j, a) + log_binomial(n - j, ell - a) - log_binomial(n, ell)
-    )
+    # integer true division is correctly rounded, so kernel rows sum to 1
+    # within a few ulps at any n
+    return math.comb(j, a) * math.comb(n - j, ell - a) / math.comb(n, ell)

@@ -33,9 +33,6 @@ class FitnessFunction:
             f"{type(self).__name__} does not depend on the ones count alone"
         )
 
-    def is_optimal(self, x: BitString) -> bool:
-        return self.value(x) == self.max_value
-
 
 def _check_threshold_params(n: int, r: int) -> None:
     if n <= 0 or n % 2:

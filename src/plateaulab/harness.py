@@ -6,8 +6,8 @@ import configparser
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import Iterator, Optional, Sequence, get_type_hints
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -21,8 +21,6 @@ from .fitness import (
     MajorityFitness,
     make_fitness,
 )
-
-CSV_HEADER = "n,r,ell,runs,mean,median,p25,p75,stderr,censored"
 
 
 @dataclass(frozen=True)
@@ -123,65 +121,41 @@ def parse_init(text: str, fitness: FitnessFunction) -> InitDistribution:
     )
 
 
-def _build_fitness(kind: str, args: tuple) -> FitnessFunction:
-    if kind == "block":
-        block, blocks, k = args
-        return BlockMajorityFitness(block, blocks, k)
-    n, r, k = args
-    return make_fitness(kind, n, r=r, k=k)
+@dataclass(frozen=True)
+class RunTask:
+    """A block of seeded runs of one cell; picklable for process pools.
+
+    Each run replays ``config`` with its ``run_index`` taken from ``runs``.
+    """
+
+    config: RunConfig
+    runs: range
 
 
-def _workload(payload):
-    """Run a contiguous block of seeded runs; picklable for process pools."""
-    kind, fit_args, ell, init_text, seed, start, count, cap, want_restart = payload
-    fit = _build_fitness(kind, fit_args)
-    init = parse_init(init_text, fit)
-    mutation = RlsMutation(ell)
-    out = []
-    for idx in range(start, start + count):
-        res = run(
-            RunConfig(
-                fit,
-                mutation,
-                init,
-                seed,
-                idx,
-                cap,
-                record_restart_stats=want_restart,
-            )
-        )
-        if want_restart:
-            rs = res.restart
-            out.append(
-                (
-                    res.runtime,
-                    res.init_ones,
-                    rs.retries,
-                    rs.first_hit_majority,
-                    rs.partial,
-                )
-            )
-        else:
-            out.append((res.runtime, res.init_ones))
-    return out
+def _run_task(task: RunTask) -> list[RunResult]:
+    return [run(replace(task.config, run_index=i)) for i in task.runs]
 
 
-def _execute(payloads: list, workers: int) -> list:
-    if workers <= 1 or len(payloads) <= 1:
-        return [_workload(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_workload, payloads))
+def _tasks(config: RunConfig, first: int, runs: int, workers: int) -> list[RunTask]:
+    """Split run indices first..first+runs-1 into about 4 blocks per worker."""
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
+    size = max(1, math.ceil(runs / max(1, workers * 4)))
+    stop = first + runs
+    return [
+        RunTask(config, range(start, min(start + size, stop)))
+        for start in range(first, stop, size)
+    ]
 
 
-def _chunked(start: int, count: int, pieces: int) -> list[tuple[int, int]]:
-    size = max(1, math.ceil(count / pieces))
-    spans = []
-    done = 0
-    while done < count:
-        take = min(size, count - done)
-        spans.append((start + done, take))
-        done += take
-    return spans
+def _execute(tasks: list[RunTask], workers: int) -> list[RunResult]:
+    """Results of every task's runs, in task order."""
+    if workers <= 1 or len(tasks) <= 1:
+        blocks = [_run_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(_run_task, tasks))
+    return [res for block in blocks for res in block]
 
 
 def sweep(spec: ExperimentSpec) -> list[CellResult]:
@@ -191,47 +165,31 @@ def sweep(spec: ExperimentSpec) -> list[CellResult]:
     output is identical regardless of worker count or scheduling.  Writes
     the CSV/SVG outputs when paths are set.
     """
-    cells = []
-    for n in spec.n_values:
-        r = spec.resolve_r(n)
-        for ell in spec.ell_values:
-            cells.append((n, r, ell))
-    payloads = []
-    spans_per_cell = []
+    cells = [
+        (n, spec.resolve_r(n), ell) for n in spec.n_values for ell in spec.ell_values
+    ]
+    tasks = []
     for cell_index, (n, r, ell) in enumerate(cells):
-        fit_args = (n, r, spec.k)
-        _build_fitness(spec.function, fit_args)  # validate cell parameters early
-        base = cell_index * spec.runs
-        spans = _chunked(base, spec.runs, max(1, spec.workers * 4))
-        spans_per_cell.append(len(spans))
-        for start, count in spans:
-            payloads.append(
-                (
-                    spec.function,
-                    fit_args,
-                    ell,
-                    spec.init,
-                    spec.master_seed,
-                    start,
-                    count,
-                    spec.cap,
-                    False,
-                )
-            )
-    blocks = _execute(payloads, spec.workers)
-    results = []
-    cursor = 0
-    for (n, r, ell), span_count in zip(cells, spans_per_cell):
-        runtimes: list[Optional[int]] = []
-        for block in blocks[cursor : cursor + span_count]:
-            runtimes.extend(t for t, _ in block)
-        cursor += span_count
-        results.append(CellResult(n, r, ell, CellStats.from_runtimes(runtimes)))
+        fit = make_fitness(spec.function, n, r=r, k=spec.k)
+        config = RunConfig(
+            fit,
+            RlsMutation(ell),
+            parse_init(spec.init, fit),
+            spec.master_seed,
+            max_iters=spec.cap,
+        )
+        tasks += _tasks(config, cell_index * spec.runs, spec.runs, spec.workers)
+    results = _execute(tasks, spec.workers)
+    rows = []
+    for cell_index, (n, r, ell) in enumerate(cells):
+        cell = results[cell_index * spec.runs : (cell_index + 1) * spec.runs]
+        stats = CellStats.from_runtimes([res.runtime for res in cell])
+        rows.append(CellResult(n, r, ell, stats))
     if spec.csv_path:
-        write_csv(results, spec.csv_path)
+        write_csv(rows, spec.csv_path)
     if spec.svg_path:
-        emit_sweep_svg(results, spec.svg_path)
-    return results
+        emit_sweep_svg(rows, spec.svg_path)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -263,38 +221,30 @@ def restart_experiment(
     a majority of ones; mean_retries averages the retry count over runs
     that needed at least one retry (None when no run did).
     """
-    payloads = [
-        (("majority"), (n, r, 1), 1, "uniform", master_seed, start, count, cap, True)
-        for start, count in _chunked(0, runs, max(1, workers * 4))
-    ]
-    rows = [row for block in _execute(payloads, workers) for row in block]
-    complete = [row for row in rows if not row[4]]
-    censored = len(rows) - len(complete)
+    config = RunConfig(
+        MajorityFitness(n, r),
+        RlsMutation(1),
+        Uniform(),
+        master_seed,
+        max_iters=cap,
+        record_restart_stats=True,
+    )
+    results = _execute(_tasks(config, 0, runs, workers), workers)
+    complete = [res.restart for res in results if not res.restart.partial]
     if not complete:
         raise RuntimeError("every run was censored; raise the cap")
-    first = np.asarray([1.0 if row[3] else 0.0 for row in complete])
-    p0 = float(first.mean())
-    p0_se = float(first.std(ddof=1) / math.sqrt(len(first))) if len(first) > 1 else 0.0
-    retries = np.asarray([row[2] for row in complete if row[2] >= 1], dtype=float)
-    if len(retries) == 0:
-        mean_retries, retries_se = None, None
-    else:
-        mean_retries = float(retries.mean())
-        retries_se = (
-            float(retries.std(ddof=1) / math.sqrt(len(retries)))
-            if len(retries) > 1
-            else 0.0
-        )
+    first = CellStats.from_runtimes([int(rs.first_hit_majority) for rs in complete])
+    retried = CellStats.from_runtimes([rs.retries for rs in complete if rs.retried])
     return RestartReport(
         n=n,
         r=r,
         runs=runs,
-        censored=censored,
-        p0_hat=p0,
-        p0_stderr=p0_se,
-        retried_runs=int(len(retries)),
-        mean_retries=mean_retries,
-        retries_stderr=retries_se,
+        censored=len(results) - len(complete),
+        p0_hat=first.mean,
+        p0_stderr=first.stderr,
+        retried_runs=retried.runs,
+        mean_retries=retried.mean if retried.runs else None,
+        retries_stderr=retried.stderr if retried.runs else None,
     )
 
 
@@ -308,7 +258,7 @@ class DilutionReport:
     censored: int
     mean_runtime: float
     stderr: float
-    exact_block_time: float
+    exact_block: float
     ratio: float
     ratio_stderr: float
     block_bound: float
@@ -331,17 +281,17 @@ def dilution_experiment(
     """
     if k < 2 or k % 2:
         raise ValueError(f"block width must be an even integer >= 2, got {k}")
-    payloads = [
-        ("block", (1, blocks, k), 1, "uniform", master_seed, start, count, cap, False)
-        for start, count in _chunked(0, runs, max(1, workers * 4))
-    ]
-    rows = [row for block in _execute(payloads, workers) for row in block]
-    finite = np.asarray([t for t, _ in rows if t is not None], dtype=float)
-    censored = len(rows) - len(finite)
-    if len(finite) == 0:
+    config = RunConfig(
+        BlockMajorityFitness(1, blocks, k),
+        RlsMutation(1),
+        Uniform(),
+        master_seed,
+        max_iters=cap,
+    )
+    results = _execute(_tasks(config, 0, runs, workers), workers)
+    stats = CellStats.from_runtimes([res.runtime for res in results])
+    if stats.censored == stats.runs:
         raise RuntimeError("every run was censored; raise the cap")
-    mean = float(finite.mean())
-    se = float(finite.std(ddof=1) / math.sqrt(len(finite))) if len(finite) > 1 else 0.0
     exact = oracle.expected_under_init(
         oracle.majority_hitting_by_level(k, 1), k, Uniform()
     )
@@ -350,12 +300,12 @@ def dilution_experiment(
         blocks=blocks,
         k=k,
         runs=runs,
-        censored=censored,
-        mean_runtime=mean,
-        stderr=se,
-        exact_block_time=exact,
-        ratio=mean / scale,
-        ratio_stderr=se / scale,
+        censored=stats.censored,
+        mean_runtime=stats.mean,
+        stderr=stats.stderr,
+        exact_block=exact,
+        ratio=stats.mean / scale,
+        ratio_stderr=stats.stderr / scale,
         block_bound=theory.block_bound(k),
     )
 
@@ -377,36 +327,56 @@ def trajectory_capture(
     return run(cfg)
 
 
-def _format_value(v) -> str:
+def format_value(v) -> str:
+    """CSV cell text: None as nan, floats at full precision via repr."""
+    if v is None:
+        return "nan"
     if isinstance(v, float):
         return repr(v)
     return str(v)
 
 
-def write_csv(rows: Sequence[CellResult], path: str) -> None:
-    """Write sweep rows under the fixed header; floats keep full precision."""
-    if not rows:
+def _header(cls) -> list[str]:
+    """Column names of a record class: its field names, nested records inlined."""
+    hints = get_type_hints(cls)
+    names = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        names.extend(_header(kind) if is_dataclass(kind) else [f.name])
+    return names
+
+
+def _values(record) -> list:
+    """Field values of a record in column order, nested records inlined."""
+    values = []
+    for f in fields(record):
+        v = getattr(record, f.name)
+        values.extend(_values(v) if is_dataclass(v) else [v])
+    return values
+
+
+def _record(cls, cells: Iterator[str]):
+    """Rebuild a record of class ``cls`` from its flattened column texts."""
+    hints = get_type_hints(cls)
+    args = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        args.append(_record(kind, cells) if is_dataclass(kind) else kind(next(cells)))
+    return cls(*args)
+
+
+def table_lines(records: Sequence) -> list[str]:
+    """CSV lines of same-class records: the header is their field names."""
+    if not records:
         raise ValueError("refusing to write an empty table")
-    lines = [CSV_HEADER]
-    for row in rows:
-        s = row.stats
-        lines.append(
-            ",".join(
-                _format_value(v)
-                for v in (
-                    row.n,
-                    row.r,
-                    row.ell,
-                    s.runs,
-                    s.mean,
-                    s.median,
-                    s.p25,
-                    s.p75,
-                    s.stderr,
-                    s.censored,
-                )
-            )
-        )
+    lines = [",".join(_header(type(records[0])))]
+    lines.extend(",".join(format_value(v) for v in _values(rec)) for rec in records)
+    return lines
+
+
+def write_csv(rows: Sequence[CellResult], path: str) -> None:
+    """Write sweep rows under their field-name header; floats keep full precision."""
+    lines = table_lines(rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -415,20 +385,10 @@ def read_csv(path: str) -> list[CellResult]:
     """Read a table written by write_csv back into sweep rows."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"expected header {CSV_HEADER!r}")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        n, r, ell, runs = (int(parts[i]) for i in range(4))
-        mean, median, p25, p75, stderr = (float(parts[i]) for i in range(4, 9))
-        censored = int(parts[9])
-        rows.append(
-            CellResult(
-                n, r, ell, CellStats(runs, mean, median, p25, p75, stderr, censored)
-            )
-        )
-    return rows
+    header = ",".join(_header(CellResult))
+    if not lines or lines[0] != header:
+        raise ValueError(f"expected header {header!r}")
+    return [_record(CellResult, iter(line.split(","))) for line in lines[1:]]
 
 
 def read_table(path: str) -> tuple[list[str], list[list[float]]]:
@@ -451,10 +411,10 @@ class PlotSpec:
     logx: bool = False
     logy: bool = False
     title: str = ""
-    width: int = 640
-    height: int = 440
 
 
+_WIDTH = 640
+_HEIGHT = 440
 _SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MARGIN = 56.0
 
@@ -472,9 +432,7 @@ def _axis_ticks(lo: float, hi: float, log: bool) -> list[float]:
 
 
 def _tick_label(value: float, log: bool) -> str:
-    if log:
-        return f"1e{int(value)}" if value != int(value) else f"1e{int(value)}"
-    return f"{value:.6g}"
+    return f"1e{int(value)}" if log else f"{value:.6g}"
 
 
 def emit_svg(
@@ -532,7 +490,7 @@ def emit_svg(
         x_hi += 1.0
     if y_hi == y_lo:
         y_hi += 1.0
-    w, h = float(spec.width), float(spec.height)
+    w, h = float(_WIDTH), float(_HEIGHT)
 
     def px(x: float) -> float:
         return _MARGIN + (x - x_lo) / (x_hi - x_lo) * (w - 2 * _MARGIN)
@@ -542,9 +500,9 @@ def emit_svg(
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<line x1="{_MARGIN}" y1="{h - _MARGIN}" x2="{w - _MARGIN}" '
         f'y2="{h - _MARGIN}" stroke="black"/>',
         f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
@@ -607,26 +565,8 @@ def emit_svg(
 
 def emit_sweep_svg(rows: Sequence[CellResult], path: str) -> None:
     """Mean and median run time against ell, one series group per n, log-log."""
-    header = CSV_HEADER.split(",")
-    table = []
-    groups = []
-    for row in rows:
-        s = row.stats
-        table.append(
-            [
-                float(row.n),
-                float(row.r),
-                float(row.ell),
-                float(s.runs),
-                s.mean,
-                s.median,
-                s.p25,
-                s.p75,
-                s.stderr,
-                float(s.censored),
-            ]
-        )
-        groups.append(row.n)
+    table = [[float(v) for v in _values(row)] for row in rows]
+    groups = [row.n for row in rows]
     multi = len(set(groups)) > 1
     spec = PlotSpec(
         x="ell",
@@ -635,7 +575,7 @@ def emit_sweep_svg(rows: Sequence[CellResult], path: str) -> None:
         logy=True,
         title="run time vs flip count",
     )
-    emit_svg(header, table, spec, path, groups=groups if multi else None)
+    emit_svg(_header(CellResult), table, spec, path, groups=groups if multi else None)
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -643,7 +583,10 @@ def load_config(path: str) -> dict[str, str]:
     if not os.path.exists(path):
         raise ValueError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path)
+    try:
+        parser.read(path)
+    except configparser.Error as exc:
+        raise ValueError(f"cannot parse config file {path}: {exc}") from exc
     merged: dict[str, str] = {}
     for section in parser.sections():
         merged.update(dict(parser.items(section)))

@@ -192,6 +192,8 @@ def rlsl_kernel(
     """
     if not 1 <= ell <= n:
         raise ValueError(f"ell must lie in [1..n], got ell={ell}, n={n}")
+    if n + 1 > DENSE_LIMIT:
+        raise ValueError(f"kernel size {n + 1} exceeds the dense limit {DENSE_LIMIT}")
     values = [fitness_by_level(j) for j in range(n + 1)]
     if absorbing is None:
         top = max(values)

@@ -126,9 +126,6 @@ class BoundSet:
             majority_bound(n, r),
         )
 
-    def potential_at(self, m: int) -> float:
-        return potential(self.n, self.r, m)
-
     def plateau_bound_at(self, m0: int) -> float:
         return plateau_bound(self.n, self.r, m0)
 

@@ -226,7 +226,7 @@ def test_criterion_10_dilution_identity():
     start = time.perf_counter()
     result = dilution_experiment(20, 10, runs=10_000, master_seed=20240806)
     assert result.censored == 0
-    assert result.exact_block_time <= result.block_bound
+    assert result.exact_block <= result.block_bound
     assert result.block_bound == 11.0
     assert abs(result.ratio - 1.0) <= 3 * result.ratio_stderr, result
     elapsed = time.perf_counter() - start

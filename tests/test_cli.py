@@ -81,6 +81,11 @@ class TestExact:
         assert float(parse_csv(out)[0]["expected"]) == 0.0
 
 
+    def test_kernel_rows_exact_at_n1000(self, capsys):
+        code, out, err = run_cli(capsys, "exact", "--n", "1000", "--r", "4", "--ell", "3")
+        assert code == EXIT_OK, err
+        assert float(parse_csv(out)[0]["expected"]) > 0
+
 class TestDriftCheck:
     def test_pass_and_tight_state(self, capsys):
         code, out, _ = run_cli(capsys, "drift-check", "--n", "4", "--r", "2")
@@ -162,6 +167,13 @@ class TestSweep:
         assert parse_csv(out1)[0]["runs"] == "30"
         assert parse_csv(out2)[0]["runs"] == "10"
 
+    def test_config_without_section_header(self, capsys, tmp_path):
+        cfg = tmp_path / "bare.cfg"
+        cfg.write_text("n = 12\nruns = 5\n")
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot parse config file")
+
     def test_file_outputs(self, capsys, tmp_path):
         csv_path = tmp_path / "out.csv"
         svg_path = tmp_path / "out.svg"
@@ -212,6 +224,18 @@ class TestRestartsAndWmodel:
         row = parse_csv(out)[0]
         assert float(row["block_bound"]) == 8.0
         assert 0.5 < float(row["ratio"]) < 1.5
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("restarts", "--n", "10", "--r", "2", "--runs", "0"),
+            ("wmodel", "--blocks", "2", "--k", "4", "--runs", "0"),
+        ],
+    )
+    def test_zero_runs_rejected(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "runs must be at least 1" in err
 
     def test_wmodel_odd_k_rejected(self, capsys):
         code, _, err = run_cli(

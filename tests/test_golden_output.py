@@ -1,0 +1,64 @@
+"""Byte-exact stdout and file outputs of the CLI at fixed small seeds.
+
+Each ``out_<name>.txt`` under ``tests/golden`` holds the stdout of one
+command; ``file_sweep.csv`` and ``file_sweep.svg`` hold the ``--out`` and
+``--svg`` files of one sweep.  A change that alters any of them alters
+a pinned seeded result or the table format.
+"""
+
+import pathlib
+
+import pytest
+
+from plateaulab.cli import EXIT_OK, main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "sweep_workers2": (
+        "sweep", "--function", "majority", "--n", "12,16", "--ell", "1,3",
+        "--r", "2", "--runs", "30", "--seed", "3", "--workers", "2",
+    ),
+    "sweep_nonopt": (
+        "sweep", "--function", "plateau", "--n", "14", "--ell", "1,2", "--r", "3",
+        "--runs", "20", "--seed", "8", "--init", "uniform-nonopt",
+    ),
+    "sweep_censored": (
+        "sweep", "--function", "plateau", "--n", "20", "--ell", "1", "--r", "5",
+        "--runs", "5", "--seed", "1", "--init", "ones=10", "--cap", "3",
+    ),
+    "sweep_neutral": (
+        "sweep", "--function", "onemax-neutral", "--n", "6", "--k", "4",
+        "--ell", "1", "--runs", "6", "--seed", "2",
+    ),
+    "restarts": ("restarts", "--n", "10", "--r", "2", "--runs", "200", "--seed", "4"),
+    "restarts_no_retry": ("restarts", "--n", "4", "--r", "1", "--runs", "1", "--seed", "1"),
+    "wmodel": ("wmodel", "--blocks", "3", "--k", "4", "--runs", "150", "--seed", "4"),
+    "drift_check": ("drift-check", "--n", "12", "--r", "3"),
+    "simulate": (
+        "simulate", "--function", "majority", "--n", "12", "--r", "2",
+        "--ell", "2", "--runs", "5", "--seed", "11",
+    ),
+    "trajectory": ("trajectory", "--n", "10", "--r", "1", "--seed", "4"),
+    "bounds": ("bounds", "--n", "4,10", "--r", "1,2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_stdout_bytes(name, capsys):
+    code = main(list(COMMANDS[name]))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert out == (GOLDEN / f"out_{name}.txt").read_text()
+
+
+def test_sweep_file_bytes(tmp_path, capsys):
+    csv_path, svg_path = tmp_path / "s.csv", tmp_path / "s.svg"
+    code = main([
+        "sweep", "--n", "12,16", "--ell", "1,2,4", "--r", "2", "--runs", "25",
+        "--seed", "6", "--out", str(csv_path), "--svg", str(svg_path),
+    ])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert csv_path.read_bytes() == (GOLDEN / "file_sweep.csv").read_bytes()
+    assert svg_path.read_bytes() == (GOLDEN / "file_sweep.svg").read_bytes()

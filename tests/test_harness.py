@@ -141,12 +141,12 @@ class TestDilutionExperiment:
 
     def test_k2_mean_scales_with_blocks(self):
         report = dilution_experiment(5, 2, runs=5000, master_seed=6)
-        assert report.exact_block_time == pytest.approx(2.5, abs=1e-12)
+        assert report.exact_block == pytest.approx(2.5, abs=1e-12)
         assert abs(report.mean_runtime - 12.5) <= 3 * report.stderr
 
     def test_block_bound_holds(self):
         report = dilution_experiment(3, 10, runs=500, master_seed=7)
-        assert report.exact_block_time <= report.block_bound
+        assert report.exact_block <= report.block_bound
         assert report.block_bound == 11.0
 
     def test_odd_width_rejected(self):

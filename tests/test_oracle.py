@@ -7,6 +7,7 @@ from plateaulab import theory
 from plateaulab.core import FixedOnes, Uniform
 from plateaulab.fitness import MajorityFitness
 from plateaulab.oracle import (
+    DENSE_LIMIT,
     BirthDeathChain,
     KernelChain,
     bd_expected_hitting,
@@ -108,6 +109,16 @@ class TestKernel:
         assert np.max(np.abs(kernel.matrix.sum(axis=1) - 1.0)) <= 1e-12
         for j in sorted(kernel.absorbing):
             assert kernel.matrix[j, j] == 1.0
+
+    @pytest.mark.parametrize("n", [1024, 2048, 4096])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 10])
+    def test_rows_sum_to_one_up_to_dense_limit(self, n, ell):
+        kernel = rlsl_kernel(n, ell, level_fitness(MajorityFitness(n, 4)))
+        assert np.max(np.abs(kernel.matrix.sum(axis=1) - 1.0)) <= 1e-12
+
+    def test_dense_limit_checked_before_build(self):
+        with pytest.raises(ValueError, match="dense limit"):
+            rlsl_kernel(DENSE_LIMIT, 3, lambda j: 0)
 
     def test_rejected_mass_on_diagonal(self):
         # onemax levels: downward proposals are rejected
