@@ -37,6 +37,15 @@ def _emit(lines: Sequence[str], out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _warn_censored(what: str, censored: int, runs: int) -> None:
+    if censored:
+        print(
+            f"warning: {what}: {censored} of {runs} runs censored by the iteration "
+            "cap; the statistics exclude them",
+            file=sys.stderr,
+        )
+
+
 def _cmd_bounds(args) -> int:
     lines = ["n,r,lambda,delta,plateau_bound_center,majority_bound"]
     for n in args.n:
@@ -167,6 +176,10 @@ def _cmd_sweep(args) -> int:
     rows = harness.sweep(spec)
     if not spec.csv_path:
         _emit(table_lines(rows), None)
+    for row in rows:
+        _warn_censored(
+            f"cell n={row.n} r={row.r} ell={row.ell}", row.stats.censored, row.stats.runs
+        )
     return EXIT_OK
 
 
@@ -175,6 +188,7 @@ def _cmd_restarts(args) -> int:
         args.n, args.r, args.runs, args.seed, cap=args.cap, workers=args.workers
     )
     _emit(table_lines([report]), args.out)
+    _warn_censored(f"restarts n={args.n} r={args.r}", report.censored, report.runs)
     return EXIT_OK
 
 
@@ -183,6 +197,7 @@ def _cmd_wmodel(args) -> int:
         args.blocks, args.k, args.runs, args.seed, cap=args.cap, workers=args.workers
     )
     _emit(table_lines([report]), args.out)
+    _warn_censored(f"wmodel blocks={args.blocks} k={args.k}", report.censored, report.runs)
     return EXIT_OK
 
 

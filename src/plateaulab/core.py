@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -171,33 +171,44 @@ class RngStream:
 
     Equal (master_seed, stream_index) pairs replay bit-identical
     sequences; distinct stream indices give statistically independent
-    streams, so parallel runs can be seeded without coordination.
+    streams, so parallel runs can be seeded without coordination.  Both
+    values are the 64-bit Philox key words, so each must lie in
+    [0, 2**64); anything outside would alias a seed inside.
     """
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.stream_index < 0:
-            raise ValueError("stream_index must be nonnegative")
+        if not 0 <= self.master_seed <= _U64_MASK:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.master_seed}")
+        if not 0 <= self.stream_index <= _U64_MASK:
+            raise ValueError(
+                f"stream_index must lie in [0, 2**64), got {self.stream_index}"
+            )
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.master_seed & _U64_MASK, self.stream_index & _U64_MASK],
-            dtype=np.uint64,
-        )
+        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_uniform_subset(n: int, ell: int, rng: np.random.Generator) -> np.ndarray:
+def sample_uniform_subset(
+    n: int, ell: int, rng: np.random.Generator, size: Optional[int] = None
+) -> np.ndarray:
     """Draw ``ell`` distinct indices from [0..n-1], uniform over all subsets.
 
     Rejection sampling is used when ``ell`` is tiny relative to ``n`` and a
     partial Fisher-Yates shuffle otherwise, keeping the expected cost
     O(ell) in both regimes.
+
+    With ``size=k`` the result is a ``(k, ell)`` array whose row i is the
+    i-th of k consecutive single draws, and ``rng`` is left in the same
+    state those k draws leave it in.
     """
     if not 1 <= ell <= n:
         raise ValueError(f"subset size must lie in [1..n]; got ell={ell}, n={n}")
+    if size is not None:
+        return _sample_subsets(n, ell, rng, size)
     if ell <= n >> 6:
         chosen: set[int] = set()
         out: list[int] = []
@@ -216,6 +227,26 @@ def sample_uniform_subset(n: int, ell: int, rng: np.random.Generator) -> np.ndar
         j = js[i]
         idx[i], idx[j] = idx[j], idx[i]
     return idx[:ell].copy()
+
+
+def _sample_subsets(n: int, ell: int, rng: np.random.Generator, k: int) -> np.ndarray:
+    if k < 1:
+        raise ValueError(f"batch size must be at least 1, got {k}")
+    if ell <= n >> 6 or k == 1:
+        # the rejection sampler's draw count varies per subset, and a
+        # one-row lockstep shuffle is slower than the scalar one
+        return np.stack([sample_uniform_subset(n, ell, rng) for _ in range(k)])
+    # one integers() call over the tiled bounds consumes the stream exactly
+    # as k calls over np.arange(ell) do, so the k shuffles can run in
+    # lockstep on one flat index array, one vectorised swap per step
+    js = rng.integers(np.tile(np.arange(ell), k), n).reshape(k, ell)
+    base = np.arange(0, k * n, n, dtype=np.int64)
+    idx = np.tile(np.arange(n, dtype=np.int64), k)
+    for i in range(ell):
+        a = base + i
+        b = base + js[:, i]
+        idx[a], idx[b] = idx[b], idx[a]
+    return idx.reshape(k, n)[:, :ell].copy()
 
 
 class InitDistribution:

@@ -8,6 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    WORD_BITS,
     BitString,
     InitDistribution,
     RngStream,
@@ -19,6 +20,11 @@ from .fitness import FitnessFunction, MajorityFitness
 
 DEFAULT_CAP = 10**9
 _BATCH = 4096
+# ell>1 proposal batches: the first has this many rows, each later one
+# twice as many, capped so that a batch holds at most this many indices
+_SUBSET_ROWS_FIRST = 16
+_SUBSET_BUDGET = 8192
+_U64_MASK = (1 << WORD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -184,44 +190,46 @@ def _run_single_flip(fit, words, ones, fx, rng, cap, traj):
 def _run_subset_flip(fit, ell, words, ones, fx, rng, cap, traj):
     n = fit.n
     fmax = fit.max_value
-    level_symmetric = fit.level_symmetric
-    level = fit.level_value if level_symmetric else None
-    packed = fit.value_packed
+    if fit.level_symmetric:
+        level = fit.level_value
+
+        def value(y, cand):
+            return level(cand)
+
+    else:
+        packed = fit.value_packed
+        shifts = range(0, n, WORD_BITS)
+
+        def value(y, cand):
+            return packed([(y >> s) & _U64_MASK for s in shifts], cand)
+
     append = traj.append if traj is not None else None
-    for t in range(1, cap + 1):
-        idx = sample_uniform_subset(n, ell, rng).tolist()
-        if level_symmetric:
-            hit = 0
-            for i in idx:
-                if words[i >> 6] & (1 << (i & 63)):
-                    hit += 1
-            cand = ones + ell - 2 * hit
-            fy = level(cand)
+    x = sum(w << (WORD_BITS * i) for i, w in enumerate(words))
+    row_cap = max(1, _SUBSET_BUDGET // n)
+    rows = min(_SUBSET_ROWS_FIRST, row_cap)
+    t = 0
+    # Proposals are drawn ahead in batches that grow from a few rows, so
+    # short runs overdraw little.  Overdrawing is safe: every run owns its
+    # generator and nothing draws from it after this function returns.
+    while t < cap:
+        k = min(rows, cap - t)
+        rows = min(2 * rows, row_cap)
+        bits = np.zeros((k, n), dtype=bool)
+        bits[np.arange(k)[:, None], sample_uniform_subset(n, ell, rng, size=k)] = True
+        for row in np.packbits(bits, axis=1, bitorder="little"):
+            m = int.from_bytes(row.tobytes(), "little")
+            t += 1
+            cand = ones + ell - 2 * (x & m).bit_count()
+            y = x ^ m
+            fy = value(y, cand)
             if fy >= fx:
-                for i in idx:
-                    words[i >> 6] ^= 1 << (i & 63)
+                x = y
                 ones = cand
                 fx = fy
-        else:
-            hit = 0
-            for i in idx:
-                w = i >> 6
-                mask = 1 << (i & 63)
-                if words[w] & mask:
-                    hit += 1
-                words[w] ^= mask
-            cand = ones + ell - 2 * hit
-            fy = packed(words, cand)
-            if fy >= fx:
-                ones = cand
-                fx = fy
-            else:
-                for i in idx:
-                    words[i >> 6] ^= 1 << (i & 63)
-        if append is not None:
-            append(ones)
-        if fx == fmax:
-            return t
+            if append is not None:
+                append(ones)
+            if fx == fmax:
+                return t
     return None
 
 

@@ -144,7 +144,7 @@ class TestSimulate:
 
 class TestSweep:
     def test_stdout_csv(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys,
             "sweep", "--function", "majority", "--n", "12", "--ell", "1,2",
             "--r", "2", "--runs", "40", "--seed", "3",
@@ -152,6 +152,29 @@ class TestSweep:
         assert code == EXIT_OK
         rows = parse_csv(out)
         assert [row["ell"] for row in rows] == ["1", "2"]
+        assert err == ""
+
+    def test_censored_cells_warned_on_stderr(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--function", "plateau", "--n", "20", "--ell", "1", "--r", "5",
+            "--runs", "5", "--seed", "1", "--init", "ones=10", "--cap", "3",
+        )
+        assert code == EXIT_OK
+        assert out == (GOLDEN / "out_sweep_censored.txt").read_text()
+        assert err.splitlines() == [
+            "warning: cell n=20 r=5 ell=1: 5 of 5 runs censored by the iteration "
+            "cap; the statistics exclude them"
+        ]
+
+    def test_seed_outside_key_range_rejected(self, capsys):
+        # -1 would otherwise replay seed 2**64 - 1
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "12", "--r", "2", "--runs", "2", "--seed", "-1"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: seed must lie in [0, 2**64)")
 
     def test_config_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

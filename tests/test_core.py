@@ -105,6 +105,17 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(1, -1)
 
+    @pytest.mark.parametrize(
+        "seed,stream", [(-1, 0), (2**64, 0), (1, 2**64)]
+    )
+    def test_aliasing_keys_rejected(self, seed, stream):
+        # each would otherwise replay the stream of a key inside [0, 2**64)
+        with pytest.raises(ValueError):
+            RngStream(seed, stream)
+
+    def test_largest_keys_accepted(self):
+        assert rng_for(2**64 - 1, 2**64 - 1).integers(0, 10) in range(10)
+
 
 class TestSubsetSampling:
     def test_forced_single(self):
@@ -130,6 +141,17 @@ class TestSubsetSampling:
         for _ in range(draws):
             counts[sample_uniform_subset(3, 1, rng)[0]] += 1
         assert np.all(np.abs(counts / draws - 1 / 3) < 0.01)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 1000])
+    @pytest.mark.parametrize("k", [1, 2, 17])
+    def test_batch_replays_consecutive_draws(self, n, k):
+        for ell in sorted({1, n >> 6, (n >> 6) + 1, n} & set(range(1, n + 1))):
+            batched, single = rng_for(12, ell), rng_for(12, ell)
+            rows = sample_uniform_subset(n, ell, batched, size=k)
+            expected = [sample_uniform_subset(n, ell, single) for _ in range(k)]
+            assert rows.shape == (k, ell)
+            assert np.array_equal(rows, np.stack(expected))
+            assert batched.integers(0, 2**63) == single.integers(0, 2**63)
 
     def test_determinism(self):
         a = [sample_uniform_subset(50, 7, rng_for(9, 3)).tolist() for _ in range(1)]

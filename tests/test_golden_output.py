@@ -31,6 +31,26 @@ COMMANDS = {
         "sweep", "--function", "onemax-neutral", "--n", "6", "--k", "4",
         "--ell", "1", "--runs", "6", "--seed", "2",
     ),
+    # multi-word subset masks with n not a multiple of 64
+    "sweep_multiword": (
+        "sweep", "--function", "majority", "--n", "130", "--r", "4",
+        "--ell", "2,3,65,129", "--runs", "20", "--seed", "5", "--cap", "100000",
+    ),
+    # rejection-regime subset draws (ell <= n/64) next to Fisher-Yates ones
+    "sweep_rejection": (
+        "sweep", "--function", "majority", "--n", "256", "--r", "6",
+        "--ell", "2,4,5", "--runs", "10", "--seed", "9",
+    ),
+    "sweep_neutral_ell3": (
+        "sweep", "--function", "onemax-neutral", "--n", "5", "--k", "4",
+        "--ell", "3", "--runs", "6", "--seed", "2",
+    ),
+    # a cap that is no multiple of the engine's proposal batches
+    "sweep_cap37": (
+        "sweep", "--function", "plateau", "--n", "40", "--r", "10", "--ell", "3",
+        "--runs", "5", "--init", "ones=20", "--cap", "37",
+    ),
+    "trajectory_ell7": ("trajectory", "--n", "130", "--r", "5", "--ell", "7", "--seed", "3"),
     "restarts": ("restarts", "--n", "10", "--r", "2", "--runs", "200", "--seed", "4"),
     "restarts_no_retry": ("restarts", "--n", "4", "--r", "1", "--runs", "1", "--seed", "1"),
     "wmodel": ("wmodel", "--blocks", "3", "--k", "4", "--runs", "150", "--seed", "4"),
