@@ -80,17 +80,21 @@ class BitString:
 
     @classmethod
     def from_indices(cls, n: int, idx: Iterable[int]) -> "BitString":
-        s = cls(n)
-        count = 0
-        for i in idx:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} out of range for length {n}")
-            s.words[i >> 6] |= np.uint64(1 << (i & 63))
-            count += 1
-        s.ones = _popcount(s.words)
-        if s.ones != count:
+        if n <= 0:
+            raise ValueError("bitstring length must be positive")
+        pos = np.asarray(idx if isinstance(idx, np.ndarray) else list(idx), dtype=np.int64)
+        # viewed as unsigned a negative index is huge, so one max() checks both ends
+        if len(pos) and int(pos.view(np.uint64).max()) >= n:
+            bad = pos[(pos < 0) | (pos >= n)][0]
+            raise ValueError(f"index {bad} out of range for length {n}")
+        n_words = (n + WORD_BITS - 1) // WORD_BITS
+        bits = np.zeros(n_words * WORD_BITS, dtype=np.uint8)
+        bits[pos] = 1
+        ones = int(np.count_nonzero(bits))
+        if ones != len(pos):
             raise ValueError("indices must be pairwise distinct")
-        return s
+        words = np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
+        return cls._raw(n, words, ones)
 
     def bit(self, i: int) -> int:
         if not 0 <= i < self.n:
@@ -106,6 +110,12 @@ class BitString:
         if tail:
             words[-1] &= np.uint64((1 << tail) - 1)
         return BitString._raw(self.n, words, self.n - self.ones)
+
+    def unpacked(self) -> np.ndarray:
+        """The n bits as a 0/1 uint8 array, position 0 first."""
+        return np.unpackbits(
+            self.words.astype("<u8").view(np.uint8), count=self.n, bitorder="little"
+        )
 
     def words_list(self) -> list[int]:
         """Words as plain Python ints, for tight loops."""

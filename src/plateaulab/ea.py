@@ -8,7 +8,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
-    WORD_BITS,
     BitString,
     InitDistribution,
     RngStream,
@@ -16,7 +15,7 @@ from .core import (
     sample_bitstring,
     sample_uniform_subset,
 )
-from .fitness import FitnessFunction, MajorityFitness
+from .fitness import BlockedFitness, FitnessFunction, MajorityFitness
 
 DEFAULT_CAP = 10**9
 _BATCH = 4096
@@ -24,7 +23,6 @@ _BATCH = 4096
 # twice as many, capped so that a batch holds at most this many indices
 _SUBSET_ROWS_FIRST = 16
 _SUBSET_BUDGET = 8192
-_U64_MASK = (1 << WORD_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -61,6 +59,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if not (self.fitness.level_symmetric or isinstance(self.fitness, BlockedFitness)):
+            raise ValueError(
+                f"{type(self.fitness).__name__} is neither a function of the ones "
+                "count nor a blocked objective; no engine can run it"
+            )
         if self.mutation.ell > self.fitness.n:
             raise ValueError(
                 f"ell={self.mutation.ell} exceeds the fitness arity {self.fitness.n}"
@@ -113,43 +116,55 @@ def run(cfg: RunConfig) -> RunResult:
     ``max_iters`` proposals were exhausted.
     """
     fit = cfg.fitness
-    n = fit.n
     rng = RngStream(cfg.master_seed, cfg.run_index).generator()
-    x0 = sample_bitstring(n, cfg.init, rng)
-    words = x0.words_list()
-    ones = x0.ones
-    init_ones = ones
+    x0 = sample_bitstring(fit.n, cfg.init, rng)
     record = cfg.record_trajectory or cfg.record_restart_stats
-    traj: Optional[list[int]] = [ones] if record else None
-    fx = fit.value_packed(words, ones)
-    if fx == fit.max_value:
-        runtime: Optional[int] = 0
-    elif cfg.mutation.ell == 1:
-        runtime = _run_single_flip(fit, words, ones, fx, rng, cfg.max_iters, traj)
-    else:
-        runtime = _run_subset_flip(
-            fit, cfg.mutation.ell, words, ones, fx, rng, cfg.max_iters, traj
-        )
+    traj: Optional[list[int]] = [x0.ones] if record else None
+    engine = _run_level if fit.level_symmetric else _run_blocked
+    runtime = engine(fit, cfg.mutation.ell, x0, rng, cfg.max_iters, traj)
     traj_arr = np.asarray(traj, dtype=np.int64) if traj is not None else None
     restart = None
     if cfg.record_restart_stats:
         assert traj_arr is not None
-        restart = extract_restart_stats(traj_arr, n, fit.r)
+        restart = extract_restart_stats(traj_arr, fit.n, fit.r)
     return RunResult(
         runtime=runtime,
-        init_ones=init_ones,
+        init_ones=x0.ones,
         trajectory=traj_arr if cfg.record_trajectory else None,
         restart=restart,
     )
 
 
-def _run_single_flip(fit, words, ones, fx, rng, cap, traj):
+def _subset_batches(n, ell, rng, cap):
+    """Proposal flip sets for up to ``cap`` proposals, as (rows, ell) arrays.
+
+    Batches grow from a few rows, so short runs overdraw little.
+    Overdrawing is safe: every run owns its generator and nothing draws
+    from it after its engine returns.
+    """
+    row_cap = max(1, _SUBSET_BUDGET // n)
+    rows = min(_SUBSET_ROWS_FIRST, row_cap)
+    t = 0
+    while t < cap:
+        k = min(rows, cap - t)
+        rows = min(2 * rows, row_cap)
+        t += k
+        yield sample_uniform_subset(n, ell, rng, size=k)
+
+
+def _run_level(fit, ell, x0, rng, cap, traj):
+    """Engine for objectives of the ones count: the state is the incumbent's bits."""
     n = fit.n
     fmax = fit.max_value
+    level = fit.level_value
+    ones = x0.ones
+    fx = level(ones)
+    if fx == fmax:
+        return 0
     append = traj.append if traj is not None else None
     t = 0
-    if fit.level_symmetric:
-        level = fit.level_value
+    if ell == 1:
+        words = x0.words_list()
         while t < cap:
             for i in rng.integers(0, n, size=min(_BATCH, cap - t)).tolist():
                 t += 1
@@ -166,20 +181,19 @@ def _run_single_flip(fit, words, ones, fx, rng, cap, traj):
                 if fx == fmax:
                     return t
         return None
-    packed = fit.value_packed
-    while t < cap:
-        for i in rng.integers(0, n, size=min(_BATCH, cap - t)).tolist():
+    x = int.from_bytes(x0.words.astype("<u8").tobytes(), "little")
+    for batch in _subset_batches(n, ell, rng, cap):
+        bits = np.zeros((len(batch), n), dtype=bool)
+        bits[np.arange(len(batch))[:, None], batch] = True
+        for row in np.packbits(bits, axis=1, bitorder="little"):
+            m = int.from_bytes(row.tobytes(), "little")
             t += 1
-            w = i >> 6
-            mask = 1 << (i & 63)
-            cand = ones - 1 if words[w] & mask else ones + 1
-            words[w] ^= mask
-            fy = packed(words, cand)
+            cand = ones + ell - 2 * (x & m).bit_count()
+            fy = level(cand)
             if fy >= fx:
+                x ^= m
                 ones = cand
                 fx = fy
-            else:
-                words[w] ^= mask
             if append is not None:
                 append(ones)
             if fx == fmax:
@@ -187,45 +201,79 @@ def _run_single_flip(fit, words, ones, fx, rng, cap, traj):
     return None
 
 
-def _run_subset_flip(fit, ell, words, ones, fx, rng, cap, traj):
-    n = fit.n
+def _run_blocked(fit, ell, x0, rng, cap, traj):
+    """Engine for blocked objectives: the state is the bits, the per-block
+    ones counts and the vote mask.
+
+    A proposal changes only the counts of the blocks its flips hit, and it
+    is scored only when it flips a vote; any other proposal keeps every
+    vote, so its fitness equals the incumbent's and it is accepted.
+    """
+    n, k = fit.n, fit.k
+    thr = fit.block_threshold
     fmax = fit.max_value
-    if fit.level_symmetric:
-        level = fit.level_value
-
-        def value(y, cand):
-            return level(cand)
-
-    else:
-        packed = fit.value_packed
-        shifts = range(0, n, WORD_BITS)
-
-        def value(y, cand):
-            return packed([(y >> s) & _U64_MASK for s in shifts], cand)
-
+    score = fit.vote_value
+    bit_arr = x0.unpacked()
+    counts = bit_arr.reshape(fit.blocks, k).sum(axis=1).tolist()
+    votes = fit.votes(counts)
+    fx = score(votes, votes.bit_count())
+    if fx == fmax:
+        return 0
+    bits = bit_arr.tolist()
+    ones = x0.ones
     append = traj.append if traj is not None else None
-    x = sum(w << (WORD_BITS * i) for i, w in enumerate(words))
-    row_cap = max(1, _SUBSET_BUDGET // n)
-    rows = min(_SUBSET_ROWS_FIRST, row_cap)
     t = 0
-    # Proposals are drawn ahead in batches that grow from a few rows, so
-    # short runs overdraw little.  Overdrawing is safe: every run owns its
-    # generator and nothing draws from it after this function returns.
-    while t < cap:
-        k = min(rows, cap - t)
-        rows = min(2 * rows, row_cap)
-        bits = np.zeros((k, n), dtype=bool)
-        bits[np.arange(k)[:, None], sample_uniform_subset(n, ell, rng, size=k)] = True
-        for row in np.packbits(bits, axis=1, bitorder="little"):
-            m = int.from_bytes(row.tobytes(), "little")
+    if ell == 1:
+        # a +-1 step crosses the threshold iff the two counts are thr-1, thr
+        crossing = 2 * thr - 1
+        while t < cap:
+            for i in rng.integers(0, n, size=min(_BATCH, cap - t)).tolist():
+                t += 1
+                b = i // k
+                old = counts[b]
+                on = bits[i]
+                c = old - 1 if on else old + 1
+                if c + old == crossing:
+                    v = votes ^ (1 << b)
+                    fy = score(v, v.bit_count())
+                    if fy < fx:
+                        if append is not None:
+                            append(ones)
+                        continue
+                    votes = v
+                    fx = fy
+                bits[i] = on ^ 1
+                counts[b] = c
+                ones += -1 if on else 1
+                if append is not None:
+                    append(ones)
+                if fx == fmax:
+                    return t
+        return None
+    for batch in _subset_batches(n, ell, rng, cap):
+        for row in batch.tolist():
             t += 1
-            cand = ones + ell - 2 * (x & m).bit_count()
-            y = x ^ m
-            fy = value(y, cand)
-            if fy >= fx:
-                x = y
-                ones = cand
+            new: dict[int, int] = {}
+            for i in row:
+                b = i // k
+                new[b] = new.get(b, counts[b]) + 1 - 2 * bits[i]
+            v = votes
+            for b, c in new.items():
+                if (c >= thr) != (counts[b] >= thr):
+                    v ^= 1 << b
+            if v != votes:
+                fy = score(v, v.bit_count())
+                if fy < fx:
+                    if append is not None:
+                        append(ones)
+                    continue
+                votes = v
                 fx = fy
+            for i in row:
+                ones += 1 - 2 * bits[i]
+                bits[i] ^= 1
+            for b, c in new.items():
+                counts[b] = c
             if append is not None:
                 append(ones)
             if fx == fmax:

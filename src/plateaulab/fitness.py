@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import BitString, count_bit_range
+from .core import _U64_MASK, WORD_BITS, BitString, count_bit_range
 
 
 class FitnessFunction:
@@ -106,75 +106,88 @@ class OneMax(FitnessFunction):
         return f"OneMax(n={self.n})"
 
 
-class NeutralityFitness(FitnessFunction):
-    """Blocked genotype: each width-k block votes, the base scores the votes.
+class BlockedFitness(FitnessFunction):
+    """Genotype of ``blocks`` width-k blocks, scored through the blocks' votes.
 
     A block's vote is 1 exactly when strictly more than half of its k bits
     are set, i.e. at least floor(k/2) + 1 of them; ties on even k vote 0.
-    The genotype length is base.n * k.
+    Bit b of a vote mask is the vote of block b (0-based).  Subclasses
+    define ``vote_value``, the score of a vote mask plus its vote count,
+    so the engine can keep per-block counts and rescore only when a
+    proposal flips a vote.
     """
 
-    level_symmetric = False
+    def __init__(self, blocks: int, k: int):
+        if k <= 0 or blocks <= 0:
+            raise ValueError("block width and block count must be positive")
+        self.blocks = blocks
+        self.k = k
+        self.n = blocks * k
+        self.block_threshold = k // 2 + 1
+
+    def votes(self, counts: Sequence[int]) -> int:
+        """Vote mask of the given per-block ones counts."""
+        thr = self.block_threshold
+        return sum(1 << b for b, c in enumerate(counts) if c >= thr)
+
+    def vote_value(self, votes: int, count: int) -> int:
+        """Score of vote mask ``votes`` with ``count`` set votes (hot path)."""
+        raise NotImplementedError
+
+    def value_packed(self, words: Sequence[int], ones: int) -> int:
+        k = self.k
+        votes = self.votes(
+            [count_bit_range(words, lo, lo + k) for lo in range(0, self.n, k)]
+        )
+        return self.vote_value(votes, votes.bit_count())
+
+
+class NeutralityFitness(BlockedFitness):
+    """Blocked genotype: each width-k block votes, the base scores the votes.
+
+    The genotype length is base.n * k.
+    """
 
     def __init__(self, base: FitnessFunction, k: int):
         if k <= 0:
             raise ValueError(f"block width must be positive, got {k}")
+        super().__init__(base.n, k)
         self.base = base
-        self.k = k
-        self.blocks = base.n
-        self.n = base.n * k
         self.max_value = base.max_value
-        self.block_threshold = k // 2 + 1
 
-    def value_packed(self, words: Sequence[int], ones: int) -> int:
-        k = self.k
-        thr = self.block_threshold
+    def vote_value(self, votes: int, count: int) -> int:
         if self.base.level_symmetric:
-            votes = 0
-            for b in range(self.blocks):
-                if count_bit_range(words, b * k, b * k + k) >= thr:
-                    votes += 1
-            return self.base.level_value(votes)
-        vote_bits = [
-            b
-            for b in range(self.blocks)
-            if count_bit_range(words, b * k, b * k + k) >= thr
-        ]
-        return self.base.value(BitString.from_indices(self.blocks, vote_bits))
+            return self.base.level_value(count)
+        words = [(votes >> s) & _U64_MASK for s in range(0, self.blocks, WORD_BITS)]
+        return self.base.value_packed(words, count)
 
     def __repr__(self) -> str:
         return f"NeutralityFitness(base={self.base!r}, k={self.k})"
 
 
-class BlockMajorityFitness(FitnessFunction):
+class BlockMajorityFitness(BlockedFitness):
     """Vote of one width-k block inside a blocks*k genotype; 1-based block index.
 
     Flipping bits outside the block never changes the value, which makes a
     family of these the separable decomposition of OneMax over votes.
     """
 
-    level_symmetric = False
     max_value = 1
 
     def __init__(self, block: int, blocks: int, k: int):
-        if k <= 0 or blocks <= 0:
-            raise ValueError("block width and block count must be positive")
+        super().__init__(blocks, k)
         if not 1 <= block <= blocks:
             raise ValueError(f"block index {block} out of range [1..{blocks}]")
         self.block = block
-        self.blocks = blocks
-        self.k = k
-        self.n = blocks * k
-        self.lo = (block - 1) * k
-        self.hi = block * k
-        self.block_threshold = k // 2 + 1
+
+    def vote_value(self, votes: int, count: int) -> int:
+        return (votes >> (self.block - 1)) & 1
 
     def value_packed(self, words: Sequence[int], ones: int) -> int:
-        return (
-            1
-            if count_bit_range(words, self.lo, self.hi) >= self.block_threshold
-            else 0
-        )
+        # only this block's vote is read, so only this block is counted
+        lo = (self.block - 1) * self.k
+        vote = int(count_bit_range(words, lo, lo + self.k) >= self.block_threshold)
+        return self.vote_value(vote << (self.block - 1), vote)
 
     def __repr__(self) -> str:
         return f"BlockMajorityFitness(block={self.block}, blocks={self.blocks}, k={self.k})"

@@ -55,6 +55,26 @@ class TestBitString:
         with pytest.raises(ValueError):
             BitString(3, np.array([8], dtype=np.uint64))
 
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_from_indices_matches_from01(self, data):
+        n = data.draw(st.integers(1, 200))
+        idx = set(data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)))
+        x = BitString.from_indices(n, sorted(idx, reverse=True))
+        assert x == BitString.from01("".join("1" if i in idx else "0" for i in range(n)))
+        assert x.ones == len(idx)
+        assert x.unpacked().tolist() == [int(i in idx) for i in range(n)]
+
+    def test_from_indices_out_of_range(self):
+        for bad in ([3, 130], [-1], [0, 200, -1]):
+            first = next(i for i in bad if not 0 <= i < 130)
+            with pytest.raises(ValueError, match=f"^index {first} out of range for length 130$"):
+                BitString.from_indices(130, np.array(bad))
+
+    def test_from_indices_duplicates(self):
+        with pytest.raises(ValueError, match="^indices must be pairwise distinct$"):
+            BitString.from_indices(130, [5, 70, 5])
+
     def test_count_bit_range_spans_words(self):
         x = BitString.from_indices(130, [0, 63, 64, 65, 128, 129])
         words = x.words_list()

@@ -5,8 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plateaulab.core import BitString, FixedOnes, Point, RngStream, Uniform
+from plateaulab.core import (
+    BitString,
+    FixedOnes,
+    Point,
+    RngStream,
+    Uniform,
+    flip_bits,
+    sample_bitstring,
+    sample_uniform_subset,
+)
 from plateaulab.ea import (
+    _BATCH,
     RlsMutation,
     RunConfig,
     RunResult,
@@ -16,6 +26,7 @@ from plateaulab.ea import (
 )
 from plateaulab.fitness import (
     BlockMajorityFitness,
+    FitnessFunction,
     MajorityFitness,
     NeutralityFitness,
     OneMax,
@@ -70,6 +81,13 @@ class TestRunConfigValidation:
     def test_cap_positive(self):
         with pytest.raises(ValueError):
             RunConfig(MajorityFitness(4, 1), RlsMutation(1), Uniform(), 1, max_iters=0)
+
+    def test_engine_needs_level_or_blocked_fitness(self):
+        class Parity(FitnessFunction):
+            n, max_value = 4, 1
+
+        with pytest.raises(ValueError, match="no engine can run it"):
+            RunConfig(Parity(), RlsMutation(1), Uniform(), 1)
 
     def test_restart_stats_need_majority(self):
         with pytest.raises(ValueError):
@@ -193,6 +211,70 @@ class TestRun:
         cfg = RunConfig(fit, RlsMutation(1), Uniform(), 9, 0, max_iters=100_000)
         res = run(cfg)
         assert res.runtime is not None
+
+
+def reference_run(cfg):
+    """The elitist loop spelled out: every proposal is a new BitString scored
+    by ``fit.value``.  It consumes the generator as the engines do: single
+    flips in blocks of ``_BATCH`` integers, ell > 1 one subset per proposal."""
+    fit, ell, cap = cfg.fitness, cfg.mutation.ell, cfg.max_iters
+    rng = RngStream(cfg.master_seed, cfg.run_index).generator()
+    x = sample_bitstring(fit.n, cfg.init, rng)
+    fx = fit.value(x)
+    traj = [x.ones]
+    if fx == fit.max_value:
+        return 0, traj
+    t = 0
+    while t < cap:
+        if ell == 1:
+            flips = [[i] for i in rng.integers(0, fit.n, size=min(_BATCH, cap - t))]
+        else:
+            flips = [sample_uniform_subset(fit.n, ell, rng)]
+        for idx in flips:
+            t += 1
+            y = flip_bits(x, idx)
+            fy = fit.value(y)
+            if fy >= fx:
+                x, fx = y, fy
+            traj.append(x.ones)
+            if fx == fit.max_value:
+                return t, traj
+    return None, traj
+
+
+BLOCKED = {
+    "onemax-k3": NeutralityFitness(OneMax(5), 3),
+    "onemax-k4": NeutralityFitness(OneMax(5), 4),
+    # 140 bits: blocks straddle the 64-bit word boundaries
+    "onemax-k7-20": NeutralityFitness(OneMax(20), 7),
+    "plateau-k4": NeutralityFitness(PlateauFitness(6, 2), 4),
+    "majority-k5": NeutralityFitness(MajorityFitness(8, 2), 5),
+    # a base that is not level-symmetric, with its block in the second vote word
+    "block-base-k3": NeutralityFitness(BlockMajorityFitness(70, 70, 1), 3),
+    "first-block-k6": BlockMajorityFitness(1, 11, 6),
+    "last-block-k7": BlockMajorityFitness(20, 20, 7),
+}
+
+
+class TestBlockedEngine:
+    @pytest.mark.parametrize("name", sorted(BLOCKED))
+    @pytest.mark.parametrize("ell_kind", ["1", "2", "k", "n"])
+    @pytest.mark.parametrize("cap", [37, 1500])
+    def test_matches_reference_loop(self, name, ell_kind, cap):
+        fit = BLOCKED[name]
+        ell = {"1": 1, "2": 2, "k": fit.k, "n": fit.n}[ell_kind]
+        for i in range(2):
+            cfg = RunConfig(fit, RlsMutation(ell), Uniform(), 7, i, max_iters=cap,
+                            record_trajectory=True)
+            res = run(cfg)
+            runtime, traj = reference_run(cfg)
+            assert res.runtime == runtime
+            assert res.trajectory.tolist() == traj
+
+    def test_reference_covers_censoring(self):
+        cfg = RunConfig(BLOCKED["onemax-k7-20"], RlsMutation(2), Uniform(), 7, 0,
+                        max_iters=37, record_trajectory=True)
+        assert run(cfg).censored and reference_run(cfg)[0] is None
 
 
 class TestLevelProcess:

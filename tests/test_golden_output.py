@@ -50,6 +50,12 @@ COMMANDS = {
         "sweep", "--function", "plateau", "--n", "40", "--r", "10", "--ell", "3",
         "--runs", "5", "--init", "ones=20", "--cap", "37",
     ),
+    # odd k, blocks straddling 64-bit words, single and multi-bit flips
+    "sweep_neutral_k7": (
+        "sweep", "--function", "onemax-neutral", "--n", "20", "--k", "7",
+        "--ell", "1,2,5", "--runs", "10", "--seed", "7",
+    ),
+    "wmodel_k6": ("wmodel", "--blocks", "13", "--k", "6", "--runs", "40", "--seed", "5"),
     "trajectory_ell7": ("trajectory", "--n", "130", "--r", "5", "--ell", "7", "--seed", "3"),
     "restarts": ("restarts", "--n", "10", "--r", "2", "--runs", "200", "--seed", "4"),
     "restarts_no_retry": ("restarts", "--n", "4", "--r", "1", "--runs", "1", "--seed", "1"),
