@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -120,11 +121,11 @@ def _cmd_compliance(args) -> int:
 def _cmd_simulate(args) -> int:
     fit = make_fitness(args.function, args.n, r=args.r, k=args.k)
     init = parse_init(args.init, fit)
+    config = RunConfig(fit, RlsMutation(args.ell), init, args.seed, max_iters=args.cap)
+    harness.check_runs_finish(config)
     lines = ["run,runtime,init_ones,censored"]
     for idx in range(args.runs):
-        result = run(
-            RunConfig(fit, RlsMutation(args.ell), init, args.seed, idx, args.cap)
-        )
+        result = run(replace(config, run_index=idx))
         runtime = "" if result.censored else str(result.runtime)
         lines.append(
             f"{idx},{runtime},{result.init_ones},{str(result.censored).lower()}"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -341,6 +342,10 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+# a kernel build divides by the same C(n, ell) once per entry
+_subsets = functools.lru_cache(maxsize=64)(math.comb)
+
+
 def hypergeom_pmf(n: int, j: int, ell: int, a: int) -> float:
     """P[exactly ``a`` of ``ell`` positions sampled without replacement from
     n fall among a marked set of size ``j``]."""
@@ -352,4 +357,4 @@ def hypergeom_pmf(n: int, j: int, ell: int, a: int) -> float:
         raise ValueError(f"overlap a={a} outside support for n={n}, j={j}, ell={ell}")
     # integer true division is correctly rounded, so kernel rows sum to 1
     # within a few ulps at any n
-    return math.comb(j, a) * math.comb(n - j, ell - a) / math.comb(n, ell)
+    return math.comb(j, a) * math.comb(n - j, ell - a) / _subsets(n, ell)

@@ -136,10 +136,40 @@ def _run_task(task: RunTask) -> list[RunResult]:
     return [run(replace(task.config, run_index=i)) for i in task.runs]
 
 
+def check_runs_finish(config: RunConfig) -> None:
+    """Reject a cell whose runs can get stuck for good under the default cap.
+
+    A level-symmetric run that reaches a level with no accepted path to an
+    optimum (``oracle.trapped_level``) would spin until the 10^9-proposal
+    default cap; any other cap censors such runs as usual.  Blocked
+    objectives are not checked.  O(n ell): call it once per cell, not per
+    run.
+    """
+    fit = config.fitness
+    if config.max_iters != DEFAULT_CAP or not fit.level_symmetric:
+        return
+    init = config.init
+    if isinstance(init, FixedOnes):
+        starts = [init.ones]
+    elif isinstance(init, Point):
+        starts = [init.bits.count("1")]
+    else:
+        starts = range(fit.n + 1)
+    ell = config.mutation.ell
+    level = oracle.trapped_level(fit.n, ell, fit.level_value, starts)
+    if level is not None:
+        raise ValueError(
+            f"runs can never finish: {fit!r} with ell={ell} has no accepted path "
+            f"to an optimum from ones count {level}, which the initialization "
+            "can reach; pass --cap to censor such runs instead"
+        )
+
+
 def _tasks(config: RunConfig, first: int, runs: int, workers: int) -> list[RunTask]:
     """Split run indices first..first+runs-1 into about 4 blocks per worker."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    check_runs_finish(config)
     size = max(1, math.ceil(runs / max(1, workers * 4)))
     stop = first + runs
     return [
@@ -324,6 +354,7 @@ def trajectory_capture(
         cap,
         record_trajectory=True,
     )
+    check_runs_finish(cfg)
     return run(cfg)
 
 

@@ -140,32 +140,74 @@ def bd_expected_hitting(chain: BirthDeathChain, start: int) -> float:
     return float(bd_hitting_times(chain)[start - chain.lo])
 
 
-@dataclass(frozen=True, eq=False)
 class KernelChain:
-    """Dense row-stochastic transition matrix over ones-count levels."""
+    """Row-stochastic transition matrix over ones-count levels, stored as a band.
 
-    matrix: np.ndarray
-    absorbing: frozenset[int]
+    ``band[s, width + d]`` holds P[s, s + d] for |d| <= width; positions
+    past either end of the level range hold zero.  ``KernelChain(matrix,
+    absorbing)`` takes a dense square matrix and keeps the band its
+    nonzeros span; ``from_band`` takes the band itself.
+    """
 
-    def __post_init__(self) -> None:
-        P = self.matrix
-        size = P.shape[0]
-        if P.ndim != 2 or P.shape[1] != size:
+    def __init__(self, matrix: np.ndarray, absorbing: Iterable[int]):
+        P = np.asarray(matrix, dtype=float)
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ValueError("transition matrix must be square")
-        if np.any(P < -_ROW_TOL):
+        size = P.shape[0]
+        rows, cols = np.nonzero(P)
+        width = int(np.max(np.abs(cols - rows))) if rows.size else 0
+        band = np.zeros((size, 2 * width + 1))
+        for d in range(-width, width + 1):
+            band[max(0, -d) : size - max(0, d), width + d] = np.diagonal(P, d)
+        self._init(band, absorbing)
+
+    @classmethod
+    def from_band(cls, band: np.ndarray, absorbing: Iterable[int]) -> KernelChain:
+        kernel = cls.__new__(cls)
+        kernel._init(np.asarray(band, dtype=float), absorbing)
+        return kernel
+
+    def _init(self, band: np.ndarray, absorbing: Iterable[int]) -> None:
+        if band.ndim != 2 or band.shape[1] % 2 == 0:
+            raise ValueError("band must have 2 * width + 1 columns")
+        size, width = band.shape[0], band.shape[1] // 2
+        outside = _band_columns(np.arange(size), width, size) < 0
+        if np.any(band[outside] != 0.0):
+            raise ValueError("band entries past the level range must be zero")
+        if np.any(band < -_ROW_TOL):
             raise ValueError("transition probabilities must be nonnegative")
-        rowsum = P.sum(axis=1)
+        rowsum = band.sum(axis=1)
         if np.max(np.abs(rowsum - 1.0)) > _ROW_TOL:
             raise ValueError("every row must sum to 1 within 1e-12")
-        for s in self.absorbing:
+        absorbing = frozenset(absorbing)
+        for s in absorbing:
             if not 0 <= s < size:
                 raise ValueError(f"absorbing state {s} out of range")
-            if P[s, s] != 1.0:
+            if band[s, width] != 1.0:
                 raise ValueError(f"absorbing state {s} must be a unit self-loop")
+        self.band = band
+        self.width = width
+        self.absorbing = absorbing
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.band.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense transition matrix, built afresh on every access."""
+        size, width = self.size, self.width
+        P = np.zeros((size, size))
+        for d in range(-width, width + 1):
+            rows = np.arange(max(0, -d), size - max(0, d))
+            P[rows, rows + d] = self.band[rows, width + d]
+        return P
+
+
+def _band_columns(rows: np.ndarray, width: int, size: int) -> np.ndarray:
+    """Level reached by each band position of ``rows``; -1 past either end."""
+    cols = rows[:, None] + np.arange(-width, width + 1)
+    return np.where((cols >= 0) & (cols < size), cols, -1)
 
 
 def level_fitness(fit: FitnessFunction) -> Callable[[int], int]:
@@ -188,7 +230,8 @@ def rlsl_kernel(
     The overlap a between the flipped set and the current 1-positions is
     hypergeometric and moves level j to j + ell - 2a; proposals with
     fitness_by_level(new) < fitness_by_level(current) fold back into the
-    diagonal.  By default the argmax levels are absorbing.
+    diagonal.  By default the argmax levels are absorbing.  The band has
+    half-width ell.
     """
     if not 1 <= ell <= n:
         raise ValueError(f"ell must lie in [1..n], got ell={ell}, n={n}")
@@ -199,71 +242,136 @@ def rlsl_kernel(
         top = max(values)
         absorbing = {j for j, v in enumerate(values) if v == top}
     absorbing = frozenset(absorbing)
-    P = np.zeros((n + 1, n + 1))
+    band = np.zeros((n + 1, 2 * ell + 1))
     for j in range(n + 1):
         if j in absorbing:
-            P[j, j] = 1.0
+            band[j, ell] = 1.0
             continue
         for a in range(max(0, ell - (n - j)), min(j, ell) + 1):
             p = hypergeom_pmf(n, j, ell, a)
-            j2 = j + ell - 2 * a
-            if values[j2] >= values[j]:
-                P[j, j2] += p
+            d = ell - 2 * a
+            if values[j + d] >= values[j]:
+                band[j, ell + d] += p
             else:
-                P[j, j] += p
-    return KernelChain(P, absorbing)
+                band[j, ell] += p
+    return KernelChain.from_band(band, absorbing)
+
+
+def _support(n: int, ell: int, j: int) -> range:
+    """Levels an exact-ell-bit flip can move level j to (step 2)."""
+    return range(j + ell - 2 * min(j, ell), j + ell - 2 * max(0, ell - (n - j)) + 1, 2)
+
+
+def trapped_level(
+    n: int, ell: int, fitness_by_level: Callable[[int], float], starts: Iterable[int]
+) -> Optional[int]:
+    """A level reachable from ``starts`` with no accepted path to an optimum, or None.
+
+    Edges are the kernel's support restricted to accepted proposals
+    (j -> j + ell - 2a with value(new) >= value(j)); the optima are the
+    argmax levels.  The support is symmetric, so the levels that can reach
+    an optimum are found by a backward search from the optima over the
+    same ranges.  O(n ell) time.
+    """
+    if not 1 <= ell <= n:
+        raise ValueError(f"ell must lie in [1..n], got ell={ell}, n={n}")
+    values = [fitness_by_level(j) for j in range(n + 1)]
+    top = max(values)
+    escapes = [v == top for v in values]
+    stack = [j for j in range(n + 1) if escapes[j]]
+    left = n + 1 - len(stack)
+    while stack and left:
+        t = stack.pop()
+        vt = values[t]
+        for s in _support(n, ell, t):
+            if not escapes[s] and values[s] <= vt:
+                escapes[s] = True
+                left -= 1
+                stack.append(s)
+    if not left:
+        return None
+    seen = set()
+    stack = [j for j in starts if 0 <= j <= n]
+    while stack:
+        j = stack.pop()
+        if j in seen:
+            continue
+        if not escapes[j]:
+            return j
+        seen.add(j)
+        vj = values[j]
+        stack.extend(t for t in _support(n, ell, j) if values[t] >= vj and t not in seen)
+    return None
 
 
 def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
-    """Expected absorption times for every level of a dense kernel.
+    """Expected absorption times for every level of a banded kernel.
 
     Solves (I - Q) E = 1 on the transient block by state-reduction
-    Gaussian elimination in which every pivot is accumulated as a sum of
-    leaving probabilities, never as 1 - P[z, z]; all intermediate
-    quantities stay nonnegative, which keeps componentwise relative
-    accuracy even when expectations span hundreds of orders of magnitude.
-    The computed vector is verified against the residual contract
-    max|(I - Q) E - 1| <= 1e-9 (1 + max E).
+    Gaussian elimination (Grassmann, Taksar & Heyman 1985) in which every
+    pivot is accumulated as a sum of leaving probabilities, never as
+    1 - P[z, z]; all intermediate quantities stay nonnegative, which keeps
+    componentwise relative accuracy even when expectations span hundreds
+    of orders of magnitude.  Eliminating the highest remaining level only
+    updates the levels within the half-width w below it, so the band never
+    fills in: O(m w^2) time and O(m w) memory for m transient levels.  The
+    computed vector is verified against the residual contract
+    max|(I - Q) E - 1| <= 1e-9 (1 + max E) on the kernel's own band.
     """
-    size = kernel.size
+    size, w = kernel.size, kernel.width
     if size > DENSE_LIMIT:
         raise ValueError(f"kernel size {size} exceeds the dense limit {DENSE_LIMIT}")
     if not kernel.absorbing:
         raise ValueError("no absorbing state reachable")
-    trans = [s for s in range(size) if s not in kernel.absorbing]
+    trans = np.array([s for s in range(size) if s not in kernel.absorbing], dtype=np.intp)
     out = np.zeros(size)
     m = len(trans)
     if m == 0:
         return out
-    Q = kernel.matrix[np.ix_(trans, trans)].copy()
-    absorb = kernel.matrix[np.ix_(trans, sorted(kernel.absorbing))].sum(axis=1)
-    visit_cost = np.ones(m)
-    saved_rows: list[tuple[np.ndarray, float]] = [(np.empty(0), 0.0)] * m
+    # transient index of every band position of the transient rows; the
+    # extra last slot maps positions past the range (-1) to -1 as well
+    index = np.full(size + 1, -1)
+    index[trans] = np.arange(m)
+    cols = _band_columns(trans, w, size)
+    target = index[cols]
+    P = kernel.band[trans]
+    # columns: visit cost, then leaving mass into absorbing levels
+    rhs = np.ones((m, 2))
+    rhs[:, 1] = np.where(target < 0, P, 0.0).sum(axis=1)
+    # transient block in band form; its half-width is at most w
+    band = np.zeros((m, 2 * w + 1))
+    i, c = np.nonzero(target >= 0)
+    band[i, w + target[i, c] - i] = P[i, c]
+    # Q[i, k] = band[i, w + k - i] sits at flat index w + 2w i + k: a
+    # strided (m, m) view whose |i - k| <= w entries are the band
+    Q = np.lib.stride_tricks.as_strided(
+        band.reshape(-1)[w:], shape=(m, m), strides=(2 * w * band.itemsize, band.itemsize)
+    )
     for z in range(m - 1, 0, -1):
-        leave = Q[z, :z].sum() + absorb[z]
+        lo = max(0, z - w)
+        row = Q[z, lo:z]
+        leave = np.add.reduce(row) + rhs[z, 1]
         if leave <= 0.0:
             raise ValueError(
                 f"absorption unreachable from level {trans[z]} (singular system)"
             )
-        row = Q[z, :z] / leave
-        cost = visit_cost[z] / leave
-        saved_rows[z] = (row.copy(), cost)
-        col = Q[:z, z]
-        Q[:z, :z] += np.outer(col, row)
-        visit_cost[:z] += col * cost
-        absorb[:z] += col * (absorb[z] / leave)
-    if absorb[0] <= 0.0:
+        # row z and its visit cost now hold the back-substitution terms
+        row /= leave
+        rhs[z] /= leave
+        col = Q[lo:z, z, None]
+        Q[lo:z, lo:z] += col * row
+        rhs[lo:z] += col * rhs[z]
+    if rhs[0, 1] <= 0.0:
         raise ValueError(f"absorption unreachable from level {trans[0]} (singular system)")
     E = np.empty(m)
-    E[0] = visit_cost[0] / absorb[0]
+    E[0] = rhs[0, 0] / rhs[0, 1]
     for z in range(1, m):
-        row, cost = saved_rows[z]
-        E[z] = cost + float(row @ E[:z])
-    for k, s in enumerate(trans):
-        out[s] = E[k]
+        lo = max(0, z - w)
+        E[z] = rhs[z, 0] + float(Q[z, lo:z] @ E[lo:z])
+    out[trans] = E
     if np.all(np.isfinite(E)):
-        A = np.eye(m) - kernel.matrix[np.ix_(trans, trans)]
-        residual = float(np.max(np.abs(A @ E - 1.0)))
+        QE = np.einsum("ij,ij->i", P, np.append(out, 0.0)[cols])
+        residual = float(np.max(np.abs(E - QE - 1.0)))
         if residual > _RESIDUAL_TOL * (1.0 + float(np.max(E))):
             raise ArithmeticError(
                 f"solver residual {residual:g} violates the accuracy contract"

@@ -1,8 +1,12 @@
+import os
 import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import plateaulab
 from plateaulab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -293,6 +297,54 @@ class TestTrajectoryAndPlot:
         )
         assert code == EXIT_OK
         assert ET.parse(str(svg_path)).getroot() is not None
+
+
+class TestTrappedRuns:
+    """Runs that can never reach an optimum: exit 2 up front, never a hang."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--function", "majority", "--n", "100", "--r", "10", "--ell", "100",
+             "--runs", "5"),
+            ("simulate", "--function", "onemax", "--n", "7", "--ell", "7"),
+            ("sweep", "--function", "onemax", "--n", "10", "--ell", "2,3"),
+            ("trajectory", "--n", "100", "--r", "10", "--ell", "100"),
+        ],
+    )
+    def test_rejected_within_seconds(self, argv):
+        # a subprocess with a timeout, so that a regression fails instead of hanging
+        src = str(pathlib.Path(plateaulab.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "plateaulab.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: runs can never finish")
+        assert "ones count" in proc.stderr and "--cap" in proc.stderr
+
+    def test_explicit_cap_still_censors(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--function", "onemax", "--n", "10", "--ell", "2", "--runs", "20",
+            "--cap", "2000", "--seed", "1",
+        )
+        assert code == EXIT_OK
+        censored = int(parse_csv(out)[0]["censored"])
+        assert censored > 0
+        assert err.splitlines() == [
+            f"warning: cell n=10 r=0 ell=2: {censored} of 20 runs censored by the "
+            "iteration cap; the statistics exclude them"
+        ]
+        code, out, _ = run_cli(
+            capsys, "simulate", "--function", "onemax", "--n", "7", "--ell", "7",
+            "--cap", "50", "--runs", "3",
+        )
+        assert code == EXIT_OK
+        assert [row["censored"] for row in parse_csv(out)] == ["true"] * 3
 
 
 class TestUsageErrors:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from plateaulab import harness, oracle
-from plateaulab.core import Uniform
+from plateaulab.core import FixedOnes, Point, Uniform
+from plateaulab.ea import RlsMutation, RunConfig
 from plateaulab.harness import (
     CellResult,
     CellStats,
@@ -23,7 +24,7 @@ from plateaulab.harness import (
     trajectory_capture,
     write_csv,
 )
-from plateaulab.fitness import MajorityFitness
+from plateaulab.fitness import MajorityFitness, NeutralityFitness, OneMax
 
 
 def small_spec(**overrides):
@@ -173,6 +174,53 @@ class TestTrajectoryCapture:
             assert res.runtime is not None
             jumps.append(int(np.max(np.abs(np.diff(res.trajectory)))))
         assert sum(1 for j in jumps if j > 10) >= 2
+
+
+class TestRunsFinish:
+    def test_trapped_cell_rejected_before_any_run(self, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("a run started; it would spin to the 10^9 cap")
+
+        monkeypatch.setattr(harness, "run", no_run)
+        spec = small_spec(function="onemax", n_values=(10,), ell_values=(2, 1), runs=5)
+        with pytest.raises(ValueError, match="ones count 9.*--cap"):
+            sweep(spec)
+
+    def test_checked_once_per_cell(self, monkeypatch):
+        calls = []
+        real = oracle.trapped_level
+
+        def counted(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "trapped_level", counted)
+        sweep(small_spec(ell_values=(1, 2, 3), runs=30))
+        restart_experiment(20, 2, runs=30, master_seed=1)
+        assert calls == [(20, 1), (20, 2), (20, 3), (20, 1)]
+
+    def test_explicit_cap_censors_instead(self):
+        rows = sweep(
+            small_spec(function="onemax", n_values=(10,), ell_values=(2,), runs=20, cap=500)
+        )
+        assert rows[0].stats.censored > 0
+
+    def test_init_support_decides(self):
+        fit = OneMax(10)
+        # 2-bit flips keep the parity of an even start, which reaches 10 ones
+        for init in (FixedOnes(4), Point("1100000000")):
+            harness.check_runs_finish(RunConfig(fit, RlsMutation(2), init, 1))
+        for init in (FixedOnes(3), Point("1110000000"), Uniform()):
+            with pytest.raises(ValueError, match="never finish"):
+                harness.check_runs_finish(RunConfig(fit, RlsMutation(2), init, 1))
+
+    def test_blocked_objectives_not_checked(self):
+        fit = NeutralityFitness(OneMax(5), 2)
+        harness.check_runs_finish(RunConfig(fit, RlsMutation(10), Uniform(), 1))
+
+    def test_trajectory_rejected(self):
+        with pytest.raises(ValueError, match="never finish"):
+            trajectory_capture(100, 10, 100, master_seed=1)
 
 
 class TestCsv:

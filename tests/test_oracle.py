@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from plateaulab import theory
 from plateaulab.core import FixedOnes, Uniform
-from plateaulab.fitness import MajorityFitness
+from plateaulab.fitness import MajorityFitness, OneMax, PlateauFitness, make_fitness
 from plateaulab.oracle import (
     DENSE_LIMIT,
     BirthDeathChain,
@@ -24,6 +25,7 @@ from plateaulab.oracle import (
     plateau_chain,
     plateau_hitting_by_level,
     rlsl_kernel,
+    trapped_level,
 )
 
 
@@ -184,6 +186,184 @@ class TestKernelSolver:
             kernel_hitting_times(big)
         small = KernelChain(np.eye(2), frozenset({0, 1}))
         assert kernel_hitting_times(small).tolist() == [0.0, 0.0]
+
+
+def dense_reference_build(n, ell, fitness_by_level):
+    """The kernel as the dense builder wrote it: one += per overlap, in order."""
+    values = [fitness_by_level(j) for j in range(n + 1)]
+    top = max(values)
+    P = np.zeros((n + 1, n + 1))
+    for j in range(n + 1):
+        if values[j] == top:
+            P[j, j] = 1.0
+            continue
+        for a in range(max(0, ell - (n - j)), min(j, ell) + 1):
+            p = math.comb(j, a) * math.comb(n - j, ell - a) / math.comb(n, ell)
+            j2 = j + ell - 2 * a
+            P[j, j2 if values[j2] >= values[j] else j] += p
+    return P
+
+
+def dense_reference_times(kernel):
+    """numpy.linalg.solve on I - Q of the dense matrix; zero on absorbing levels."""
+    P = kernel.matrix
+    trans = [s for s in range(kernel.size) if s not in kernel.absorbing]
+    out = np.zeros(kernel.size)
+    if trans:
+        A = np.eye(len(trans)) - P[np.ix_(trans, trans)]
+        out[trans] = np.linalg.solve(A, np.ones(len(trans)))
+    return out
+
+
+def assert_matches_reference(kernel):
+    times = kernel_hitting_times(kernel)
+    ref = dense_reference_times(kernel)
+    trans = [s for s in range(kernel.size) if s not in kernel.absorbing]
+    assert np.all(times[sorted(kernel.absorbing)] == 0.0)
+    assert np.max(np.abs(times[trans] - ref[trans]) / ref[trans], initial=0.0) <= 1e-12
+
+
+GRID = [
+    (function, n, ell)
+    for function in ("majority", "plateau")
+    for n in (2, 6, 64, 256, 1024)
+    for ell in sorted({1, 2, 3, 10, n // 2, n})
+    if ell <= n
+]
+
+
+class TestBandedKernel:
+    def test_dense_input_keeps_nonzero_band(self):
+        matrix = np.array(
+            [[0.5, 0.5, 0.0, 0.0], [0.25, 0.5, 0.25, 0.0], [0.0, 0.0, 1.0, 0.0],
+             [0.0, 0.0, 0.0, 1.0]]
+        )
+        kernel = KernelChain(matrix, frozenset({2, 3}))
+        assert kernel.width == 1 and kernel.band.shape == (4, 3)
+        assert kernel.band[1].tolist() == [0.25, 0.5, 0.25]
+        assert kernel.band[0, 0] == 0.0 and kernel.band[3, 2] == 0.0
+        assert np.array_equal(kernel.matrix, matrix)
+        assert KernelChain(np.eye(3), frozenset({0, 1, 2})).width == 0
+
+    def test_rlsl_kernel_band_has_half_width_ell(self):
+        kernel = rlsl_kernel(40, 7, level_fitness(MajorityFitness(40, 3)))
+        assert kernel.width == 7 and kernel.band.shape == (41, 15)
+
+    @pytest.mark.parametrize("n", [2, 7, 64, 257])
+    def test_matrix_bit_identical_to_dense_build(self, n):
+        fits = [OneMax(n)] + ([MajorityFitness(n, 1)] if n % 2 == 0 else [])
+        for fit in fits:
+            by_level = level_fitness(fit)
+            for ell in sorted({ell for ell in (1, 2, 3, n // 2, n) if 1 <= ell <= n}):
+                built = rlsl_kernel(n, ell, by_level).matrix
+                assert built.tobytes() == dense_reference_build(n, ell, by_level).tobytes()
+
+    def test_band_entries_past_the_range_rejected(self):
+        band = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="past the level range"):
+            KernelChain.from_band(band, frozenset({1}))
+        with pytest.raises(ValueError, match="2 \\* width \\+ 1"):
+            KernelChain.from_band(np.ones((2, 2)) / 2, frozenset())
+
+    def test_band_validation_rules(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            KernelChain.from_band(np.array([[0.0, 0.5, 0.4], [0.0, 1.0, 0.0]]), frozenset())
+        with pytest.raises(ValueError, match="nonnegative"):
+            KernelChain.from_band(np.array([[0.0, 1.5, -0.5], [0.0, 1.0, 0.0]]), frozenset())
+        with pytest.raises(ValueError, match="unit self-loop"):
+            KernelChain.from_band(np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0]]), frozenset({0}))
+
+    def test_exact_path_memory_is_banded(self):
+        # the dense kernel alone would be 8 * 4097**2 bytes, about 134 MB
+        fit = level_fitness(MajorityFitness(4096, 4))
+        tracemalloc.start()
+        try:
+            times = kernel_hitting_times(rlsl_kernel(4096, 10, fit))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert times[0] > 0.0
+        assert peak < 16 * 2**20
+
+
+class TestBandedSolver:
+    @pytest.mark.parametrize("function,n,ell", GRID)
+    def test_matches_dense_reference(self, function, n, ell):
+        by_level = level_fitness(make_fitness(function, n, r=min(4, n // 2)))
+        kernel = rlsl_kernel(n, ell, by_level)
+        if trapped_level(n, ell, by_level, range(n + 1)) is not None:
+            with pytest.raises(ValueError, match="singular"):
+                kernel_hitting_times(kernel)
+            return
+        assert_matches_reference(kernel)
+
+    @pytest.mark.parametrize("width", [1, 2, 11])
+    def test_hand_built_non_contiguous_absorbing(self, width):
+        # random band of the given half-width (width 11 is full: 12 levels)
+        rng = np.random.default_rng(width)
+        size, absorbing = 12, frozenset({1, 4, 5, 9})
+        matrix = np.zeros((size, size))
+        for s in range(size):
+            if s in absorbing:
+                matrix[s, s] = 1.0
+                continue
+            lo, hi = max(0, s - width), min(size, s + width + 1)
+            row = rng.random(hi - lo)
+            matrix[s, lo:hi] = row / row.sum()
+        kernel = KernelChain(matrix, absorbing)
+        assert kernel.width == width
+        assert_matches_reference(kernel)
+
+    def test_hand_built_sparse_far_jumps(self):
+        # only the outermost diagonals are occupied; transients 0, 2, 3, 5
+        matrix = np.zeros((6, 6))
+        matrix[0, [0, 3]] = [0.5, 0.5]
+        matrix[2, [1, 5]] = [0.9, 0.1]
+        matrix[3, [0, 4]] = [0.7, 0.3]
+        matrix[5, [2]] = [1.0]
+        matrix[1, 1] = matrix[4, 4] = 1.0
+        kernel = KernelChain(matrix, frozenset({1, 4}))
+        assert kernel.width == 3
+        assert_matches_reference(kernel)
+
+
+class TestTrappedLevel:
+    def test_complement_swap_traps_the_balanced_band(self):
+        by_level = level_fitness(MajorityFitness(100, 10))
+        level = trapped_level(100, 100, by_level, range(101))
+        assert 41 <= level <= 59
+        assert trapped_level(100, 100, by_level, [30]) is None
+
+    def test_onemax_stuck_one_below_the_top(self):
+        by_level = level_fitness(OneMax(10))
+        assert trapped_level(10, 2, by_level, range(11)) == 9
+        # even starts keep even parity under 2-bit flips and reach 10
+        assert trapped_level(10, 2, by_level, [0]) is None
+        assert trapped_level(7, 7, level_fitness(OneMax(7)), range(8)) is not None
+        assert trapped_level(10, 1, by_level, range(11)) is None
+
+    def test_rejected_moves_do_not_count(self):
+        # level 0 is stuck, but from level 2 only the rejected move leads there
+        values = [1, 0, 2, 3, 4]
+        assert trapped_level(4, 1, values.__getitem__, [2]) is None
+        assert trapped_level(4, 1, values.__getitem__, [1]) == 0
+
+    def test_agrees_with_solver_singularity(self):
+        for n in (2, 4, 6, 9, 12):
+            fits = [OneMax(n)]
+            if n % 2 == 0:
+                fits += [MajorityFitness(n, r) for r in range(n // 2 + 1)]
+                fits += [PlateauFitness(n, r) for r in range(1, n // 2 + 1)]
+            for fit in fits:
+                by_level = level_fitness(fit)
+                for ell in range(1, n + 1):
+                    trapped = trapped_level(n, ell, by_level, range(n + 1))
+                    try:
+                        kernel_hitting_times(rlsl_kernel(n, ell, by_level))
+                        singular = False
+                    except ValueError:
+                        singular = True
+                    assert (trapped is not None) == singular, (fit, ell)
 
 
 class TestHittingByLevel:
