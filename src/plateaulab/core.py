@@ -118,10 +118,6 @@ class BitString:
             self.words.astype("<u8").view(np.uint8), count=self.n, bitorder="little"
         )
 
-    def words_list(self) -> list[int]:
-        """Words as plain Python ints, for tight loops."""
-        return [int(w) for w in self.words]
-
     def __len__(self) -> int:
         return self.n
 
@@ -232,12 +228,10 @@ def sample_uniform_subset(
                     if len(out) == ell:
                         break
         return np.asarray(out, dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    js = rng.integers(np.arange(ell), n).tolist()
-    for i in range(ell):
-        j = js[i]
+    idx = list(range(n))
+    for i, j in enumerate(rng.integers(np.arange(ell), n).tolist()):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx[:ell].copy()
+    return np.asarray(idx[:ell], dtype=np.int64)
 
 
 def _sample_subsets(n: int, ell: int, rng: np.random.Generator, k: int) -> np.ndarray:

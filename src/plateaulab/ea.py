@@ -18,6 +18,9 @@ from .core import (
 from .fitness import BlockedFitness, FitnessFunction, MajorityFitness
 
 DEFAULT_CAP = 10**9
+# ell=1 proposal batches: the first has this many indices, each later one
+# twice as many, up to _BATCH
+_BATCH_FIRST = 64
 _BATCH = 4096
 # ell>1 proposal batches: the first has this many rows, each later one
 # twice as many, capped so that a batch holds at most this many indices
@@ -135,50 +138,72 @@ def run(cfg: RunConfig) -> RunResult:
     )
 
 
-def _subset_batches(n, ell, rng, cap):
-    """Proposal flip sets for up to ``cap`` proposals, as (rows, ell) arrays.
+def _batch_sizes(first, largest, cap):
+    """Sizes of the draw batches of a run of up to ``cap`` proposals.
 
-    Batches grow from a few rows, so short runs overdraw little.
-    Overdrawing is safe: every run owns its generator and nothing draws
-    from it after its engine returns.
+    The first batch has ``first`` proposals and each later one twice as
+    many, up to ``largest``; the last stops at ``cap``.  Short runs thus
+    overdraw little, and overdrawing is safe: every run owns its
+    generator and nothing draws from it after its engine returns.
     """
-    row_cap = max(1, _SUBSET_BUDGET // n)
-    rows = min(_SUBSET_ROWS_FIRST, row_cap)
-    t = 0
+    size, t = first, 0
     while t < cap:
-        k = min(rows, cap - t)
-        rows = min(2 * rows, row_cap)
+        k = min(size, cap - t)
+        yield k
         t += k
+        size = min(2 * size, largest)
+
+
+def _subset_batches(n, ell, rng, cap):
+    """Proposal flip sets for up to ``cap`` proposals, as (rows, ell) arrays."""
+    row_cap = max(1, _SUBSET_BUDGET // n)
+    for k in _batch_sizes(min(_SUBSET_ROWS_FIRST, row_cap), row_cap, cap):
         yield sample_uniform_subset(n, ell, rng, size=k)
 
 
+def _index_batches(n, rng, cap):
+    """Single-flip positions for up to ``cap`` proposals, as lists.
+
+    ``integers(0, n)`` consumes the stream draw by draw (below 2**32
+    through a 32-bit buffer kept in the bit generator's state), so the
+    batches replay exactly the indices one call of their total size
+    would return.
+    """
+    for k in _batch_sizes(_BATCH_FIRST, _BATCH, cap):
+        yield rng.integers(0, n, size=k).tolist()
+
+
 def _run_level(fit, ell, x0, rng, cap, traj):
-    """Engine for objectives of the ones count: the state is the incumbent's bits."""
+    """Engine for objectives of the ones count: the state is the incumbent's bits.
+
+    Fitness is read from the objective's per-level tables; at ell=1 a
+    proposal needs only the acceptance of one step up or down from the
+    incumbent's level.
+    """
     n = fit.n
     fmax = fit.max_value
-    level = fit.level_value
+    vals, up, down = fit.level_tables
     ones = x0.ones
-    fx = level(ones)
+    fx = vals[ones]
     if fx == fmax:
         return 0
     append = traj.append if traj is not None else None
     t = 0
     if ell == 1:
-        words = x0.words_list()
-        while t < cap:
-            for i in rng.integers(0, n, size=min(_BATCH, cap - t)).tolist():
+        bits = x0.unpacked().tolist()
+        for batch in _index_batches(n, rng, cap):
+            for i in batch:
                 t += 1
-                w = i >> 6
-                mask = 1 << (i & 63)
-                cand = ones - 1 if words[w] & mask else ones + 1
-                fy = level(cand)
-                if fy >= fx:
-                    words[w] ^= mask
-                    ones = cand
-                    fx = fy
+                if bits[i]:
+                    if down[ones]:
+                        bits[i] = 0
+                        ones -= 1
+                elif up[ones]:
+                    bits[i] = 1
+                    ones += 1
                 if append is not None:
                     append(ones)
-                if fx == fmax:
+                if vals[ones] == fmax:
                     return t
         return None
     x = int.from_bytes(x0.words.astype("<u8").tobytes(), "little")
@@ -189,7 +214,7 @@ def _run_level(fit, ell, x0, rng, cap, traj):
             m = int.from_bytes(row.tobytes(), "little")
             t += 1
             cand = ones + ell - 2 * (x & m).bit_count()
-            fy = level(cand)
+            fy = vals[cand]
             if fy >= fx:
                 x ^= m
                 ones = cand
@@ -226,8 +251,8 @@ def _run_blocked(fit, ell, x0, rng, cap, traj):
     if ell == 1:
         # a +-1 step crosses the threshold iff the two counts are thr-1, thr
         crossing = 2 * thr - 1
-        while t < cap:
-            for i in rng.integers(0, n, size=min(_BATCH, cap - t)).tolist():
+        for batch in _index_batches(n, rng, cap):
+            for i in batch:
                 t += 1
                 b = i // k
                 old = counts[b]

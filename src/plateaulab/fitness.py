@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from .core import _U64_MASK, WORD_BITS, BitString, count_bit_range
@@ -32,6 +33,15 @@ class FitnessFunction:
         raise NotImplementedError(
             f"{type(self).__name__} does not depend on the ones count alone"
         )
+
+    @functools.cached_property
+    def level_tables(self) -> tuple[list[int], list[bool], list[bool]]:
+        """``level_value`` at every ones count 0..n, and per count whether one
+        more and one fewer set bit score at least as high; built once."""
+        vals = [self.level_value(j) for j in range(self.n + 1)]
+        steps = [b >= a for a, b in zip(vals, vals[1:])]
+        drops = [a >= b for a, b in zip(vals, vals[1:])]
+        return vals, steps + [False], [False] + drops
 
 
 def _check_threshold_params(n: int, r: int) -> None:

@@ -146,6 +146,27 @@ class TestSimulate:
         assert "ell" in err
 
 
+class TestRepeatedCalls:
+    def test_calls_in_one_process_are_independent(self, capsys):
+        defaults = ("simulate", "--n", "12", "--runs", "3")
+        flags = (
+            "simulate", "--function", "plateau", "--n", "12", "--r", "3", "--runs", "3",
+            "--init", "ones=6", "--cap", "40", "--seed", "9",
+        )
+        code, first, _ = run_cli(capsys, *defaults)
+        assert code == EXIT_OK
+        code, with_flags, _ = run_cli(capsys, *flags)
+        assert code == EXIT_OK and with_flags != first
+        code, out, err = run_cli(capsys, "simulate", "--n", "12", "--bogus")
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --bogus" in err
+        code, _, err = run_cli(capsys, "simulate", "--n", "twelve")
+        assert code == EXIT_USAGE and "invalid int value" in err
+        assert run_cli(capsys, "simulate", "--help")[0] == EXIT_OK
+        assert run_cli(capsys, *defaults) == (EXIT_OK, first, "")
+        assert run_cli(capsys, *flags)[:2] == (EXIT_OK, with_flags)
+
+
 class TestSweep:
     def test_stdout_csv(self, capsys):
         code, out, err = run_cli(

@@ -26,6 +26,16 @@ def rng_for(seed, stream=0):
     return RngStream(seed, stream).generator()
 
 
+def numpy_swap_subset(n, ell, rng):
+    """Reference partial Fisher-Yates shuffle, swapping in a numpy index array."""
+    idx = np.arange(n, dtype=np.int64)
+    js = rng.integers(np.arange(ell), n).tolist()
+    for i in range(ell):
+        j = js[i]
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:ell].copy()
+
+
 class TestBitString:
     def test_single_flip(self):
         x = BitString.from01("0000")
@@ -77,7 +87,7 @@ class TestBitString:
 
     def test_count_bit_range_spans_words(self):
         x = BitString.from_indices(130, [0, 63, 64, 65, 128, 129])
-        words = x.words_list()
+        words = x.words
         assert count_bit_range(words, 0, 130) == 6
         assert count_bit_range(words, 63, 66) == 3
         assert count_bit_range(words, 1, 63) == 0
@@ -172,6 +182,21 @@ class TestSubsetSampling:
             assert rows.shape == (k, ell)
             assert np.array_equal(rows, np.stack(expected))
             assert batched.integers(0, 2**63) == single.integers(0, 2**63)
+
+    @pytest.mark.parametrize(
+        "n,ell",
+        [(1, 1), (2, 1), (2, 2), (7, 3), (64, 2), (100, 2), (100, 50), (100, 100),
+         (130, 3), (1000, 16)],
+    )
+    def test_shuffle_matches_numpy_swaps(self, n, ell):
+        assert ell > n >> 6  # the shuffle regime
+        for seed in range(200):
+            got, ref = rng_for(seed, n), rng_for(seed, n)
+            subset = sample_uniform_subset(n, ell, got)
+            expected = numpy_swap_subset(n, ell, ref)
+            assert subset.dtype == np.int64
+            assert np.array_equal(subset, expected)
+            assert got.integers(0, 2**63) == ref.integers(0, 2**63)
 
     def test_determinism(self):
         a = [sample_uniform_subset(50, 7, rng_for(9, 3)).tolist() for _ in range(1)]

@@ -17,9 +17,11 @@ from plateaulab.core import (
 )
 from plateaulab.ea import (
     _BATCH,
+    _BATCH_FIRST,
     RlsMutation,
     RunConfig,
     RunResult,
+    _index_batches,
     extract_restart_stats,
     mutate,
     run,
@@ -215,8 +217,9 @@ class TestRun:
 
 def reference_run(cfg):
     """The elitist loop spelled out: every proposal is a new BitString scored
-    by ``fit.value``.  It consumes the generator as the engines do: single
-    flips in blocks of ``_BATCH`` integers, ell > 1 one subset per proposal."""
+    by ``fit.value``.  It draws single flips in blocks of ``_BATCH``
+    integers, which the engines' growing batches replay exactly, and for
+    ell > 1 one subset per proposal."""
     fit, ell, cap = cfg.fitness, cfg.mutation.ell, cfg.max_iters
     rng = RngStream(cfg.master_seed, cfg.run_index).generator()
     x = sample_bitstring(fit.n, cfg.init, rng)
@@ -242,6 +245,64 @@ def reference_run(cfg):
     return None, traj
 
 
+class TestIndexBatches:
+    @pytest.mark.parametrize("n", [2, 3, 100, 2**31 - 1, 2**32 - 5])
+    def test_split_calls_replay_one_call(self, n):
+        splits = [1, 3, 5, 63, 7, 129, 1, 31]
+        whole_rng, split_rng = RngStream(31, n).generator(), RngStream(31, n).generator()
+        whole = whole_rng.integers(0, n, size=sum(splits))
+        parts = np.concatenate([split_rng.integers(0, n, size=k) for k in splits])
+        same = np.array_equal(parts, whole)
+        same = same and split_rng.integers(0, n) == whole_rng.integers(0, n)
+        assert same, (
+            f"integers(0, {n}) split into calls of {splits} no longer returns what "
+            "one call does; the ell=1 engines draw their indices in growing "
+            "batches and assume it does"
+        )
+
+    @pytest.mark.parametrize("cap", [1, 63, 64, 65, 191, 192, 193, 20_000])
+    def test_batches_double_up_to_cap(self, cap):
+        batches = list(_index_batches(100, RngStream(8).generator(), cap))
+        sizes = [len(b) for b in batches]
+        assert sum(sizes) == cap
+        full = [min(_BATCH_FIRST << i, _BATCH) for i in range(len(sizes))]
+        assert sizes[:-1] == full[:-1] and sizes[-1] <= full[-1]
+        expected = RngStream(8).generator().integers(0, 100, size=cap).tolist()
+        assert [i for b in batches for i in b] == expected
+
+
+LEVEL = {
+    "majority": MajorityFitness(60, 9),
+    "plateau": PlateauFitness(60, 9),
+    "onemax": OneMax(60),
+}
+LEVEL_INITS = {
+    "uniform": Uniform(),
+    "ones": FixedOnes(25),
+    # one step below the majority threshold, so some runs end at t=1
+    "ones-near": FixedOnes(38),
+    "point": Point("0011" * 15),
+}
+
+
+class TestLevelEngine:
+    # caps on both sides of the first two ell=1 batch ends (64 and 192)
+    @pytest.mark.parametrize("name", sorted(LEVEL))
+    @pytest.mark.parametrize("init", sorted(LEVEL_INITS))
+    @pytest.mark.parametrize("ell_kind", ["1", "2", "n/2"])
+    @pytest.mark.parametrize("cap", [1, 63, 64, 65, 191, 192, 193, 1500])
+    def test_matches_reference_loop(self, name, init, ell_kind, cap):
+        fit = LEVEL[name]
+        ell = {"1": 1, "2": 2, "n/2": fit.n // 2}[ell_kind]
+        for i in range(3):
+            cfg = RunConfig(fit, RlsMutation(ell), LEVEL_INITS[init], 7, i,
+                            max_iters=cap, record_trajectory=True)
+            res = run(cfg)
+            runtime, traj = reference_run(cfg)
+            assert res.runtime == runtime
+            assert res.trajectory.tolist() == traj
+
+
 BLOCKED = {
     "onemax-k3": NeutralityFitness(OneMax(5), 3),
     "onemax-k4": NeutralityFitness(OneMax(5), 4),
@@ -259,7 +320,7 @@ BLOCKED = {
 class TestBlockedEngine:
     @pytest.mark.parametrize("name", sorted(BLOCKED))
     @pytest.mark.parametrize("ell_kind", ["1", "2", "k", "n"])
-    @pytest.mark.parametrize("cap", [37, 1500])
+    @pytest.mark.parametrize("cap", [37, 65, 193, 1500])
     def test_matches_reference_loop(self, name, ell_kind, cap):
         fit = BLOCKED[name]
         ell = {"1": 1, "2": 2, "k": fit.k, "n": fit.n}[ell_kind]

@@ -216,6 +216,21 @@ class TestBlockMajority:
         assert parts == neutral.value(x)
 
 
+class TestLevelTables:
+    @pytest.mark.parametrize(
+        "fit", [PlateauFitness(8, 2), MajorityFitness(8, 0), MajorityFitness(10, 3), OneMax(7)]
+    )
+    def test_tables_follow_level_value(self, fit):
+        vals, up, down = fit.level_tables
+        n = fit.n
+        assert vals == [fit.level_value(j) for j in range(n + 1)]
+        assert up == [j < n and fit.level_value(j + 1) >= fit.level_value(j)
+                      for j in range(n + 1)]
+        assert down == [j > 0 and fit.level_value(j - 1) >= fit.level_value(j)
+                        for j in range(n + 1)]
+        assert fit.level_tables is fit.level_tables
+
+
 class TestRegistry:
     def test_names(self):
         assert isinstance(make_fitness("plateau", 6, r=1), PlateauFitness)
