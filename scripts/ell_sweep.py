@@ -38,8 +38,7 @@ def main() -> int:
         function="majority",
         n_values=(args.n,),
         ell_values=ell_grid(args.n),
-        r=None,
-        r_rule="sqrt",
+        r="sqrt",
         runs=args.runs,
         master_seed=args.seed,
         init="uniform",

@@ -16,7 +16,7 @@ from .core import (
     sample_bitstring,
     sample_uniform_subset,
 )
-from .ea import RlsMutation, RunConfig, RunResult, RestartStats, mutate, run
+from .ea import RlsMutation, RunConfig, RunResult, RestartStats, run
 from .fitness import (
     BlockMajorityFitness,
     FitnessFunction,
@@ -48,7 +48,6 @@ __all__ = [
     "UniformNonOptimal",
     "flip_bits",
     "make_fitness",
-    "mutate",
     "run",
     "sample_bitstring",
     "sample_uniform_subset",

@@ -20,8 +20,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
 
-DRIFT_TOL = 1e-9
-
 
 def _int_list(text: str) -> list[int]:
     try:
@@ -76,7 +74,7 @@ def _exact_levels(function: str, n: int, r: int, ell: int) -> np.ndarray:
         fit = make_fitness("plateau", n, r=r)
     else:
         raise ValueError(f"exact expectations support majority and plateau, not {function!r}")
-    kernel = oracle.rlsl_kernel(n, ell, oracle.level_fitness(fit))
+    kernel = oracle.rlsl_kernel(n, ell, fit.level_value)
     return oracle.kernel_hitting_times(kernel)
 
 
@@ -100,9 +98,9 @@ def _cmd_exact(args) -> int:
 def _cmd_drift_check(args) -> int:
     rows = oracle.drift_check(args.n, args.r)
     _emit(table_lines(rows), args.out)
-    if not oracle.drift_check_ok(rows, DRIFT_TOL):
+    if not oracle.drift_check_ok(rows):
         print(
-            f"drift floor violated beyond {DRIFT_TOL:g} relative tolerance",
+            f"drift floor violated beyond {oracle.DRIFT_TOL:g} relative tolerance",
             file=sys.stderr,
         )
         return EXIT_CHECK_FAILED
@@ -137,39 +135,29 @@ def _cmd_simulate(args) -> int:
 
 def _merge_config(args) -> ExperimentSpec:
     conf = harness.load_config(args.config) if args.config else {}
+    default = ExperimentSpec()
 
-    def pick(flag_value, key: str, default):
+    def pick(flag_value, key: str, default_value, convert=int):
         if flag_value is not None:
             return flag_value
         if key in conf:
-            return conf[key]
-        return default
+            return convert(conf[key])
+        return default_value
 
-    n_values = pick(args.n, "n", [100])
-    if isinstance(n_values, str):
-        n_values = _int_list(n_values)
-    ell_values = pick(args.ell, "ell", [1])
-    if isinstance(ell_values, str):
-        ell_values = _int_list(ell_values)
-    r_text = pick(args.r, "r", "0")
-    if r_text == "sqrt":
-        r, r_rule = None, "sqrt"
-    else:
-        r, r_rule = int(r_text), "fixed"
+    r = pick(args.r, "r", default.r, str)
     return ExperimentSpec(
-        function=pick(args.function, "function", "majority"),
-        n_values=tuple(n_values),
-        ell_values=tuple(ell_values),
-        r=r,
-        r_rule=r_rule,
-        k=int(pick(args.k, "k", 1)),
-        runs=int(pick(args.runs, "runs", 100)),
-        master_seed=int(pick(args.seed, "seed", 1)),
-        cap=int(pick(args.cap, "cap", DEFAULT_CAP)),
-        init=pick(args.init, "init", "uniform"),
-        csv_path=pick(args.out, "out", None),
-        svg_path=pick(args.svg, "svg", None),
-        workers=int(pick(args.workers, "workers", 1)),
+        function=pick(args.function, "function", default.function, str),
+        n_values=tuple(pick(args.n, "n", default.n_values, _int_list)),
+        ell_values=tuple(pick(args.ell, "ell", default.ell_values, _int_list)),
+        r=r if r == "sqrt" else int(r),
+        k=pick(args.k, "k", default.k),
+        runs=pick(args.runs, "runs", default.runs),
+        master_seed=pick(args.seed, "seed", default.master_seed),
+        cap=pick(args.cap, "cap", default.cap),
+        init=pick(args.init, "init", default.init, str),
+        csv_path=pick(args.out, "out", default.csv_path, str),
+        svg_path=pick(args.svg, "svg", default.svg_path, str),
+        workers=pick(args.workers, "workers", default.workers),
     )
 
 

@@ -11,6 +11,8 @@ import numpy as np
 
 WORD_BITS = 64
 _U64_MASK = (1 << 64) - 1
+# draws UniformNonOptimal makes before it gives up
+_NONOPT_ATTEMPTS = 10_000
 
 
 def _popcount(words: np.ndarray) -> int:
@@ -53,19 +55,6 @@ class BitString:
         obj.words = words
         obj.ones = ones
         return obj
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        return cls(n)
-
-    @classmethod
-    def all_ones(cls, n: int) -> "BitString":
-        s = cls(n)
-        words = np.full_like(s.words, _U64_MASK)
-        tail = n % WORD_BITS
-        if tail:
-            words[-1] = (1 << tail) - 1
-        return cls._raw(n, words, n)
 
     @classmethod
     def from01(cls, bits: str) -> "BitString":
@@ -284,7 +273,6 @@ class UniformNonOptimal(InitDistribution):
     """Uniform conditioned on not being optimal, by rejection sampling."""
 
     fitness: object
-    max_attempts: int = 10_000
 
 
 def sample_bitstring(
@@ -297,10 +285,9 @@ def sample_bitstring(
         j = dist.ones
         if not 0 <= j <= n:
             raise ValueError(f"ones count {j} exceeds length {n}")
-        if j == 0:
-            return BitString.zeros(n)
-        if j == n:
-            return BitString.all_ones(n)
+        if j in (0, n):
+            # the only string with j ones: nothing is drawn from the stream
+            return BitString.from_indices(n, range(j))
         return BitString.from_indices(n, sample_uniform_subset(n, j, rng))
     if isinstance(dist, Point):
         x = BitString.from01(dist.bits)
@@ -309,12 +296,12 @@ def sample_bitstring(
         return x
     if isinstance(dist, UniformNonOptimal):
         fit = dist.fitness
-        for _ in range(dist.max_attempts):
+        for _ in range(_NONOPT_ATTEMPTS):
             x = _sample_uniform(n, rng)
             if fit.value(x) < fit.max_value:
                 return x
         raise RuntimeError(
-            f"no non-optimal string found in {dist.max_attempts} attempts; "
+            f"no non-optimal string found in {_NONOPT_ATTEMPTS} attempts; "
             "the function may be optimal almost everywhere"
         )
     raise ValueError(f"unknown initialization distribution {dist!r}")

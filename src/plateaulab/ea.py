@@ -7,14 +7,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    BitString,
-    InitDistribution,
-    RngStream,
-    flip_bits,
-    sample_bitstring,
-    sample_uniform_subset,
-)
+from .core import InitDistribution, RngStream, sample_bitstring, sample_uniform_subset
 from .fitness import BlockedFitness, FitnessFunction, MajorityFitness
 
 DEFAULT_CAP = 10**9
@@ -37,13 +30,6 @@ class RlsMutation:
     def __post_init__(self) -> None:
         if self.ell < 1:
             raise ValueError(f"ell must be at least 1, got {self.ell}")
-
-
-def mutate(x: BitString, op: RlsMutation, rng: np.random.Generator) -> BitString:
-    """One mutation: the result differs from ``x`` in exactly ``op.ell`` positions."""
-    if op.ell > x.n:
-        raise ValueError(f"ell={op.ell} exceeds the bitstring length {x.n}")
-    return flip_bits(x, sample_uniform_subset(x.n, op.ell, rng))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import functools
 from typing import Sequence
 
 from .core import _U64_MASK, WORD_BITS, BitString, count_bit_range
+from .theory import _check_params
 
 
 class FitnessFunction:
@@ -13,7 +14,8 @@ class FitnessFunction:
 
     ``max_value`` is attained by at least one input and never exceeded.
     ``level_symmetric`` marks functions that depend on the input only
-    through its ones count; those expose ``level_value``.
+    through its ones count; those expose ``level_value``, the others
+    ``value_packed``.
     """
 
     n: int
@@ -23,6 +25,8 @@ class FitnessFunction:
     def value(self, x: BitString) -> int:
         if x.n != self.n:
             raise ValueError(f"expected a length-{self.n} bitstring, got {x.n}")
+        if self.level_symmetric:
+            return self.level_value(x.ones)
         return self.value_packed(x.words, x.ones)
 
     def value_packed(self, words: Sequence[int], ones: int) -> int:
@@ -44,13 +48,6 @@ class FitnessFunction:
         return vals, steps + [False], [False] + drops
 
 
-def _check_threshold_params(n: int, r: int) -> None:
-    if n <= 0 or n % 2:
-        raise ValueError(f"n must be a positive even integer, got {n}")
-    if not 0 <= r <= n // 2:
-        raise ValueError(f"r must lie in [0..n/2], got r={r} for n={n}")
-
-
 class PlateauFitness(FitnessFunction):
     """Two-sided threshold indicator: 1 iff max(#zeros, #ones) >= n/2 + r."""
 
@@ -58,16 +55,13 @@ class PlateauFitness(FitnessFunction):
     max_value = 1
 
     def __init__(self, n: int, r: int):
-        _check_threshold_params(n, r)
+        _check_params(n, r, min_r=0)
         self.n = n
         self.r = r
         self.threshold = n // 2 + r
 
     def level_value(self, ones: int) -> int:
         return 1 if ones >= self.threshold or self.n - ones >= self.threshold else 0
-
-    def value_packed(self, words: Sequence[int], ones: int) -> int:
-        return self.level_value(ones)
 
     def __repr__(self) -> str:
         return f"PlateauFitness(n={self.n}, r={self.r})"
@@ -80,16 +74,13 @@ class MajorityFitness(FitnessFunction):
     max_value = 1
 
     def __init__(self, n: int, r: int):
-        _check_threshold_params(n, r)
+        _check_params(n, r, min_r=0)
         self.n = n
         self.r = r
         self.threshold = n // 2 + r
 
     def level_value(self, ones: int) -> int:
         return 1 if ones >= self.threshold else 0
-
-    def value_packed(self, words: Sequence[int], ones: int) -> int:
-        return self.level_value(ones)
 
     def __repr__(self) -> str:
         return f"MajorityFitness(n={self.n}, r={self.r})"
@@ -107,9 +98,6 @@ class OneMax(FitnessFunction):
         self.max_value = n
 
     def level_value(self, ones: int) -> int:
-        return ones
-
-    def value_packed(self, words: Sequence[int], ones: int) -> int:
         return ones
 
     def __repr__(self) -> str:
@@ -201,11 +189,6 @@ class BlockMajorityFitness(BlockedFitness):
 
     def __repr__(self) -> str:
         return f"BlockMajorityFitness(block={self.block}, blocks={self.blocks}, k={self.k})"
-
-
-def block_subfunction(neutral: NeutralityFitness, block: int) -> BlockMajorityFitness:
-    """The sub-function acting only on block ``block`` of a blocked genotype."""
-    return BlockMajorityFitness(block, neutral.blocks, neutral.k)
 
 
 FUNCTION_NAMES = ("plateau", "majority", "onemax", "onemax-neutral")

@@ -7,7 +7,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Iterator, Optional, Sequence, get_type_hints
+from typing import Optional, Sequence, get_type_hints
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -71,16 +71,15 @@ class CellResult:
 class ExperimentSpec:
     """Flat description of a sweep; every field has a config-file key.
 
-    ``r`` is the fixed majority surplus; with r_rule="sqrt" it is derived
-    as floor(sqrt(n)) per problem size instead.  For onemax-neutral, ``n``
-    counts blocks and ``k`` is the block width.
+    ``r`` is the fixed majority surplus, or "sqrt" to derive it as
+    floor(sqrt(n)) per problem size.  For onemax-neutral, ``n`` counts
+    blocks and ``k`` is the block width.
     """
 
     function: str = "majority"
     n_values: tuple[int, ...] = (100,)
     ell_values: tuple[int, ...] = (1,)
-    r: Optional[int] = None
-    r_rule: str = "fixed"
+    r: int | str = 0
     k: int = 1
     runs: int = 100
     master_seed: int = 1
@@ -91,19 +90,13 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.r_rule not in ("fixed", "sqrt"):
-            raise ValueError(f"r rule must be 'fixed' or 'sqrt', got {self.r_rule!r}")
+        if isinstance(self.r, str) and self.r != "sqrt":
+            raise ValueError(f"r must be an integer or 'sqrt', got {self.r!r}")
         if not self.n_values or not self.ell_values:
             raise ValueError("n and ell lists must be non-empty")
 
     def resolve_r(self, n: int) -> int:
-        if self.r_rule == "sqrt":
-            return math.isqrt(n)
-        return 0 if self.r is None else self.r
+        return math.isqrt(n) if self.r == "sqrt" else self.r
 
 
 def parse_init(text: str, fitness: FitnessFunction) -> InitDistribution:
@@ -169,8 +162,10 @@ def _tasks(config: RunConfig, first: int, runs: int, workers: int) -> list[RunTa
     """Split run indices first..first+runs-1 into about 4 blocks per worker."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     check_runs_finish(config)
-    size = max(1, math.ceil(runs / max(1, workers * 4)))
+    size = math.ceil(runs / (workers * 4))
     stop = first + runs
     return [
         RunTask(config, range(start, min(start + size, stop)))
@@ -309,8 +304,7 @@ def dilution_experiment(
     the report carries the ratio of the two, which should be 1 within
     noise, and the closed-form ceiling 6 + k/2 for the block expectation.
     """
-    if k < 2 or k % 2:
-        raise ValueError(f"block width must be an even integer >= 2, got {k}")
+    bound = theory.block_bound(k)
     config = RunConfig(
         BlockMajorityFitness(1, blocks, k),
         RlsMutation(1),
@@ -336,7 +330,7 @@ def dilution_experiment(
         exact_block=exact,
         ratio=stats.mean / scale,
         ratio_stderr=stats.stderr / scale,
-        block_bound=theory.block_bound(k),
+        block_bound=bound,
     )
 
 
@@ -386,16 +380,6 @@ def _values(record) -> list:
     return values
 
 
-def _record(cls, cells: Iterator[str]):
-    """Rebuild a record of class ``cls`` from its flattened column texts."""
-    hints = get_type_hints(cls)
-    args = []
-    for f in fields(cls):
-        kind = hints[f.name]
-        args.append(_record(kind, cells) if is_dataclass(kind) else kind(next(cells)))
-    return cls(*args)
-
-
 def table_lines(records: Sequence) -> list[str]:
     """CSV lines of same-class records: the header is their field names."""
     if not records:
@@ -410,16 +394,6 @@ def write_csv(rows: Sequence[CellResult], path: str) -> None:
     lines = table_lines(rows)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def read_csv(path: str) -> list[CellResult]:
-    """Read a table written by write_csv back into sweep rows."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    header = ",".join(_header(CellResult))
-    if not lines or lines[0] != header:
-        raise ValueError(f"expected header {header!r}")
-    return [_record(CellResult, iter(line.split(","))) for line in lines[1:]]
 
 
 def read_table(path: str) -> tuple[list[str], list[list[float]]]:

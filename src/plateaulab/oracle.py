@@ -10,9 +10,14 @@ import numpy as np
 
 from . import theory
 from .core import FixedOnes, InitDistribution, Uniform, hypergeom_pmf, log_binomial
-from .fitness import FitnessFunction
 
-DENSE_LIMIT = 4097
+# band entries (n + 1)(2 ell + 1) of the largest kernel rlsl_kernel builds:
+# every n <= 4096 at every ell <= n
+BAND_LIMIT = 4097 * 8193
+# relative tolerance of the drift floors
+DRIFT_TOL = 1e-9
+# largest n the exhaustive compliance check accepts
+EXHAUSTIVE_LIMIT = 64
 _ROW_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 
@@ -133,13 +138,6 @@ def bd_hitting_times(chain: BirthDeathChain) -> np.ndarray:
     return times
 
 
-def bd_expected_hitting(chain: BirthDeathChain, start: int) -> float:
-    """Expected absorption time from one state; 0 when it is absorbing."""
-    if not chain.lo <= start <= chain.hi:
-        raise ValueError(f"start {start} outside [{chain.lo}..{chain.hi}]")
-    return float(bd_hitting_times(chain)[start - chain.lo])
-
-
 class KernelChain:
     """Row-stochastic transition matrix over ones-count levels, stored as a band.
 
@@ -210,15 +208,6 @@ def _band_columns(rows: np.ndarray, width: int, size: int) -> np.ndarray:
     return np.where((cols >= 0) & (cols < size), cols, -1)
 
 
-def level_fitness(fit: FitnessFunction) -> Callable[[int], int]:
-    """Per-level view of a fitness that depends only on the ones count."""
-    if not fit.level_symmetric:
-        raise ValueError(
-            "fitness must depend on the bitstring only through its ones count"
-        )
-    return fit.level_value
-
-
 def rlsl_kernel(
     n: int,
     ell: int,
@@ -231,12 +220,13 @@ def rlsl_kernel(
     hypergeometric and moves level j to j + ell - 2a; proposals with
     fitness_by_level(new) < fitness_by_level(current) fold back into the
     diagonal.  By default the argmax levels are absorbing.  The band has
-    half-width ell.
+    half-width ell and at most BAND_LIMIT entries.
     """
     if not 1 <= ell <= n:
         raise ValueError(f"ell must lie in [1..n], got ell={ell}, n={n}")
-    if n + 1 > DENSE_LIMIT:
-        raise ValueError(f"kernel size {n + 1} exceeds the dense limit {DENSE_LIMIT}")
+    entries = (n + 1) * (2 * ell + 1)
+    if entries > BAND_LIMIT:
+        raise ValueError(f"{entries} band entries exceed the band limit {BAND_LIMIT}")
     values = [fitness_by_level(j) for j in range(n + 1)]
     if absorbing is None:
         top = max(values)
@@ -319,8 +309,6 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
     max|(I - Q) E - 1| <= 1e-9 (1 + max E) on the kernel's own band.
     """
     size, w = kernel.size, kernel.width
-    if size > DENSE_LIMIT:
-        raise ValueError(f"kernel size {size} exceeds the dense limit {DENSE_LIMIT}")
     if not kernel.absorbing:
         raise ValueError("no absorbing state reachable")
     trans = np.array([s for s in range(size) if s not in kernel.absorbing], dtype=np.intp)
@@ -377,13 +365,6 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
                 f"solver residual {residual:g} violates the accuracy contract"
             )
     return out
-
-
-def kernel_expected_hitting(kernel: KernelChain, start: int) -> float:
-    """Expected absorption time from one level of a dense kernel."""
-    if not 0 <= start < kernel.size:
-        raise ValueError(f"start level {start} out of range")
-    return float(kernel_hitting_times(kernel)[start])
 
 
 def majority_hitting_by_level(n: int, r: int) -> np.ndarray:
@@ -477,14 +458,12 @@ def drift_check(n: int, r: int) -> list[DriftRow]:
     return rows
 
 
-def drift_check_ok(rows: Iterable[DriftRow], tol: float = 1e-9) -> bool:
-    """True when no level's drift falls below its floor by more than tol (relative)."""
-    return all(row.rel_slack >= -tol for row in rows if math.isfinite(row.lower_bound))
+def drift_check_ok(rows: Iterable[DriftRow]) -> bool:
+    """True when no level's drift falls below its floor by more than DRIFT_TOL (relative)."""
+    return all(row.rel_slack >= -DRIFT_TOL for row in rows if math.isfinite(row.lower_bound))
 
 
-def compliance_check(
-    n: int, ell: int, exhaustive_limit: int = 64
-) -> tuple[bool, Optional[tuple[int, int, int]]]:
+def compliance_check(n: int, ell: int) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Exhaustive monotonicity check of exact-ell-bit flips on ones counts.
 
     Every mutation shifts the ones count by ell - 2a, so two synchronized
@@ -497,8 +476,8 @@ def compliance_check(
     """
     if not 1 <= ell <= n:
         raise ValueError(f"ell must lie in [1..n], got ell={ell}, n={n}")
-    if n > exhaustive_limit:
-        raise ValueError(f"n={n} exceeds the exhaustive limit {exhaustive_limit}")
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"n={n} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}")
     survival = np.zeros((n + 1, n + 2))
     for j in range(n + 1):
         pmf = np.zeros(n + 1)

@@ -125,9 +125,3 @@ class BoundSet:
             plateau_bound(n, r, n // 2),
             majority_bound(n, r),
         )
-
-    def plateau_bound_at(self, m0: int) -> float:
-        return plateau_bound(self.n, self.r, m0)
-
-    def ones_recovery_bound(self, d: int) -> float:
-        return majority_of_ones_bound(self.n, d)

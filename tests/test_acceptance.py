@@ -26,7 +26,6 @@ from plateaulab.oracle import (
     drift_check,
     expected_under_init,
     kernel_hitting_times,
-    level_fitness,
     majority_chain,
     majority_hitting_by_level,
     plateau_chain,
@@ -48,7 +47,7 @@ def test_criterion_01_solver_cross_validation():
         r = int(rng.integers(1, n // 2 + 1))
         chain = majority_chain(n, r)
         ladder_times = bd_hitting_times(chain)
-        kernel = rlsl_kernel(n, 1, level_fitness(MajorityFitness(n, r)))
+        kernel = rlsl_kernel(n, 1, MajorityFitness(n, r).level_value)
         dense_times = kernel_hitting_times(kernel)
         size = chain.size
         diff = np.abs(dense_times[:size] - ladder_times)
@@ -121,9 +120,8 @@ def test_criterion_04_plateau_bound_dominates_exact():
         for r in range(1, n // 2 + 1):
             chain = plateau_chain(n, r)
             times = bd_hitting_times(chain)
-            bounds = theory.BoundSet.for_params(n, r)
             for m0 in range(chain.lo, chain.hi + 1):
-                bound = bounds.plateau_bound_at(m0)
+                bound = theory.plateau_bound(n, r, m0)
                 if not math.isfinite(bound):
                     continue
                 exact = times[m0 - chain.lo]

@@ -278,12 +278,17 @@ class TestRestartsAndWmodel:
         [
             ("restarts", "--n", "10", "--r", "2", "--runs", "0"),
             ("wmodel", "--blocks", "2", "--k", "4", "--runs", "0"),
+            ("restarts", "--n", "10", "--r", "2", "--runs", "5", "--workers", "0"),
+            ("wmodel", "--blocks", "2", "--k", "4", "--runs", "5", "--workers", "0"),
+            ("sweep", "--n", "10", "--r", "2", "--runs", "5", "--workers", "0"),
+            ("restarts", "--n", "10", "--r", "2", "--runs", "5", "--workers", "-2"),
         ],
     )
     def test_zero_runs_rejected(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
-        assert "runs must be at least 1" in err
+        what = "workers" if "--workers" in argv else "runs"
+        assert f"{what} must be at least 1" in err
 
     def test_wmodel_odd_k_rejected(self, capsys):
         code, _, err = run_cli(

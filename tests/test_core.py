@@ -109,7 +109,7 @@ class TestBitString:
     @settings(max_examples=60)
     def test_ones_cache_matches_popcount(self, data):
         n = data.draw(st.integers(1, 150))
-        x = BitString.zeros(n)
+        x = BitString(n)
         for _ in range(data.draw(st.integers(0, 5))):
             k = data.draw(st.integers(1, n))
             idx = data.draw(
@@ -230,6 +230,10 @@ class TestSampleBitstring:
         rng = rng_for(6)
         assert sample_bitstring(5, FixedOnes(5), rng).to01() == "11111"
         assert sample_bitstring(5, FixedOnes(0), rng).to01() == "00000"
+        full = sample_bitstring(70, FixedOnes(70), rng)
+        assert full.ones == 70 and full == BitString(70).complement()
+        # the only string with 0 or n ones draws nothing from the stream
+        assert rng.integers(2**63) == rng_for(6).integers(2**63)
         x = sample_bitstring(40, FixedOnes(13), rng)
         assert x.ones == 13
 
@@ -262,7 +266,7 @@ class TestSampleBitstring:
 
         fit = PlateauFitness(6, 0)
         with pytest.raises(RuntimeError):
-            sample_bitstring(6, UniformNonOptimal(fit, max_attempts=50), rng_for(11))
+            sample_bitstring(6, UniformNonOptimal(fit), rng_for(11))
 
     def test_determinism_across_objects(self):
         a = sample_bitstring(64, Uniform(), rng_for(12, 7))

@@ -23,7 +23,6 @@ from plateaulab.ea import (
     RunResult,
     _index_batches,
     extract_restart_stats,
-    mutate,
     run,
 )
 from plateaulab.fitness import (
@@ -34,7 +33,7 @@ from plateaulab.fitness import (
     OneMax,
     PlateauFitness,
 )
-from plateaulab.oracle import bd_expected_hitting, plateau_chain
+from plateaulab.oracle import bd_hitting_times, plateau_chain
 
 
 def hamming(a, b):
@@ -44,7 +43,7 @@ def hamming(a, b):
 class TestMutate:
     def test_full_flip_is_complement(self):
         x = BitString.from01("10110")
-        y = mutate(x, RlsMutation(5), RngStream(1).generator())
+        y = flip_bits(x, sample_uniform_subset(5, 5, RngStream(1).generator()))
         assert y == x.complement()
 
     def test_single_flip_frequencies(self):
@@ -53,12 +52,12 @@ class TestMutate:
         counts = {"10": 0, "01": 0}
         draws = 10_000
         for _ in range(draws):
-            counts[mutate(x, RlsMutation(1), rng).to01()] += 1
+            counts[flip_bits(x, sample_uniform_subset(2, 1, rng)).to01()] += 1
         assert abs(counts["10"] / draws - 0.5) < 0.02
 
     def test_ell_exceeding_length(self):
         with pytest.raises(ValueError):
-            mutate(BitString.from01("01"), RlsMutation(3), RngStream(3).generator())
+            sample_uniform_subset(2, 3, RngStream(3).generator())
         with pytest.raises(ValueError):
             RlsMutation(0)
 
@@ -70,7 +69,7 @@ class TestMutate:
         seed = data.draw(st.integers(0, 2**32))
         bits = "".join(data.draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
         x = BitString.from01(bits)
-        y = mutate(x, RlsMutation(ell), RngStream(seed).generator())
+        y = flip_bits(x, sample_uniform_subset(n, ell, RngStream(seed).generator()))
         assert hamming(x, y) == ell
         assert x.ones == sum(x.bit(i) for i in range(n))
 
@@ -120,7 +119,7 @@ class TestRun:
 
     def test_plateau_mean_matches_oracle(self):
         n, r, runs = 4, 2, 20_000
-        exact = bd_expected_hitting(plateau_chain(n, r), 2)
+        exact = bd_hitting_times(plateau_chain(n, r))[0]
         values = []
         for i in range(runs):
             cfg = RunConfig(PlateauFitness(n, r), RlsMutation(1), FixedOnes(2), 99, i)
@@ -183,13 +182,12 @@ class TestRun:
         from plateaulab.oracle import (
             expected_under_init,
             kernel_hitting_times,
-            level_fitness,
             rlsl_kernel,
         )
 
         n, r, runs = 30, 3, 20_000
         fit = MajorityFitness(n, r)
-        kernel = rlsl_kernel(n, ell, level_fitness(fit))
+        kernel = rlsl_kernel(n, ell, fit.level_value)
         exact = expected_under_init(kernel_hitting_times(kernel), n, UniformInit())
         values = []
         for i in range(runs):

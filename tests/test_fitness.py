@@ -12,7 +12,6 @@ from plateaulab.fitness import (
     NeutralityFitness,
     OneMax,
     PlateauFitness,
-    block_subfunction,
     make_fitness,
 )
 
@@ -211,7 +210,8 @@ class TestBlockMajority:
         neutral = NeutralityFitness(OneMax(3), 4)
         x = random_bitstring(neutral.n, seed)
         parts = sum(
-            block_subfunction(neutral, b).value(x) for b in range(1, neutral.blocks + 1)
+            BlockMajorityFitness(b, neutral.blocks, neutral.k).value(x)
+            for b in range(1, neutral.blocks + 1)
         )
         assert parts == neutral.value(x)
 

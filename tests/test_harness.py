@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from plateaulab.harness import (
     emit_sweep_svg,
     load_config,
     parse_init,
-    read_csv,
     read_table,
     restart_experiment,
     sweep,
@@ -92,7 +92,7 @@ class TestSweep:
             assert s.p25 <= s.median <= s.p75
 
     def test_sqrt_rule(self):
-        spec = small_spec(n_values=(16, 36), r=None, r_rule="sqrt", runs=50)
+        spec = small_spec(n_values=(16, 36), r="sqrt", runs=50)
         rows = sweep(spec)
         assert [row.r for row in rows] == [4, 6]
 
@@ -228,7 +228,8 @@ class TestCsv:
         rows = sweep(small_spec(ell_values=(1, 3), runs=50))
         path = tmp_path / "table.csv"
         write_csv(rows, str(path))
-        assert read_csv(str(path)) == rows
+        _, table = read_table(str(path))
+        assert table == [[row.n, row.r, row.ell, *astuple(row.stats)] for row in rows]
 
     def test_header_exact(self, tmp_path):
         rows = sweep(small_spec(runs=10))

@@ -8,18 +8,15 @@ from plateaulab import theory
 from plateaulab.core import FixedOnes, Uniform
 from plateaulab.fitness import MajorityFitness, OneMax, PlateauFitness, make_fitness
 from plateaulab.oracle import (
-    DENSE_LIMIT,
+    BAND_LIMIT,
     BirthDeathChain,
     KernelChain,
-    bd_expected_hitting,
     bd_hitting_times,
     compliance_check,
     drift_check,
     drift_check_ok,
     expected_under_init,
-    kernel_expected_hitting,
     kernel_hitting_times,
-    level_fitness,
     majority_chain,
     majority_hitting_by_level,
     plateau_chain,
@@ -54,21 +51,21 @@ class TestChains:
 
 class TestBirthDeathSolver:
     def test_forced_single_step(self):
-        assert bd_expected_hitting(plateau_chain(4, 1), 2) == pytest.approx(1.0, abs=1e-15)
-        assert bd_expected_hitting(plateau_chain(6, 1), 3) == pytest.approx(1.0, abs=1e-15)
+        assert bd_hitting_times(plateau_chain(4, 1))[0] == pytest.approx(1.0, abs=1e-15)
+        assert bd_hitting_times(plateau_chain(6, 1))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_hand_solved_plateau_n4_r2(self):
-        chain = plateau_chain(4, 2)
-        assert bd_expected_hitting(chain, 2) == pytest.approx(8.0, abs=1e-12)
-        assert bd_expected_hitting(chain, 3) == pytest.approx(7.0, abs=1e-12)
+        times = bd_hitting_times(plateau_chain(4, 2))  # majority counts 2..4
+        assert times[0] == pytest.approx(8.0, abs=1e-12)
+        assert times[1] == pytest.approx(7.0, abs=1e-12)
 
     def test_hand_solved_majority_n2_r1(self):
-        chain = majority_chain(2, 1)
-        assert bd_expected_hitting(chain, 1) == pytest.approx(3.0, abs=1e-12)
-        assert bd_expected_hitting(chain, 0) == pytest.approx(4.0, abs=1e-12)
+        times = bd_hitting_times(majority_chain(2, 1))
+        assert times[1] == pytest.approx(3.0, abs=1e-12)
+        assert times[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_absorbing_start_is_zero(self):
-        assert bd_expected_hitting(majority_chain(2, 1), 2) == 0.0
+        assert bd_hitting_times(majority_chain(2, 1))[2] == 0.0
 
     def test_monotone_in_start_level(self):
         for n, r in ((10, 2), (50, 7), (128, 30)):
@@ -88,7 +85,7 @@ class TestBirthDeathSolver:
 class TestKernel:
     def test_ell1_matches_birth_death_rows(self):
         n, r = 6, 2
-        kernel = rlsl_kernel(n, 1, level_fitness(MajorityFitness(n, r)))
+        kernel = rlsl_kernel(n, 1, MajorityFitness(n, r).level_value)
         chain = majority_chain(n, r)
         for j in range(chain.hi):
             assert kernel.matrix[j, j + 1] == pytest.approx((n - j) / n, abs=1e-12)
@@ -107,7 +104,7 @@ class TestKernel:
         assert kernel.matrix[2, 2] == pytest.approx(4 / 6, abs=1e-12)
 
     def test_rows_stochastic(self):
-        kernel = rlsl_kernel(32, 7, level_fitness(MajorityFitness(32, 5)))
+        kernel = rlsl_kernel(32, 7, MajorityFitness(32, 5).level_value)
         assert np.max(np.abs(kernel.matrix.sum(axis=1) - 1.0)) <= 1e-12
         for j in sorted(kernel.absorbing):
             assert kernel.matrix[j, j] == 1.0
@@ -115,12 +112,18 @@ class TestKernel:
     @pytest.mark.parametrize("n", [1024, 2048, 4096])
     @pytest.mark.parametrize("ell", [1, 2, 3, 10])
     def test_rows_sum_to_one_up_to_dense_limit(self, n, ell):
-        kernel = rlsl_kernel(n, ell, level_fitness(MajorityFitness(n, 4)))
+        kernel = rlsl_kernel(n, ell, MajorityFitness(n, 4).level_value)
         assert np.max(np.abs(kernel.matrix.sum(axis=1) - 1.0)) <= 1e-12
 
-    def test_dense_limit_checked_before_build(self):
-        with pytest.raises(ValueError, match="dense limit"):
-            rlsl_kernel(DENSE_LIMIT, 3, lambda j: 0)
+    def test_band_limit_checked_before_build(self):
+        def unreachable(j):
+            raise AssertionError("the fitness was read before the size check")
+
+        assert (4096 + 1) * (2 * 4096 + 1) == BAND_LIMIT
+        with pytest.raises(ValueError, match="band limit"):
+            rlsl_kernel(10_000_000, 2, unreachable)
+        with pytest.raises(ValueError, match="band limit"):
+            rlsl_kernel(4097, 4097, unreachable)
 
     def test_rejected_mass_on_diagonal(self):
         # onemax levels: downward proposals are rejected
@@ -130,10 +133,10 @@ class TestKernel:
         assert kernel.matrix[2, 3] == pytest.approx(0.5, abs=1e-12)
 
     def test_level_view_requires_count_only_fitness(self):
-        from plateaulab.fitness import NeutralityFitness, OneMax
+        from plateaulab.fitness import NeutralityFitness
 
-        with pytest.raises(ValueError):
-            level_fitness(NeutralityFitness(OneMax(4), 2))
+        with pytest.raises(NotImplementedError, match="ones count alone"):
+            rlsl_kernel(8, 1, NeutralityFitness(OneMax(4), 2).level_value)
 
 
 class TestKernelSolver:
@@ -141,18 +144,18 @@ class TestKernelSolver:
         for p in (0.5, 0.1):
             matrix = np.array([[1 - p, p], [0.0, 1.0]])
             kernel = KernelChain(matrix, frozenset({1}))
-            assert kernel_expected_hitting(kernel, 0) == pytest.approx(1 / p, rel=1e-12)
+            assert kernel_hitting_times(kernel)[0] == pytest.approx(1 / p, rel=1e-12)
 
     def test_matches_hand_solution(self):
-        kernel = rlsl_kernel(2, 1, level_fitness(MajorityFitness(2, 1)))
-        assert kernel_expected_hitting(kernel, 1) == pytest.approx(3.0, rel=1e-12)
+        kernel = rlsl_kernel(2, 1, MajorityFitness(2, 1).level_value)
+        assert kernel_hitting_times(kernel)[1] == pytest.approx(3.0, rel=1e-12)
 
     def test_agreement_with_birth_death(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             n = 2 * int(rng.integers(2, 65))
             r = int(rng.integers(1, n // 2 + 1))
-            kernel = rlsl_kernel(n, 1, level_fitness(MajorityFitness(n, r)))
+            kernel = rlsl_kernel(n, 1, MajorityFitness(n, r).level_value)
             dense = kernel_hitting_times(kernel)
             ladder = majority_hitting_by_level(n, r)
             scale = np.maximum(ladder, 1.0)
@@ -164,7 +167,7 @@ class TestKernelSolver:
         from plateaulab.fitness import PlateauFitness
 
         for n, r in ((8, 2), (20, 4), (50, 10)):
-            kernel = rlsl_kernel(n, 1, level_fitness(PlateauFitness(n, r)))
+            kernel = rlsl_kernel(n, 1, PlateauFitness(n, r).level_value)
             dense = kernel_hitting_times(kernel)
             folded = plateau_hitting_by_level(n, r)
             scale = np.maximum(folded, 1.0)
@@ -181,9 +184,13 @@ class TestKernelSolver:
             KernelChain(np.array([[0.5, 0.4], [0.0, 1.0]]), frozenset({1}))
 
     def test_size_limit(self):
-        big = KernelChain(np.eye(5000), frozenset(range(5000)))
-        with pytest.raises(ValueError):
-            kernel_hitting_times(big)
+        # n = 20000 lies past every n <= 4096 the band limit was sized for,
+        # at an ell that keeps the band under it
+        n, r = 20_000, 4
+        kernel = rlsl_kernel(n, 1, MajorityFitness(n, r).level_value)
+        times = kernel_hitting_times(kernel)
+        ladder = majority_hitting_by_level(n, r)
+        assert np.max(np.abs(times - ladder) / np.maximum(ladder, 1.0)) < 1e-8
         small = KernelChain(np.eye(2), frozenset({0, 1}))
         assert kernel_hitting_times(small).tolist() == [0.0, 0.0]
 
@@ -246,14 +253,14 @@ class TestBandedKernel:
         assert KernelChain(np.eye(3), frozenset({0, 1, 2})).width == 0
 
     def test_rlsl_kernel_band_has_half_width_ell(self):
-        kernel = rlsl_kernel(40, 7, level_fitness(MajorityFitness(40, 3)))
+        kernel = rlsl_kernel(40, 7, MajorityFitness(40, 3).level_value)
         assert kernel.width == 7 and kernel.band.shape == (41, 15)
 
     @pytest.mark.parametrize("n", [2, 7, 64, 257])
     def test_matrix_bit_identical_to_dense_build(self, n):
         fits = [OneMax(n)] + ([MajorityFitness(n, 1)] if n % 2 == 0 else [])
         for fit in fits:
-            by_level = level_fitness(fit)
+            by_level = fit.level_value
             for ell in sorted({ell for ell in (1, 2, 3, n // 2, n) if 1 <= ell <= n}):
                 built = rlsl_kernel(n, ell, by_level).matrix
                 assert built.tobytes() == dense_reference_build(n, ell, by_level).tobytes()
@@ -275,7 +282,7 @@ class TestBandedKernel:
 
     def test_exact_path_memory_is_banded(self):
         # the dense kernel alone would be 8 * 4097**2 bytes, about 134 MB
-        fit = level_fitness(MajorityFitness(4096, 4))
+        fit = MajorityFitness(4096, 4).level_value
         tracemalloc.start()
         try:
             times = kernel_hitting_times(rlsl_kernel(4096, 10, fit))
@@ -289,7 +296,7 @@ class TestBandedKernel:
 class TestBandedSolver:
     @pytest.mark.parametrize("function,n,ell", GRID)
     def test_matches_dense_reference(self, function, n, ell):
-        by_level = level_fitness(make_fitness(function, n, r=min(4, n // 2)))
+        by_level = make_fitness(function, n, r=min(4, n // 2)).level_value
         kernel = rlsl_kernel(n, ell, by_level)
         if trapped_level(n, ell, by_level, range(n + 1)) is not None:
             with pytest.raises(ValueError, match="singular"):
@@ -329,17 +336,17 @@ class TestBandedSolver:
 
 class TestTrappedLevel:
     def test_complement_swap_traps_the_balanced_band(self):
-        by_level = level_fitness(MajorityFitness(100, 10))
+        by_level = MajorityFitness(100, 10).level_value
         level = trapped_level(100, 100, by_level, range(101))
         assert 41 <= level <= 59
         assert trapped_level(100, 100, by_level, [30]) is None
 
     def test_onemax_stuck_one_below_the_top(self):
-        by_level = level_fitness(OneMax(10))
+        by_level = OneMax(10).level_value
         assert trapped_level(10, 2, by_level, range(11)) == 9
         # even starts keep even parity under 2-bit flips and reach 10
         assert trapped_level(10, 2, by_level, [0]) is None
-        assert trapped_level(7, 7, level_fitness(OneMax(7)), range(8)) is not None
+        assert trapped_level(7, 7, OneMax(7).level_value, range(8)) is not None
         assert trapped_level(10, 1, by_level, range(11)) is None
 
     def test_rejected_moves_do_not_count(self):
@@ -355,7 +362,7 @@ class TestTrappedLevel:
                 fits += [MajorityFitness(n, r) for r in range(n // 2 + 1)]
                 fits += [PlateauFitness(n, r) for r in range(1, n // 2 + 1)]
             for fit in fits:
-                by_level = level_fitness(fit)
+                by_level = fit.level_value
                 for ell in range(1, n + 1):
                     trapped = trapped_level(n, ell, by_level, range(n + 1))
                     try:
@@ -370,7 +377,7 @@ class TestHittingByLevel:
     def test_plateau_by_level_symmetry(self):
         levels = plateau_hitting_by_level(8, 2)
         assert np.allclose(levels, levels[::-1])
-        assert levels[4] == bd_expected_hitting(plateau_chain(8, 2), 4)
+        assert levels[4] == bd_hitting_times(plateau_chain(8, 2))[0]
         assert levels[0] == 0.0  # eight zeros is already an optimum
 
     def test_majority_by_level_tail_zeros(self):

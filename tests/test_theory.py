@@ -157,8 +157,6 @@ class TestBoundSet:
         assert b.delta == drift_delta(12, 3)
         assert b.plateau_center == plateau_bound(12, 3, 6)
         assert b.majority_uniform == majority_bound(12, 3)
-        assert b.plateau_bound_at(7) == plateau_bound(12, 3, 7)
-        assert b.ones_recovery_bound(4) == majority_of_ones_bound(12, 4)
 
     def test_r0_bundle(self):
         b = BoundSet.for_params(12, 0)
