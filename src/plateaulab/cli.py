@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -124,7 +123,7 @@ def _cmd_simulate(args) -> int:
     harness.check_runs_finish(config)
     lines = ["run,runtime,init_ones,censored"]
     for idx in range(args.runs):
-        result = run(replace(config, run_index=idx))
+        result = run(config, idx)
         runtime = "" if result.censored else str(result.runtime)
         lines.append(
             f"{idx},{runtime},{result.init_ones},{str(result.censored).lower()}"
@@ -141,7 +140,10 @@ def _merge_config(args) -> ExperimentSpec:
         if flag_value is not None:
             return flag_value
         if key in conf:
-            return convert(conf[key])
+            try:
+                return convert(conf[key])
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config key {key}: {exc}") from exc
         return default_value
 
     r = pick(args.r, "r", default.r, str)

@@ -19,6 +19,13 @@ def _popcount(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
+def _words_at(n: int, pos: np.ndarray) -> np.ndarray:
+    """Packed words of the length-n string whose ones are at ``pos``."""
+    bits = np.zeros((n + WORD_BITS - 1) // WORD_BITS * WORD_BITS, dtype=np.uint8)
+    bits[pos] = 1
+    return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
+
+
 class BitString:
     """Fixed-length bit vector packed into 64-bit words.
 
@@ -77,13 +84,10 @@ class BitString:
         if len(pos) and int(pos.view(np.uint64).max()) >= n:
             bad = pos[(pos < 0) | (pos >= n)][0]
             raise ValueError(f"index {bad} out of range for length {n}")
-        n_words = (n + WORD_BITS - 1) // WORD_BITS
-        bits = np.zeros(n_words * WORD_BITS, dtype=np.uint8)
-        bits[pos] = 1
-        ones = int(np.count_nonzero(bits))
+        words = _words_at(n, pos)
+        ones = _popcount(words)
         if ones != len(pos):
             raise ValueError("indices must be pairwise distinct")
-        words = np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
         return cls._raw(n, words, ones)
 
     def bit(self, i: int) -> int:
@@ -185,7 +189,36 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(_key_seed_type()(key)))
+
+
+@functools.cache
+def _key_seed_type() -> type:
+    """A seed-sequence type whose state is a given Philox key.
+
+    ``Philox(key=k)`` first builds a ``SeedSequence`` from OS entropy,
+    which the key then overrides; seeded with an instance of this type,
+    Philox reads ``k`` from ``generate_state(2, uint64)`` and returns the
+    same stream as ``Philox(key=k)`` without touching the entropy source.
+    The type is built on first use: its base class imports
+    ``numpy.random``, which commands that draw nothing need not load.
+    """
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != len(self.key) or np.dtype(dtype) != self.key.dtype:
+                raise ValueError(
+                    f"a Philox key holds {len(self.key)} {self.key.dtype} words, "
+                    f"not {n_words} {np.dtype(dtype)} words"
+                )
+            return self.key
+
+    return PhiloxKey
 
 
 def sample_uniform_subset(
@@ -288,7 +321,8 @@ def sample_bitstring(
         if j in (0, n):
             # the only string with j ones: nothing is drawn from the stream
             return BitString.from_indices(n, range(j))
-        return BitString.from_indices(n, sample_uniform_subset(n, j, rng))
+        # the subset is distinct and in range, so it needs no re-check
+        return BitString._raw(n, _words_at(n, sample_uniform_subset(n, j, rng)), j)
     if isinstance(dist, Point):
         x = BitString.from01(dist.bits)
         if x.n != n:
@@ -309,11 +343,12 @@ def sample_bitstring(
 
 def _sample_uniform(n: int, rng: np.random.Generator) -> BitString:
     n_words = (n + WORD_BITS - 1) // WORD_BITS
-    words = np.frombuffer(rng.bytes(n_words * 8), dtype=np.uint64).copy()
+    # the draw ``rng.bytes(8 * n_words)`` makes, without its byte copies
+    words = rng.integers(0, 2**32, size=2 * n_words, dtype=np.uint32).view(np.uint64)
     tail = n % WORD_BITS
     if tail:
         words[-1] &= np.uint64((1 << tail) - 1)
-    return BitString._raw(n, words, _popcount(words))
+    return BitString._raw(n, words, int.from_bytes(words.tobytes(), "little").bit_count())
 
 
 def log_binomial(n: int, k: int) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,13 +34,17 @@ class RlsMutation:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run needs; equal configs replay bit-identically."""
+    """One cell: everything its runs share, checked once.
+
+    A run is this config plus its run index (``run(config, run_index)``);
+    equal pairs replay bit-identically.
+    """
 
     fitness: FitnessFunction
     mutation: RlsMutation
     init: InitDistribution
     master_seed: int
-    run_index: int = 0
+    _: KW_ONLY
     max_iters: int = DEFAULT_CAP
     record_trajectory: bool = False
     record_restart_stats: bool = False
@@ -96,31 +100,29 @@ class RunResult:
         return self.runtime is None
 
 
-def run(cfg: RunConfig) -> RunResult:
-    """Execute one seeded run of the elitist loop.
+def run(cfg: RunConfig, run_index: int) -> RunResult:
+    """Execute run ``run_index`` of the cell ``cfg``: one seeded elitist loop.
 
-    Proposals at least as fit as the incumbent are accepted; the runtime
-    is the first iteration whose incumbent attains the fitness maximum
-    (0 when the initial individual is already optimal), or None once
-    ``max_iters`` proposals were exhausted.
+    The run draws from stream (master_seed, run_index).  Proposals at
+    least as fit as the incumbent are accepted; the runtime is the first
+    iteration whose incumbent attains the fitness maximum (0 when the
+    initial individual is already optimal), or None once ``max_iters``
+    proposals were exhausted.
     """
     fit = cfg.fitness
-    rng = RngStream(cfg.master_seed, cfg.run_index).generator()
+    rng = RngStream(cfg.master_seed, run_index).generator()
     x0 = sample_bitstring(fit.n, cfg.init, rng)
     record = cfg.record_trajectory or cfg.record_restart_stats
     traj: Optional[list[int]] = [x0.ones] if record else None
     engine = _run_level if fit.level_symmetric else _run_blocked
     runtime = engine(fit, cfg.mutation.ell, x0, rng, cfg.max_iters, traj)
-    traj_arr = np.asarray(traj, dtype=np.int64) if traj is not None else None
-    restart = None
-    if cfg.record_restart_stats:
-        assert traj_arr is not None
-        restart = extract_restart_stats(traj_arr, fit.n, fit.r)
     return RunResult(
         runtime=runtime,
         init_ones=x0.ones,
-        trajectory=traj_arr if cfg.record_trajectory else None,
-        restart=restart,
+        trajectory=np.asarray(traj, dtype=np.int64) if cfg.record_trajectory else None,
+        restart=(
+            extract_restart_stats(traj, fit.n, fit.r) if cfg.record_restart_stats else None
+        ),
     )
 
 
@@ -301,44 +303,52 @@ def extract_restart_stats(
     final entry of an uncensored run on the one-sided objective is the
     first with at least n/2 + r ones.  Phases alternate between the next
     time the incumbent is a two-sided-plateau optimum and, after a hit on
-    the zeros side, the next time it regains at least n/2 ones.
+    the zeros side, the next time it regains at least n/2 ones; one
+    forward pass alternates between seeking the one and the other.
     """
     if n <= 0 or n % 2 or not 1 <= r <= n // 2:
         raise ValueError(f"invalid parameters n={n}, r={r}")
-    arr = np.asarray(trajectory, dtype=np.int64)
-    if arr.ndim != 1 or len(arr) == 0:
-        raise ValueError("trajectory must be a non-empty sequence of ones counts")
+    bad = "trajectory must be a non-empty sequence of ones counts"
+    # the engines record a list; anything else is read through numpy, and a
+    # nested list (2-D input) fails the integer comparisons below
+    values = (
+        trajectory
+        if isinstance(trajectory, list)
+        else np.asarray(trajectory, dtype=np.int64).tolist()
+    )
+    if not values:
+        raise ValueError(bad)
     half, top = n // 2, n // 2 + r
-    plateau_idx = np.flatnonzero((arr >= top) | ((n - arr) >= top))
-    half_idx = np.flatnonzero(arr >= half)
+    # a two-sided-plateau optimum has at least top ones or at most n - top
+    low = n - top
     hits: list[int] = []
     returns: list[int] = []
     success = False
-    pos = 0
-    while True:
-        k = int(np.searchsorted(plateau_idx, pos))
-        if k == len(plateau_idx):
-            break
-        t = int(plateau_idx[k])
-        hits.append(t)
-        if arr[t] >= top:
-            success = True
-            break
-        k2 = int(np.searchsorted(half_idx, t))
-        if k2 == len(half_idx):
-            break
-        back = int(half_idx[k2])
-        returns.append(back)
-        if arr[back] >= top:
-            success = True
-            break
-        pos = back + 1
+    seeking_plateau = True
+    try:
+        for t, ones in enumerate(values):
+            if seeking_plateau:
+                if ones >= top:
+                    hits.append(t)
+                    success = True
+                    break
+                if ones <= low:
+                    hits.append(t)
+                    seeking_plateau = False
+            elif ones >= half:
+                returns.append(t)
+                if ones >= top:
+                    success = True
+                    break
+                seeking_plateau = True
+    except TypeError as exc:
+        raise ValueError(bad) from exc
     retries = len(hits) - 1 if success else len(hits)
     return RestartStats(
         plateau_hits=tuple(hits),
         half_returns=tuple(returns),
         retries=retries,
         retried=retries >= 1,
-        first_hit_majority=bool(hits) and int(arr[hits[0]]) >= top,
+        first_hit_majority=bool(hits) and values[hits[0]] >= top,
         partial=not success,
     )

@@ -6,7 +6,7 @@ import configparser
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional, Sequence, get_type_hints
 from xml.sax.saxutils import escape
 
@@ -118,7 +118,7 @@ def parse_init(text: str, fitness: FitnessFunction) -> InitDistribution:
 class RunTask:
     """A block of seeded runs of one cell; picklable for process pools.
 
-    Each run replays ``config`` with its ``run_index`` taken from ``runs``.
+    Run ``i`` of ``runs`` is ``run(config, i)``.
     """
 
     config: RunConfig
@@ -126,7 +126,7 @@ class RunTask:
 
 
 def _run_task(task: RunTask) -> list[RunResult]:
-    return [run(replace(task.config, run_index=i)) for i in task.runs]
+    return [run(task.config, i) for i in task.runs]
 
 
 def check_runs_finish(config: RunConfig) -> None:
@@ -344,12 +344,11 @@ def trajectory_capture(
         RlsMutation(ell),
         UniformNonOptimal(fit),
         master_seed,
-        0,
-        cap,
+        max_iters=cap,
         record_trajectory=True,
     )
     check_runs_finish(cfg)
-    return run(cfg)
+    return run(cfg, 0)
 
 
 def format_value(v) -> str:

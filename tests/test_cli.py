@@ -222,6 +222,17 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert err.startswith("error: cannot parse config file")
 
+    @pytest.mark.parametrize("key", ["n", "ell"])
+    def test_config_bad_int_list(self, capsys, tmp_path, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[sweep]\n{key} = 10,x\nruns = 5\n")
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(
+            f"error: config key {key}: expected comma-separated integers: '10,x'"
+        )
+
     def test_file_outputs(self, capsys, tmp_path):
         csv_path = tmp_path / "out.csv"
         svg_path = tmp_path / "out.svg"

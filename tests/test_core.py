@@ -146,6 +146,20 @@ class TestRngStream:
     def test_largest_keys_accepted(self):
         assert rng_for(2**64 - 1, 2**64 - 1).integers(0, 10) in range(10)
 
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (2**64 - 1, 2**64 - 1), (5, 17)])
+    def test_stream_is_philox_keyed_by_seed_and_index(self, seed, stream):
+        ours = rng_for(seed, stream)
+        ref = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        draws = (
+            # an odd count of 32-bit draws, so the next draws start mid-word
+            lambda g: g.integers(0, 1000, size=37),
+            lambda g: g.bytes(13),
+            lambda g: g.random(5),
+            lambda g: g.integers(0, 2**63, size=9),
+        )
+        for draw in draws:
+            assert np.array_equal(draw(ours), draw(ref))
+
 
 class TestSubsetSampling:
     def test_forced_single(self):
@@ -236,6 +250,34 @@ class TestSampleBitstring:
         assert rng.integers(2**63) == rng_for(6).integers(2**63)
         x = sample_bitstring(40, FixedOnes(13), rng)
         assert x.ones == 13
+
+    @pytest.mark.parametrize("n,ones", [(2, 1), (70, 13), (130, 128), (200, 2)])
+    def test_fixed_ones_is_the_drawn_subset(self, n, ones):
+        ref_rng, rng = rng_for(14, n), rng_for(14, n)
+        for _ in range(3):
+            expected = BitString.from_indices(n, sample_uniform_subset(n, ones, ref_rng))
+            x = sample_bitstring(n, FixedOnes(ones), rng)
+            assert x == expected and x.ones == ones == expected.ones
+        assert rng.integers(2**63) == ref_rng.integers(2**63)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("mid_word", [False, True])
+    def test_uniform_draws_what_the_bytes_build_drew(self, n, mid_word):
+        # the uniform build of earlier releases, kept as the reference
+        ref_rng, rng = rng_for(13, n), rng_for(13, n)
+        if mid_word:
+            # one 32-bit draw leaves half a 64-bit word buffered
+            assert ref_rng.integers(0, 7) == rng.integers(0, 7)
+        n_words = (n + 63) // 64
+        for _ in range(3):
+            words = np.frombuffer(ref_rng.bytes(8 * n_words), dtype=np.uint64).copy()
+            if n % 64:
+                words[-1] &= np.uint64((1 << (n % 64)) - 1)
+            x = sample_bitstring(n, Uniform(), rng)
+            assert np.array_equal(x.words, words)
+            assert x.words.dtype == np.uint64 and x.words.shape == (n_words,)
+            assert x.ones == int(np.bitwise_count(words).sum())
+        assert rng.integers(2**63) == ref_rng.integers(2**63)
 
     def test_fixed_ones_out_of_range(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from plateaulab.core import (
 from plateaulab.ea import (
     _BATCH,
     _BATCH_FIRST,
+    RestartStats,
     RlsMutation,
     RunConfig,
     RunResult,
@@ -100,19 +101,19 @@ class TestRunConfigValidation:
 class TestRun:
     def test_optimal_start_is_zero(self):
         cfg = RunConfig(MajorityFitness(8, 0), RlsMutation(1), FixedOnes(4), 1)
-        assert run(cfg).runtime == 0
+        assert run(cfg, 0).runtime == 0
 
     def test_point_start(self):
         cfg = RunConfig(MajorityFitness(4, 2), RlsMutation(1), Point("1111"), 1)
-        assert run(cfg).runtime == 0
+        assert run(cfg, 0).runtime == 0
 
     def test_mean_matches_three_state_chain(self):
         # E from one 1 on the n=2, r=1 objective is exactly 3
         total = 0
         runs = 100_000
+        cfg = RunConfig(MajorityFitness(2, 1), RlsMutation(1), FixedOnes(1), 77)
         for i in range(runs):
-            cfg = RunConfig(MajorityFitness(2, 1), RlsMutation(1), FixedOnes(1), 77, i)
-            total += run(cfg).runtime
+            total += run(cfg, i).runtime
         mean = total / runs
         # the hitting time from one 1 has variance 8, so sd = 2.83
         assert abs(mean - 3.0) < 3 * 2.83 / math.sqrt(runs) + 0.02
@@ -121,9 +122,9 @@ class TestRun:
         n, r, runs = 4, 2, 20_000
         exact = bd_hitting_times(plateau_chain(n, r))[0]
         values = []
+        cfg = RunConfig(PlateauFitness(n, r), RlsMutation(1), FixedOnes(2), 99)
         for i in range(runs):
-            cfg = RunConfig(PlateauFitness(n, r), RlsMutation(1), FixedOnes(2), 99, i)
-            values.append(run(cfg).runtime)
+            values.append(run(cfg, i).runtime)
         arr = np.asarray(values, dtype=float)
         se = arr.std(ddof=1) / math.sqrt(runs)
         assert abs(arr.mean() - exact) < 3 * se
@@ -134,10 +135,9 @@ class TestRun:
             RlsMutation(2),
             Uniform(),
             1234,
-            5,
             record_trajectory=True,
         )
-        a, b = run(cfg), run(cfg)
+        a, b = run(cfg, 5), run(cfg, 5)
         assert a.runtime == b.runtime
         assert a.init_ones == b.init_ones
         assert np.array_equal(a.trajectory, b.trajectory)
@@ -152,15 +152,15 @@ class TestRun:
             max_iters=3,
             record_trajectory=True,
         )
-        res = run(cfg)
+        res = run(cfg, 0)
         assert res.censored and res.runtime is None
         assert len(res.trajectory) == 4  # initial entry plus one per iteration
 
     def test_elitism_along_trajectory(self):
         cfg = RunConfig(
-            OneMax(40), RlsMutation(1), Uniform(), 321, 0, record_trajectory=True
+            OneMax(40), RlsMutation(1), Uniform(), 321, record_trajectory=True
         )
-        res = run(cfg)
+        res = run(cfg, 0)
         assert res.runtime is not None
         assert np.all(np.diff(res.trajectory) >= 0)
         assert len(res.trajectory) == res.runtime + 1  # one entry per iteration
@@ -169,10 +169,10 @@ class TestRun:
         # below the threshold both fitness values are 0, so acceptance uses >=
         # and the ones count changes at every single-bit step
         cfg = RunConfig(
-            MajorityFitness(30, 3), RlsMutation(1), FixedOnes(10), 5, 0,
+            MajorityFitness(30, 3), RlsMutation(1), FixedOnes(10), 5,
             record_trajectory=True,
         )
-        res = run(cfg)
+        res = run(cfg, 0)
         steps = np.diff(res.trajectory)
         assert np.all(np.abs(steps) == 1)
 
@@ -190,36 +190,36 @@ class TestRun:
         kernel = rlsl_kernel(n, ell, fit.level_value)
         exact = expected_under_init(kernel_hitting_times(kernel), n, UniformInit())
         values = []
+        cfg = RunConfig(fit, RlsMutation(ell), Uniform(), 4242 + ell)
         for i in range(runs):
-            cfg = RunConfig(fit, RlsMutation(ell), Uniform(), 4242 + ell, i)
-            values.append(run(cfg).runtime)
+            values.append(run(cfg, i).runtime)
         arr = np.asarray(values, dtype=float)
         se = arr.std(ddof=1) / math.sqrt(runs)
         assert abs(arr.mean() - exact) < 3 * se
 
     def test_subset_path_on_neutral_fitness(self):
         fit = NeutralityFitness(OneMax(4), 3)
-        cfg = RunConfig(fit, RlsMutation(2), Uniform(), 42, 0, max_iters=200_000,
+        cfg = RunConfig(fit, RlsMutation(2), Uniform(), 42, max_iters=200_000,
                         record_trajectory=True)
-        res = run(cfg)
+        res = run(cfg, 0)
         assert res.runtime is not None
         # elitism in fitness space, checked by re-evaluating the final state
         assert res.trajectory[-1] <= fit.n
 
     def test_block_fitness_run(self):
         fit = BlockMajorityFitness(1, 3, 4)
-        cfg = RunConfig(fit, RlsMutation(1), Uniform(), 9, 0, max_iters=100_000)
-        res = run(cfg)
+        cfg = RunConfig(fit, RlsMutation(1), Uniform(), 9, max_iters=100_000)
+        res = run(cfg, 0)
         assert res.runtime is not None
 
 
-def reference_run(cfg):
+def reference_run(cfg, run_index):
     """The elitist loop spelled out: every proposal is a new BitString scored
     by ``fit.value``.  It draws single flips in blocks of ``_BATCH``
     integers, which the engines' growing batches replay exactly, and for
     ell > 1 one subset per proposal."""
     fit, ell, cap = cfg.fitness, cfg.mutation.ell, cfg.max_iters
-    rng = RngStream(cfg.master_seed, cfg.run_index).generator()
+    rng = RngStream(cfg.master_seed, run_index).generator()
     x = sample_bitstring(fit.n, cfg.init, rng)
     fx = fit.value(x)
     traj = [x.ones]
@@ -292,11 +292,11 @@ class TestLevelEngine:
     def test_matches_reference_loop(self, name, init, ell_kind, cap):
         fit = LEVEL[name]
         ell = {"1": 1, "2": 2, "n/2": fit.n // 2}[ell_kind]
+        cfg = RunConfig(fit, RlsMutation(ell), LEVEL_INITS[init], 7,
+                        max_iters=cap, record_trajectory=True)
         for i in range(3):
-            cfg = RunConfig(fit, RlsMutation(ell), LEVEL_INITS[init], 7, i,
-                            max_iters=cap, record_trajectory=True)
-            res = run(cfg)
-            runtime, traj = reference_run(cfg)
+            res = run(cfg, i)
+            runtime, traj = reference_run(cfg, i)
             assert res.runtime == runtime
             assert res.trajectory.tolist() == traj
 
@@ -322,18 +322,18 @@ class TestBlockedEngine:
     def test_matches_reference_loop(self, name, ell_kind, cap):
         fit = BLOCKED[name]
         ell = {"1": 1, "2": 2, "k": fit.k, "n": fit.n}[ell_kind]
+        cfg = RunConfig(fit, RlsMutation(ell), Uniform(), 7, max_iters=cap,
+                        record_trajectory=True)
         for i in range(2):
-            cfg = RunConfig(fit, RlsMutation(ell), Uniform(), 7, i, max_iters=cap,
-                            record_trajectory=True)
-            res = run(cfg)
-            runtime, traj = reference_run(cfg)
+            res = run(cfg, i)
+            runtime, traj = reference_run(cfg, i)
             assert res.runtime == runtime
             assert res.trajectory.tolist() == traj
 
     def test_reference_covers_censoring(self):
-        cfg = RunConfig(BLOCKED["onemax-k7-20"], RlsMutation(2), Uniform(), 7, 0,
+        cfg = RunConfig(BLOCKED["onemax-k7-20"], RlsMutation(2), Uniform(), 7,
                         max_iters=37, record_trajectory=True)
-        assert run(cfg).censored and reference_run(cfg)[0] is None
+        assert run(cfg, 0).censored and reference_run(cfg, 0)[0] is None
 
 
 class TestLevelProcess:
@@ -346,11 +346,10 @@ class TestLevelProcess:
             RlsMutation(1),
             FixedOnes(n // 2),
             2024,
-            0,
             max_iters=1_000_000,
             record_trajectory=True,
         )
-        res = run(cfg)
+        res = run(cfg, 0)
         assert res.censored
         ones = res.trajectory
         # on the plateau both fitness values are 0, so no proposal is
@@ -370,6 +369,62 @@ class TestLevelProcess:
             p = (n - level) / n
             se = math.sqrt(p * (1 - p) / seen)
             assert abs(ups.get(level, 0) / seen - p) < 3 * se + 1e-9
+
+
+def searchsorted_restart_stats(trajectory, n, r):
+    """The index-search form of ``extract_restart_stats`` it replaced, as the
+    reference: each phase end is the next index of a precomputed index array."""
+    arr = np.asarray(trajectory, dtype=np.int64)
+    half, top = n // 2, n // 2 + r
+    plateau_idx = np.flatnonzero((arr >= top) | ((n - arr) >= top))
+    half_idx = np.flatnonzero(arr >= half)
+    hits, returns = [], []
+    success = False
+    pos = 0
+    while True:
+        k = int(np.searchsorted(plateau_idx, pos))
+        if k == len(plateau_idx):
+            break
+        t = int(plateau_idx[k])
+        hits.append(t)
+        if arr[t] >= top:
+            success = True
+            break
+        k2 = int(np.searchsorted(half_idx, t))
+        if k2 == len(half_idx):
+            break
+        back = int(half_idx[k2])
+        returns.append(back)
+        if arr[back] >= top:
+            success = True
+            break
+        pos = back + 1
+    retries = len(hits) - 1 if success else len(hits)
+    return RestartStats(
+        plateau_hits=tuple(hits),
+        half_returns=tuple(returns),
+        retries=retries,
+        retried=retries >= 1,
+        first_hit_majority=bool(hits) and int(arr[hits[0]]) >= top,
+        partial=not success,
+    )
+
+
+@st.composite
+def restart_case(draw):
+    """(trajectory, n, r): a +-1 walk kept in [0, n], or any int sequence."""
+    n = 2 * draw(st.integers(1, 20))
+    r = draw(st.integers(1, n // 2))
+    if draw(st.booleans()):
+        ones = draw(st.integers(0, n))
+        trajectory = [ones]
+        for step in draw(st.lists(st.sampled_from((-1, 1)), max_size=300)):
+            ones = min(n, max(0, ones + step))
+            trajectory.append(ones)
+    else:
+        value = st.one_of(st.integers(-3, n + 3), st.integers(-(2**62), 2**62))
+        trajectory = draw(st.lists(value, min_size=1, max_size=300))
+    return trajectory, n, r
 
 
 class TestRestartStats:
@@ -397,24 +452,41 @@ class TestRestartStats:
         assert stats.retries == 1
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            extract_restart_stats([1, 2], 4, 0)
-        with pytest.raises(ValueError):
-            extract_restart_stats([], 4, 1)
+        for n, r in [(4, 0), (4, 3), (5, 1), (0, 1), (-2, 1)]:
+            with pytest.raises(ValueError, match="invalid parameters"):
+                extract_restart_stats([1, 2], n, r)
+        empty_or_2d = [
+            [],
+            np.array([], dtype=np.int64),
+            np.zeros((2, 3), dtype=np.int64),
+            [[1, 2], [3, 4]],
+            np.array(2),
+        ]
+        for trajectory in empty_or_2d:
+            with pytest.raises(ValueError, match="non-empty sequence"):
+                extract_restart_stats(trajectory, 4, 1)
+
+    @given(restart_case(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_searchsorted_reference(self, case, as_array):
+        trajectory, n, r = case
+        arg = np.asarray(trajectory, dtype=np.int64) if as_array else trajectory
+        assert extract_restart_stats(arg, n, r) == searchsorted_restart_stats(
+            trajectory, n, r
+        )
 
     def test_interleaving_invariant_on_runs(self):
         n, r = 20, 2
         checked = 0
+        cfg = RunConfig(
+            MajorityFitness(n, r),
+            RlsMutation(1),
+            Uniform(),
+            555,
+            record_restart_stats=True,
+        )
         for i in range(1000):
-            cfg = RunConfig(
-                MajorityFitness(n, r),
-                RlsMutation(1),
-                Uniform(),
-                555,
-                i,
-                record_restart_stats=True,
-            )
-            stats = run(cfg).restart
+            stats = run(cfg, i).restart
             assert not stats.partial
             hits, returns = stats.plateau_hits, stats.half_returns
             assert stats.retries == len(hits) - 1
@@ -432,9 +504,8 @@ class TestRestartStats:
             RlsMutation(1),
             Uniform(),
             7,
-            0,
             record_restart_stats=True,
         )
-        res = run(cfg)
+        res = run(cfg, 0)
         assert res.trajectory is None
         assert res.restart is not None

@@ -178,7 +178,7 @@ class TestTrajectoryCapture:
 
 class TestRunsFinish:
     def test_trapped_cell_rejected_before_any_run(self, monkeypatch):
-        def no_run(cfg):
+        def no_run(cfg, run_index):
             raise AssertionError("a run started; it would spin to the 10^9 cap")
 
         monkeypatch.setattr(harness, "run", no_run)
