@@ -18,6 +18,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """The environment of a fresh interpreter that imports this source tree."""
+    src = str(pathlib.Path(plateaulab.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
 def parse_csv(text):
     lines = [line for line in text.splitlines() if line]
     header = lines[0].split(",")
@@ -351,12 +358,9 @@ class TestTrappedRuns:
     )
     def test_rejected_within_seconds(self, argv):
         # a subprocess with a timeout, so that a regression fails instead of hanging
-        src = str(pathlib.Path(plateaulab.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         proc = subprocess.run(
             [sys.executable, "-m", "plateaulab.cli", *argv],
-            capture_output=True, text=True, timeout=60, env=env,
+            capture_output=True, text=True, timeout=60, env=child_env(),
         )
         assert proc.returncode == EXIT_USAGE
         assert proc.stdout == ""
@@ -396,6 +400,25 @@ class TestUsageErrors:
     def test_missing_required(self, capsys):
         code, _, _ = run_cli(capsys, "exact", "--n", "4")
         assert code == EXIT_USAGE
+
+
+class TestColdStart:
+    def test_cli_import_leaves_heavy_modules_unloaded(self):
+        # every command pays for what importing the CLI loads; these modules
+        # serve only SVG escaping (xml.sax pulls in the http and ssl stacks)
+        # and --workers > 1 (multiprocessing)
+        heavy = ["xml.sax", "http.client", "ssl", "multiprocessing",
+                 "concurrent.futures.process"]
+        code = (
+            "import sys, plateaulab.cli; "
+            f"print(','.join(m for m in {heavy!r} if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == ""
 
 
 class TestHelpGolden:

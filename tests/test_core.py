@@ -19,6 +19,7 @@ from plateaulab.core import (
     sample_bitstring,
     sample_uniform_subset,
 )
+from plateaulab.core import _rejection_rows, _shuffle_prefix
 from plateaulab.fitness import MajorityFitness
 
 
@@ -34,6 +35,68 @@ def numpy_swap_subset(n, ell, rng):
         j = js[i]
         idx[i], idx[j] = idx[j], idx[i]
     return idx[:ell].copy()
+
+
+def rejection_subset(n, ell, rng):
+    """Reference rejection sampler: one integers() call per attempt, the
+    first ``ell`` distinct values kept."""
+    chosen: set[int] = set()
+    out: list[int] = []
+    while len(out) < ell:
+        need = ell - len(out)
+        for i in rng.integers(0, n, size=2 * need).tolist():
+            if i not in chosen:
+                chosen.add(i)
+                out.append(i)
+                if len(out) == ell:
+                    break
+    return out
+
+
+def list_shuffle_prefix(n, js):
+    """Reference partial Fisher-Yates shuffle, swapping in a full index list."""
+    idx = list(range(n))
+    for i, j in enumerate(js):
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[: len(js)]
+
+
+def reference_subset(n, ell, rng):
+    """One draw of the scalar samplers: rejection when ell <= n/64, else a
+    shuffle of the full index list."""
+    if ell <= n >> 6:
+        return rejection_subset(n, ell, rng)
+    return list_shuffle_prefix(n, rng.integers(np.arange(ell), n).tolist())
+
+
+def same_state(a, b):
+    return repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+class CountingRng:
+    """A generator that counts its integers() calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@st.composite
+def subset_batches(draw):
+    """(n, ell, k, seed) in one of the samplers' regimes."""
+    n = draw(st.integers(1, 5000))
+    regimes = ["lockstep", "one-row"] + (["rejection"] if n >= 64 else [])
+    regime = draw(st.sampled_from(regimes))
+    if regime == "rejection":
+        ell = draw(st.integers(1, n >> 6))
+    else:
+        ell = draw(st.integers((n >> 6) + 1, n))
+    k = 1 if regime == "one-row" else draw(st.integers(1, 100))
+    return n, ell, k, draw(st.integers(0, 2**32))
 
 
 class TestBitString:
@@ -197,10 +260,47 @@ class TestSubsetSampling:
             assert np.array_equal(rows, np.stack(expected))
             assert batched.integers(0, 2**63) == single.integers(0, 2**63)
 
+    @settings(max_examples=80, deadline=None)
+    @given(case=subset_batches())
+    def test_batch_replays_single_draws_in_every_regime(self, case):
+        n, ell, k, seed = case
+        batched, single, ref = rng_for(seed, n), rng_for(seed, n), rng_for(seed, n)
+        rows = sample_uniform_subset(n, ell, batched, size=k)
+        expected = [reference_subset(n, ell, ref) for _ in range(k)]
+        assert rows.shape == (k, ell) and rows.dtype == np.int64
+        assert rows.tolist() == expected
+        assert [sample_uniform_subset(n, ell, single).tolist() for _ in range(k)] == expected
+        assert same_state(batched, ref) and same_state(single, ref)
+
+    @pytest.mark.parametrize("n,ell", [(1, 1), (2, 2), (3, 2), (3, 3), (5, 3), (8, 8)])
+    @pytest.mark.parametrize("k", [1, 2, 7, 40])
+    def test_rejection_reader_tops_up_like_single_draws(self, n, ell, k):
+        # at n this small an attempt of 2*ell values often holds fewer than
+        # ell distinct ones, so the reader must top its buffer up mid-batch
+        top_ups = 0
+        for seed in range(20):
+            got, ref = CountingRng(rng_for(seed, n)), rng_for(seed, n)
+            rows = _rejection_rows(n, ell, got, k)
+            assert rows == [rejection_subset(n, ell, ref) for _ in range(k)]
+            assert same_state(got.rng, ref)
+            top_ups += got.calls - 1
+        if ell > 1 and k >= 7:
+            assert top_ups > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_sparse_shuffle_matches_list_shuffle(self, data):
+        # n from ell to 30 ell covers both sides of the sparse switch
+        ell = data.draw(st.integers(1, 60))
+        n = data.draw(st.integers(ell, 30 * ell))
+        offsets = data.draw(st.lists(st.integers(0, n), min_size=ell, max_size=ell))
+        js = [i + v % (n - i) for i, v in enumerate(offsets)]
+        assert _shuffle_prefix(n, js) == list_shuffle_prefix(n, js)
+
     @pytest.mark.parametrize(
         "n,ell",
         [(1, 1), (2, 1), (2, 2), (7, 3), (64, 2), (100, 2), (100, 50), (100, 100),
-         (130, 3), (1000, 16)],
+         (130, 3), (1000, 16), (8200, 129), (20000, 400)],
     )
     def test_shuffle_matches_numpy_swaps(self, n, ell):
         assert ell > n >> 6  # the shuffle regime

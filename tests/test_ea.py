@@ -300,6 +300,24 @@ class TestLevelEngine:
             assert res.runtime == runtime
             assert res.trajectory.tolist() == traj
 
+    # n=1000: rejection rows (ell <= 15) scored on the 0/1 list (ell=2) and
+    # on packed masks (ell=15), and 8-row lockstep shuffles (ell=16);
+    # n=8200: rejection rows and one-row sparse shuffles
+    @pytest.mark.parametrize(
+        "n,ell,r", [(1000, 2, 8), (1000, 15, 16), (1000, 16, 16), (8200, 2, 8), (8200, 200, 60)]
+    )
+    @pytest.mark.parametrize("init", ["uniform", "half"])
+    @pytest.mark.parametrize("cap", [1, 17, 300])
+    def test_large_n_matches_reference_loop(self, n, ell, r, init, cap):
+        start = Uniform() if init == "uniform" else FixedOnes(n // 2)
+        cfg = RunConfig(MajorityFitness(n, r), RlsMutation(ell), start, 7,
+                        max_iters=cap, record_trajectory=True)
+        for i in range(3):
+            res = run(cfg, i)
+            runtime, traj = reference_run(cfg, i)
+            assert res.runtime == runtime
+            assert res.trajectory.tolist() == traj
+
 
 BLOCKED = {
     "onemax-k3": NeutralityFitness(OneMax(5), 3),

@@ -55,6 +55,13 @@ COMMANDS = {
         "sweep", "--function", "onemax-neutral", "--n", "20", "--k", "7",
         "--ell", "1,2,5", "--runs", "10", "--seed", "7",
     ),
+    # n=8200: rejection draws (ell <= 128) next to one-row batches of sparse
+    # shuffles (ell >= 129)
+    "sweep_n8200": (
+        "sweep", "--function", "majority", "--n", "8200", "--r", "10",
+        "--ell", "2,128,129,200", "--runs", "4", "--init", "ones=4100", "--cap", "300",
+        "--seed", "6",
+    ),
     "wmodel_k6": ("wmodel", "--blocks", "13", "--k", "6", "--runs", "40", "--seed", "5"),
     "trajectory_ell7": ("trajectory", "--n", "130", "--r", "5", "--ell", "7", "--seed", "3"),
     "restarts": ("restarts", "--n", "10", "--r", "2", "--runs", "200", "--seed", "4"),
