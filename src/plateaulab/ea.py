@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
+from bisect import bisect_left
+from dataclasses import KW_ONLY, dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
+    FixedOnes,
     InitDistribution,
     RngStream,
     rejection_regime,
@@ -44,7 +47,10 @@ class RunConfig:
     """One cell: everything its runs share, checked once.
 
     A run is this config plus its run index (``run(config, run_index)``);
-    equal pairs replay bit-identically.
+    equal pairs replay bit-identically.  Run i draws from stream
+    (``cell_seed``, i), a 64-bit BLAKE2b digest of the master seed, the
+    objective's repr (function, n, r, k), ell and the init's repr: not of
+    the cap, what the run records, or the other cells of a sweep.
     """
 
     fitness: FitnessFunction
@@ -55,8 +61,10 @@ class RunConfig:
     max_iters: int = DEFAULT_CAP
     record_trajectory: bool = False
     record_restart_stats: bool = False
+    cell_seed: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        RngStream(self.master_seed)  # rejects a seed outside the Philox key range
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (self.fitness.level_symmetric or isinstance(self.fitness, BlockedFitness)):
@@ -72,6 +80,13 @@ class RunConfig:
             raise ValueError(
                 "restart statistics are defined for the one-sided majority objective"
             )
+        if isinstance(self.init, FixedOnes) and not 0 <= self.init.ones <= self.fitness.n:
+            raise ValueError(f"ones count {self.init.ones} exceeds length {self.fitness.n}")
+        import hashlib  # loaded by numpy.random, which every run needs anyway
+
+        cell = f"{self.master_seed}|{self.fitness!r}|ell={self.mutation.ell}|{self.init!r}"
+        digest = hashlib.blake2b(cell.encode(), digest_size=8).digest()
+        object.__setattr__(self, "cell_seed", int.from_bytes(digest, "little"))
 
 
 @dataclass(frozen=True)
@@ -110,22 +125,28 @@ class RunResult:
 def run(cfg: RunConfig, run_index: int) -> RunResult:
     """Execute run ``run_index`` of the cell ``cfg``: one seeded elitist loop.
 
-    The run draws from stream (master_seed, run_index).  Proposals at
+    The run draws from stream (cfg.cell_seed, run_index).  Proposals at
     least as fit as the incumbent are accepted; the runtime is the first
     iteration whose incumbent attains the fitness maximum (0 when the
     initial individual is already optimal), or None once ``max_iters``
     proposals were exhausted.
     """
-    fit = cfg.fitness
-    rng = RngStream(cfg.master_seed, run_index).generator()
-    x0 = sample_bitstring(fit.n, cfg.init, rng)
+    fit, init = cfg.fitness, cfg.init
+    rng = RngStream(cfg.cell_seed, run_index).generator()
+    if fit.level_symmetric:
+        # the level engine's state is the ones count: a fixed count draws nothing
+        fixed = isinstance(init, FixedOnes)
+        state = init.ones if fixed else sample_bitstring(fit.n, init, rng).ones
+        init_ones, engine = state, _run_level
+    else:
+        state = sample_bitstring(fit.n, init, rng)
+        init_ones, engine = state.ones, _run_blocked
     record = cfg.record_trajectory or cfg.record_restart_stats
-    traj: Optional[list[int]] = [x0.ones] if record else None
-    engine = _run_level if fit.level_symmetric else _run_blocked
-    runtime = engine(fit, cfg.mutation.ell, x0, rng, cfg.max_iters, traj)
+    traj: Optional[list[int]] = [init_ones] if record else None
+    runtime = engine(fit, cfg.mutation.ell, state, rng, cfg.max_iters, traj)
     return RunResult(
         runtime=runtime,
-        init_ones=x0.ones,
+        init_ones=init_ones,
         trajectory=np.asarray(traj, dtype=np.int64) if cfg.record_trajectory else None,
         restart=(
             extract_restart_stats(traj, fit.n, fit.r) if cfg.record_restart_stats else None
@@ -169,77 +190,55 @@ def _index_batches(n, rng, cap):
         yield rng.integers(0, n, size=k).tolist()
 
 
-def _run_level(fit, ell, x0, rng, cap, traj):
-    """Engine for objectives of the ones count: the state is the incumbent's bits.
+def _run_level(fit, ell, ones, rng, cap, traj):
+    """Engine for objectives of the ones count: the state is the ones count.
 
-    Fitness is read from the objective's per-level tables; at ell=1 a
-    proposal needs only the acceptance of one step up or down from the
-    incumbent's level.  At ell=1 and for short flip sets the bits are a 0/1
-    list, of which a proposal reads only its own positions; longer flip
-    sets become packed masks on an integer.
+    The positions of a flip set are uniform and independent of the
+    incumbent, so by exchangeability its ones may be taken to sit at
+    positions 0..ones-1: a proposal turns ``a`` ones into zeros when ``a``
+    of its flips lie below ``ones``.  Fitness is read from the objective's
+    per-level tables; at ell=1 a proposal needs only the acceptance of one
+    step up or down from the incumbent's level.
     """
     n = fit.n
     fmax = fit.max_value
     vals, up, down = fit.level_tables
-    ones = x0.ones
     fx = vals[ones]
     if fx == fmax:
         return 0
     append = traj.append if traj is not None else None
     t = 0
     if ell == 1:
-        bits = x0.unpacked().tolist()
         for batch in _index_batches(n, rng, cap):
             for i in batch:
                 t += 1
-                if bits[i]:
+                if i < ones:
                     if down[ones]:
-                        bits[i] = 0
                         ones -= 1
                 elif up[ones]:
-                    bits[i] = 1
                     ones += 1
                 if append is not None:
                     append(ones)
                 if vals[ones] == fmax:
                     return t
         return None
-    if ell <= 4 + n // 200:
-        # scoring a proposal from its positions in a 0/1 list costs about
-        # 0.1 us per flip; a packed mask costs about 0.8 us plus 0.5 us per
-        # 1000 bits of n, mostly for the batch's bool matrix.  The two meet
-        # near ell = 4 + n/200 (n = 100, 1000 and 20000).
-        bits = x0.unpacked().tolist()
-        get = bits.__getitem__
-        for batch in _subset_batches(n, ell, rng, cap):
-            for row in batch.tolist():
-                t += 1
-                cand = ones + ell - 2 * sum(map(get, row))
-                fy = vals[cand]
-                if fy >= fx:
-                    for i in row:
-                        bits[i] ^= 1
-                    ones = cand
-                    fx = fy
-                if append is not None:
-                    append(ones)
-                if fx == fmax:
-                    return t
-        return None
-    x = int.from_bytes(x0.words.astype("<u8").tobytes(), "little")
-    for batch in _subset_batches(n, ell, rng, cap):
-        bits = np.zeros((len(batch), n), dtype=bool)
-        bits[np.arange(len(batch))[:, None], batch] = True
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        width = packed.shape[1]
-        data = packed.tobytes()
-        for start in range(0, len(data), width):
-            m = int.from_bytes(data[start : start + width], "little")
+    # above n/2 a proposal draws the n - ell positions it keeps, a uniform
+    # set whose complement is uniform too; at ell=n it draws nothing.  A
+    # sorted row holding a of the incumbent's ones moves it to
+    # ones + ell - 2a as the flip set, and to ell - ones + 2a as the kept set
+    m = min(ell, n - ell)
+    sign = 1 if m == ell else -1
+    batches = (
+        (np.sort(b, axis=1).tolist() for b in _subset_batches(n, m, rng, cap))
+        if m
+        else [repeat((), cap)]
+    )
+    for rows in batches:
+        for row in rows:
             t += 1
-            cand = ones + ell - 2 * (x & m).bit_count()
+            cand = ell + sign * (ones - 2 * bisect_left(row, ones))
             fy = vals[cand]
             if fy >= fx:
-                x ^= m
                 ones = cand
                 fx = fy
             if append is not None:

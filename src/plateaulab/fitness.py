@@ -15,7 +15,8 @@ class FitnessFunction:
     ``max_value`` is attained by at least one input and never exceeded.
     ``level_symmetric`` marks functions that depend on the input only
     through its ones count; those expose ``level_value``, the others
-    ``value_packed``.
+    ``value_packed``.  The repr names the objective and its parameters:
+    it keys the random streams of the runs on it (``RunConfig``).
     """
 
     n: int

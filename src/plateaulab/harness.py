@@ -156,18 +156,17 @@ def check_runs_finish(config: RunConfig) -> None:
         )
 
 
-def _tasks(config: RunConfig, first: int, runs: int, workers: int) -> list[RunTask]:
-    """Split run indices first..first+runs-1 into about 4 blocks per worker."""
+def _tasks(config: RunConfig, runs: int, workers: int) -> list[RunTask]:
+    """Split run indices 0..runs-1 into about 4 blocks per worker."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
     check_runs_finish(config)
     size = math.ceil(runs / (workers * 4))
-    stop = first + runs
     return [
-        RunTask(config, range(start, min(start + size, stop)))
-        for start in range(first, stop, size)
+        RunTask(config, range(start, min(start + size, runs)))
+        for start in range(0, runs, size)
     ]
 
 
@@ -187,15 +186,16 @@ def _execute(tasks: list[RunTask], workers: int) -> list[RunResult]:
 def sweep(spec: ExperimentSpec) -> list[CellResult]:
     """Run every (n, ell) cell of the spec and summarize it.
 
-    Run seeds are (master_seed, cell_index * runs + run_index), so the
-    output is identical regardless of worker count or scheduling.  Writes
+    Each cell's runs are runs 0..runs-1 of its own ``RunConfig``, whose
+    streams depend on the cell alone, so a row is identical regardless of
+    worker count, scheduling or the other cells of the sweep.  Writes
     the CSV/SVG outputs when paths are set.
     """
     cells = [
         (n, spec.resolve_r(n), ell) for n in spec.n_values for ell in spec.ell_values
     ]
     tasks = []
-    for cell_index, (n, r, ell) in enumerate(cells):
+    for n, r, ell in cells:
         fit = make_fitness(spec.function, n, r=r, k=spec.k)
         config = RunConfig(
             fit,
@@ -204,7 +204,7 @@ def sweep(spec: ExperimentSpec) -> list[CellResult]:
             spec.master_seed,
             max_iters=spec.cap,
         )
-        tasks += _tasks(config, cell_index * spec.runs, spec.runs, spec.workers)
+        tasks += _tasks(config, spec.runs, spec.workers)
     results = _execute(tasks, spec.workers)
     rows = []
     for cell_index, (n, r, ell) in enumerate(cells):
@@ -255,7 +255,7 @@ def restart_experiment(
         max_iters=cap,
         record_restart_stats=True,
     )
-    results = _execute(_tasks(config, 0, runs, workers), workers)
+    results = _execute(_tasks(config, runs, workers), workers)
     complete = [res.restart for res in results if not res.restart.partial]
     if not complete:
         raise RuntimeError("every run was censored; raise the cap")
@@ -313,7 +313,7 @@ def dilution_experiment(
         master_seed,
         max_iters=cap,
     )
-    results = _execute(_tasks(config, 0, runs, workers), workers)
+    results = _execute(_tasks(config, runs, workers), workers)
     stats = CellStats.from_runtimes([res.runtime for res in results])
     if stats.censored == stats.runs:
         raise RuntimeError("every run was censored; raise the cap")

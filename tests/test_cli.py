@@ -199,6 +199,18 @@ class TestSweep:
             "cap; the statistics exclude them"
         ]
 
+    def test_row_depends_on_its_cell_alone(self, capsys):
+        # a run's stream is keyed by its cell and run index, so listing
+        # another cell first or splitting runs over workers changes no row
+        common = ("sweep", "--n", "40", "--r", "3", "--runs", "60", "--seed", "1")
+        rows = []
+        for extra in (("--ell", "1"), ("--ell", "2,1"), ("--ell", "2,1", "--workers", "2")):
+            code, out, _ = run_cli(capsys, *common, *extra)
+            assert code == EXIT_OK
+            rows.append([line for line in out.splitlines() if line.startswith("40,3,1,")])
+        assert len(rows[0]) == 1
+        assert rows[0] == rows[1] == rows[2]
+
     def test_seed_outside_key_range_rejected(self, capsys):
         # -1 would otherwise replay seed 2**64 - 1
         code, out, err = run_cli(

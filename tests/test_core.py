@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -328,10 +329,13 @@ class TestSubsetSampling:
         from scipy.stats import chi2
 
         rng = rng_for(5)
-        counts: dict[tuple, int] = {}
-        for _ in range(draws):
-            key = tuple(sorted(sample_uniform_subset(n, ell, rng).tolist()))
-            counts[key] = counts.get(key, 0) + 1
+        # the draws single calls would make: a size=k batch replays k
+        # consecutive single draws (test_batch_replays_consecutive_draws),
+        # and the counter keeps the order in which subsets were first seen
+        counts: Counter[tuple] = Counter()
+        for start in range(0, draws, 100_000):
+            rows = sample_uniform_subset(n, ell, rng, size=min(100_000, draws - start))
+            counts.update(map(tuple, np.sort(rows, axis=1).tolist()))
         cells = math.comb(n, ell)
         expected = draws / cells
         stat = sum((c - expected) ** 2 / expected for c in counts.values())

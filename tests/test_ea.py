@@ -91,6 +91,12 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError, match="no engine can run it"):
             RunConfig(Parity(), RlsMutation(1), Uniform(), 1)
 
+    @pytest.mark.parametrize("ones", [-1, 5])
+    def test_fixed_ones_within_length(self, ones):
+        # a level run starts at the count itself, without a draw to check it
+        with pytest.raises(ValueError, match="exceeds length"):
+            RunConfig(MajorityFitness(4, 1), RlsMutation(1), FixedOnes(ones), 1)
+
     def test_restart_stats_need_majority(self):
         with pytest.raises(ValueError):
             RunConfig(
@@ -217,10 +223,20 @@ def reference_run(cfg, run_index):
     """The elitist loop spelled out: every proposal is a new BitString scored
     by ``fit.value``.  It draws single flips in blocks of ``_BATCH``
     integers, which the engines' growing batches replay exactly, and for
-    ell > 1 one subset per proposal."""
+    ell > 1 one subset per proposal.
+
+    A level objective's proposal flips an incumbent whose ones sit at
+    positions 0..ones-1, as the count engine reads it: a fixed ones count
+    draws nothing, and above n/2 a proposal draws the n-ell positions it
+    keeps and flips the rest.
+    """
     fit, ell, cap = cfg.fitness, cfg.mutation.ell, cfg.max_iters
-    rng = RngStream(cfg.master_seed, run_index).generator()
-    x = sample_bitstring(fit.n, cfg.init, rng)
+    n, level = fit.n, fit.level_symmetric
+    rng = RngStream(cfg.cell_seed, run_index).generator()
+    if level and isinstance(cfg.init, FixedOnes):
+        x = BitString.from_indices(n, range(cfg.init.ones))
+    else:
+        x = sample_bitstring(n, cfg.init, rng)
     fx = fit.value(x)
     traj = [x.ones]
     if fx == fit.max_value:
@@ -228,12 +244,18 @@ def reference_run(cfg, run_index):
     t = 0
     while t < cap:
         if ell == 1:
-            flips = [[i] for i in rng.integers(0, fit.n, size=min(_BATCH, cap - t))]
+            flips = [[i] for i in rng.integers(0, n, size=min(_BATCH, cap - t))]
+        elif level and 2 * ell > n:
+            kept = sample_uniform_subset(n, n - ell, rng).tolist() if ell < n else []
+            flips = [sorted(set(range(n)) - set(kept))]
         else:
-            flips = [sample_uniform_subset(fit.n, ell, rng)]
+            flips = [sample_uniform_subset(n, ell, rng)]
         for idx in flips:
             t += 1
-            y = flip_bits(x, idx)
+            if level:
+                y = BitString.from_indices(n, set(range(x.ones)).symmetric_difference(idx))
+            else:
+                y = flip_bits(x, idx)
             fy = fit.value(y)
             if fy >= fx:
                 x, fx = y, fy
@@ -287,11 +309,14 @@ class TestLevelEngine:
     # caps on both sides of the first two ell=1 batch ends (64 and 192)
     @pytest.mark.parametrize("name", sorted(LEVEL))
     @pytest.mark.parametrize("init", sorted(LEVEL_INITS))
-    @pytest.mark.parametrize("ell_kind", ["1", "2", "n/2"])
+    # above n/2 a proposal draws the n-ell positions it keeps; at ell=n none
+    @pytest.mark.parametrize("ell_kind", ["1", "2", "n/2", "n/2+1", "n-1", "n"])
     @pytest.mark.parametrize("cap", [1, 63, 64, 65, 191, 192, 193, 1500])
     def test_matches_reference_loop(self, name, init, ell_kind, cap):
         fit = LEVEL[name]
-        ell = {"1": 1, "2": 2, "n/2": fit.n // 2}[ell_kind]
+        n = fit.n
+        ell = {"1": 1, "2": 2, "n/2": n // 2, "n/2+1": n // 2 + 1, "n-1": n - 1,
+               "n": n}[ell_kind]
         cfg = RunConfig(fit, RlsMutation(ell), LEVEL_INITS[init], 7,
                         max_iters=cap, record_trajectory=True)
         for i in range(3):
@@ -300,9 +325,8 @@ class TestLevelEngine:
             assert res.runtime == runtime
             assert res.trajectory.tolist() == traj
 
-    # n=1000: rejection rows (ell <= 15) scored on the 0/1 list (ell=2) and
-    # on packed masks (ell=15), and 8-row lockstep shuffles (ell=16);
-    # n=8200: rejection rows and one-row sparse shuffles
+    # n=1000: rejection rows (ell <= 15) and 8-row lockstep shuffles
+    # (ell=16); n=8200: rejection rows and one-row sparse shuffles
     @pytest.mark.parametrize(
         "n,ell,r", [(1000, 2, 8), (1000, 15, 16), (1000, 16, 16), (8200, 2, 8), (8200, 200, 60)]
     )
@@ -387,6 +411,41 @@ class TestLevelProcess:
             p = (n - level) / n
             se = math.sqrt(p * (1 - p) / seen)
             assert abs(ups.get(level, 0) / seen - p) < 3 * se + 1e-9
+
+
+class TestBitstringLeg:
+    """The count engine reads a level objective through exchangeability and
+    draws flip sets (or, above n/2, the positions kept) for a state it never
+    builds.  At k=1 a NeutralityFitness over the objective is the objective
+    itself, run by the blocked engine on real bits: both must agree with
+    each other and with the exact kernel, within the 3-SE bands."""
+
+    @pytest.mark.parametrize("ell_kind", ["1", "2", "n/2", "n/2+1", "n-1", "n"])
+    def test_count_engine_matches_bitstring_engine_and_kernel(self, ell_kind):
+        from plateaulab.oracle import (
+            expected_under_init,
+            kernel_hitting_times,
+            rlsl_kernel,
+        )
+
+        n, runs = 20, 4000
+        ell = {"1": 1, "2": 2, "n/2": n // 2, "n/2+1": n // 2 + 1, "n-1": n - 1,
+               "n": n}[ell_kind]
+        # a full flip maps level j to n - j, so for r >= 1 the levels between
+        # n/2 - r and n/2 + r never reach the optimum; at r=0 they all do
+        r = 0 if ell == n else 2
+        base = MajorityFitness(n, r)
+        kernel = rlsl_kernel(n, ell, base.level_value)
+        exact = expected_under_init(kernel_hitting_times(kernel), n, Uniform())
+        stats = []
+        for fit in (base, NeutralityFitness(base, 1)):
+            cfg = RunConfig(fit, RlsMutation(ell), Uniform(), 2026)
+            arr = np.array([run(cfg, i).runtime for i in range(runs)], dtype=float)
+            mean, se = arr.mean(), arr.std(ddof=1) / math.sqrt(runs)
+            assert abs(mean - exact) < 3 * se, (type(fit).__name__, mean, se, exact)
+            stats.append((mean, se))
+        (count_mean, count_se), (bits_mean, bits_se) = stats
+        assert abs(count_mean - bits_mean) < 3 * math.hypot(count_se, bits_se)
 
 
 def searchsorted_restart_stats(trajectory, n, r):

@@ -31,7 +31,7 @@ COMMANDS = {
         "sweep", "--function", "onemax-neutral", "--n", "6", "--k", "4",
         "--ell", "1", "--runs", "6", "--seed", "2",
     ),
-    # multi-word subset masks with n not a multiple of 64
+    # n=130: ell=65 draws its flips, ell=129 the one position it keeps
     "sweep_multiword": (
         "sweep", "--function", "majority", "--n", "130", "--r", "4",
         "--ell", "2,3,65,129", "--runs", "20", "--seed", "5", "--cap", "100000",
