@@ -356,6 +356,12 @@ class FixedOnes(InitDistribution):
 
     ones: int
 
+    def checked(self, n: int) -> int:
+        """The ones count, after checking that it fits a string of length ``n``."""
+        if not 0 <= self.ones <= n:
+            raise ValueError(f"ones count {self.ones} exceeds length {n}")
+        return self.ones
+
 
 @dataclass(frozen=True)
 class Point(InitDistribution):
@@ -378,9 +384,7 @@ def sample_bitstring(
     if isinstance(dist, Uniform):
         return _sample_uniform(n, rng)
     if isinstance(dist, FixedOnes):
-        j = dist.ones
-        if not 0 <= j <= n:
-            raise ValueError(f"ones count {j} exceeds length {n}")
+        j = dist.checked(n)
         if j in (0, n):
             # the only string with j ones: nothing is drawn from the stream
             return BitString.from_indices(n, range(j))

@@ -80,8 +80,8 @@ class RunConfig:
             raise ValueError(
                 "restart statistics are defined for the one-sided majority objective"
             )
-        if isinstance(self.init, FixedOnes) and not 0 <= self.init.ones <= self.fitness.n:
-            raise ValueError(f"ones count {self.init.ones} exceeds length {self.fitness.n}")
+        if isinstance(self.init, FixedOnes):
+            self.init.checked(self.fitness.n)
         import hashlib  # loaded by numpy.random, which every run needs anyway
 
         cell = f"{self.master_seed}|{self.fitness!r}|ell={self.mutation.ell}|{self.init!r}"

@@ -399,9 +399,7 @@ def expected_under_init(
     if levels.shape != (n + 1,):
         raise ValueError(f"expected one value per level 0..{n}")
     if isinstance(init, FixedOnes):
-        if not 0 <= init.ones <= n:
-            raise ValueError(f"ones count {init.ones} exceeds length {n}")
-        return float(levels[init.ones])
+        return float(levels[init.checked(n)])
     if isinstance(init, Uniform):
         log_half = n * math.log(2.0)
         weights = np.array(

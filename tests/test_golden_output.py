@@ -65,7 +65,8 @@ COMMANDS = {
     "wmodel_k6": ("wmodel", "--blocks", "13", "--k", "6", "--runs", "40", "--seed", "5"),
     "trajectory_ell7": ("trajectory", "--n", "130", "--r", "5", "--ell", "7", "--seed", "3"),
     "restarts": ("restarts", "--n", "10", "--r", "2", "--runs", "200", "--seed", "4"),
-    "restarts_no_retry": ("restarts", "--n", "4", "--r", "1", "--runs", "1", "--seed", "1"),
+    # a seed whose single run does not retry: the retry statistics print nan
+    "restarts_no_retry": ("restarts", "--n", "4", "--r", "1", "--runs", "1", "--seed", "2"),
     "wmodel": ("wmodel", "--blocks", "3", "--k", "4", "--runs", "150", "--seed", "4"),
     "drift_check": ("drift-check", "--n", "12", "--r", "3"),
     "simulate": (
@@ -83,6 +84,14 @@ def test_stdout_bytes(name, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert out == (GOLDEN / f"out_{name}.txt").read_text()
+
+
+def test_restarts_no_retry_golden_keeps_its_case():
+    # a regenerated golden must still show a report without retried runs
+    header, row = (GOLDEN / "out_restarts_no_retry.txt").read_text().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["retried_runs"] == "0"
+    assert fields["mean_retries"] == fields["retries_stderr"] == "nan"
 
 
 def test_sweep_file_bytes(tmp_path, capsys):

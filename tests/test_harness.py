@@ -124,6 +124,12 @@ class TestRestartExperiment:
         assert report.mean_retries is not None
         assert abs(report.mean_retries - 2.0) <= 3 * report.retries_stderr
 
+    def test_no_retried_run_leaves_retry_stats_undefined(self):
+        report = restart_experiment(4, 1, runs=1, master_seed=2)
+        assert report.censored == 0 and report.p0_hat == 1.0
+        assert report.retried_runs == 0
+        assert report.mean_retries is None and report.retries_stderr is None
+
     def test_extreme_r_half_n(self):
         # every plateau optimum is all-ones or all-zeros; still a fair coin
         report = restart_experiment(4, 2, runs=4000, master_seed=13)
