@@ -425,19 +425,25 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-# a kernel build divides by the same C(n, ell) once per entry
-_subsets = functools.lru_cache(maxsize=64)(math.comb)
+def overlap_support(n: int, j: int, ell: int) -> range:
+    """Overlaps an ell-subset of n positions can have with a marked set of size j."""
+    return range(max(0, ell - (n - j)), min(j, ell) + 1)
 
 
-def hypergeom_pmf(n: int, j: int, ell: int, a: int) -> float:
-    """P[exactly ``a`` of ``ell`` positions sampled without replacement from
-    n fall among a marked set of size ``j``]."""
+def hypergeom_pmf(n: int, j: int, ell: int) -> list[float]:
+    """P[exactly a of ``ell`` positions sampled without replacement from n
+    fall among a marked set of size ``j``], for each a in ``overlap_support``."""
     if not 0 <= j <= n:
         raise ValueError(f"marked count out of range: j={j}, n={n}")
     if not 0 <= ell <= n:
         raise ValueError(f"sample size out of range: ell={ell}, n={n}")
-    if not max(0, ell - (n - j)) <= a <= min(j, ell):
-        raise ValueError(f"overlap a={a} outside support for n={n}, j={j}, ell={ell}")
-    # integer true division is correctly rounded, so kernel rows sum to 1
-    # within a few ulps at any n
-    return math.comb(j, a) * math.comb(n - j, ell - a) / _subsets(n, ell)
+    support = overlap_support(n, j, ell)
+    m, b = n - j, ell - support.start
+    hits, misses, total = math.comb(j, support.start), math.comb(m, b), math.comb(n, ell)
+    row = []
+    for a in support:
+        # integer true division is correctly rounded, so kernel rows sum to 1
+        # within a few ulps at any n
+        row.append(hits * misses / total)
+        hits, misses, b = hits * (j - a) // (a + 1), misses * b // (m - b + 1), b - 1
+    return row

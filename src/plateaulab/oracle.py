@@ -9,7 +9,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import theory
-from .core import FixedOnes, InitDistribution, Uniform, hypergeom_pmf, log_binomial
+from .core import FixedOnes, InitDistribution, Uniform, log_binomial
+from .core import hypergeom_pmf, overlap_support
 
 # band entries (n + 1)(2 ell + 1) of the largest kernel rlsl_kernel builds:
 # every n <= 4096 at every ell <= n
@@ -65,18 +66,9 @@ def plateau_chain(n: int, r: int) -> BirthDeathChain:
     """
     theory._check_params(n, r)
     lo, hi = n // 2, n // 2 + r
-    up, down = [], []
-    for m in range(lo, hi + 1):
-        if m == hi:
-            up.append(0.0)
-            down.append(0.0)
-        elif m == lo:
-            up.append(1.0)
-            down.append(0.0)
-        else:
-            up.append((n - m) / n)
-            down.append(m / n)
-    return BirthDeathChain(lo, hi, tuple(up), tuple(down), frozenset({hi}))
+    up = (1.0, *((n - m) / n for m in range(lo + 1, hi)), 0.0)
+    down = (0.0, *(m / n for m in range(lo + 1, hi)), 0.0)
+    return BirthDeathChain(lo, hi, up, down, frozenset({hi}))
 
 
 def majority_chain(n: int, r: int) -> BirthDeathChain:
@@ -88,15 +80,9 @@ def majority_chain(n: int, r: int) -> BirthDeathChain:
     """
     theory._check_params(n, r, min_r=0)
     lo, hi = 0, n // 2 + r
-    up, down = [], []
-    for j in range(lo, hi + 1):
-        if j == hi:
-            up.append(0.0)
-            down.append(0.0)
-        else:
-            up.append((n - j) / n)
-            down.append(j / n)
-    return BirthDeathChain(lo, hi, tuple(up), tuple(down), frozenset({hi}))
+    up = (*((n - j) / n for j in range(lo, hi)), 0.0)
+    down = (*(j / n for j in range(lo, hi)), 0.0)
+    return BirthDeathChain(lo, hi, up, down, frozenset({hi}))
 
 
 def bd_hitting_times(chain: BirthDeathChain) -> np.ndarray:
@@ -222,8 +208,7 @@ def rlsl_kernel(
     diagonal.  By default the argmax levels are absorbing.  The band has
     half-width ell and at most BAND_LIMIT entries.
     """
-    if not 1 <= ell <= n:
-        raise ValueError(f"ell must lie in [1..n], got ell={ell}, n={n}")
+    _check_flip(n, ell)
     entries = (n + 1) * (2 * ell + 1)
     if entries > BAND_LIMIT:
         raise ValueError(f"{entries} band entries exceed the band limit {BAND_LIMIT}")
@@ -237,8 +222,7 @@ def rlsl_kernel(
         if j in absorbing:
             band[j, ell] = 1.0
             continue
-        for a in range(max(0, ell - (n - j)), min(j, ell) + 1):
-            p = hypergeom_pmf(n, j, ell, a)
+        for a, p in zip(overlap_support(n, j, ell), hypergeom_pmf(n, j, ell)):
             d = ell - 2 * a
             if values[j + d] >= values[j]:
                 band[j, ell + d] += p
@@ -247,9 +231,17 @@ def rlsl_kernel(
     return KernelChain.from_band(band, absorbing)
 
 
+def _check_flip(n: int, ell: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got n={n}")
+    if not 1 <= ell <= n:
+        raise ValueError(f"ell must lie in [1..n], got ell={ell}, n={n}")
+
+
 def _support(n: int, ell: int, j: int) -> range:
     """Levels an exact-ell-bit flip can move level j to (step 2)."""
-    return range(j + ell - 2 * min(j, ell), j + ell - 2 * max(0, ell - (n - j)) + 1, 2)
+    a = overlap_support(n, j, ell)
+    return range(j + ell - 2 * a[-1], j + ell - 2 * a[0] + 1, 2)
 
 
 def trapped_level(
@@ -263,8 +255,7 @@ def trapped_level(
     an optimum are found by a backward search from the optima over the
     same ranges.  O(n ell) time.
     """
-    if not 1 <= ell <= n:
-        raise ValueError(f"ell must lie in [1..n], got ell={ell}, n={n}")
+    _check_flip(n, ell)
     values = [fitness_by_level(j) for j in range(n + 1)]
     top = max(values)
     escapes = [v == top for v in values]
@@ -469,19 +460,14 @@ def compliance_check(n: int, ell: int) -> tuple[bool, Optional[tuple[int, int, i
     compares starting levels two apart.  Compliant means: for every
     threshold i, the higher of two comparable starts is at least as
     likely to land at or above i.  Survival functions come from the
-    hypergeometric overlap law; the first violating
+    all-accepting kernel, whose rows are the overlap law; the first violating
     (lower level, higher level, threshold) is returned when one exists.
     """
-    if not 1 <= ell <= n:
-        raise ValueError(f"ell must lie in [1..n], got ell={ell}, n={n}")
+    _check_flip(n, ell)
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n={n} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}")
-    survival = np.zeros((n + 1, n + 2))
-    for j in range(n + 1):
-        pmf = np.zeros(n + 1)
-        for a in range(max(0, ell - (n - j)), min(j, ell) + 1):
-            pmf[j + ell - 2 * a] += hypergeom_pmf(n, j, ell, a)
-        survival[j, :-1] = pmf[::-1].cumsum()[::-1]
+    moves = rlsl_kernel(n, ell, lambda j: 0, absorbing=()).matrix
+    survival = moves[:, ::-1].cumsum(axis=1)[:, ::-1]
     for j in range(n - 1):
         for i in range(n + 1):
             if survival[j, i] > survival[j + 2, i] + 1e-12:

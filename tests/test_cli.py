@@ -122,6 +122,13 @@ class TestCompliance:
         assert row["compliant"] == "false"
         assert row["violation"].startswith("low=")
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_bad_n_named(self, capsys, n):
+        code, out, err = run_cli(capsys, "compliance", "--n", n, "--ell", "1")
+        assert code == EXIT_USAGE
+        assert f"n must be at least 1, got n={n}" in err
+        assert out == ""
+
 
 class TestSimulate:
     def test_deterministic_stdout(self, capsys):

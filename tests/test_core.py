@@ -17,6 +17,7 @@ from plateaulab.core import (
     flip_bits,
     hypergeom_pmf,
     log_binomial,
+    overlap_support,
     sample_bitstring,
     sample_uniform_subset,
 )
@@ -432,18 +433,34 @@ class TestCounting:
             log_binomial(4, -1)
 
     def test_hypergeom_small_case(self):
-        assert hypergeom_pmf(4, 2, 2, 1) == pytest.approx(2 / 3, rel=1e-12)
+        assert overlap_support(4, 2, 2) == range(0, 3)
+        assert hypergeom_pmf(4, 2, 2) == pytest.approx([1 / 6, 2 / 3, 1 / 6], rel=1e-12)
 
     def test_hypergeom_normalization(self):
         n, j, ell = 100, 37, 13
-        total = sum(
-            hypergeom_pmf(n, j, ell, a)
-            for a in range(max(0, ell - (n - j)), min(j, ell) + 1)
-        )
-        assert total == pytest.approx(1.0, abs=1e-12)
+        row = hypergeom_pmf(n, j, ell)
+        assert len(row) == len(overlap_support(n, j, ell))
+        assert sum(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_hypergeom_support_errors(self):
         with pytest.raises(ValueError):
-            hypergeom_pmf(4, 2, 2, 3)
-        with pytest.raises(ValueError):
-            hypergeom_pmf(4, 5, 2, 1)
+            hypergeom_pmf(4, 5, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 4096, 100_000])
+    def test_hypergeom_row_equals_per_entry_quotients(self, n):
+        # the row steps C(j, a) and C(n - j, ell - a) by exact integer
+        # recurrences, so every entry is the same correctly rounded quotient
+        # as the direct binomials.  At n = 100000 a row of ell = n/2 with a
+        # long support costs minutes, so only its two-entry rows j = 1 and
+        # j = n - 1 are checked (no kernel that large fits the band limit).
+        rng = np.random.default_rng(n)
+        for ell in sorted({e for e in (1, 2, 20, 41, n // 2, n) if 1 <= e <= n}):
+            total = math.comb(n, ell)
+            edges = {0, 1, ell - 1, ell, n - ell, n - ell + 1, n - 1, n}
+            picks = rng.integers(0, n + 1, size=4).tolist()
+            for j in sorted({j for j in edges if 0 <= j <= n} | set(picks)):
+                support = overlap_support(n, j, ell)
+                if n == 100_000 and ell == n // 2 and len(support) != 2:
+                    continue
+                expected = [math.comb(j, a) * math.comb(n - j, ell - a) / total for a in support]
+                assert hypergeom_pmf(n, j, ell) == expected, (n, j, ell)

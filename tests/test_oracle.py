@@ -456,3 +456,31 @@ class TestCompliance:
     def test_exhaustive_limit(self):
         with pytest.raises(ValueError):
             compliance_check(100, 1)
+
+    @staticmethod
+    def reference(n, ell):
+        # per-level math.comb pmfs, reversed cumsum, first violation in scan order
+        survival = np.zeros((n + 1, n + 2))
+        for j in range(n + 1):
+            pmf = np.zeros(n + 1)
+            for a in range(max(0, ell - (n - j)), min(j, ell) + 1):
+                pmf[j + ell - 2 * a] += (
+                    math.comb(j, a) * math.comb(n - j, ell - a) / math.comb(n, ell)
+                )
+            survival[j, :-1] = pmf[::-1].cumsum()[::-1]
+        for j in range(n - 1):
+            for i in range(n + 1):
+                if survival[j, i] > survival[j + 2, i] + 1e-12:
+                    return False, (j, j + 2, i)
+        return True, None
+
+    def test_matches_per_level_reference(self):
+        for n in range(1, 25):
+            for ell in range(1, n + 1):
+                assert compliance_check(n, ell) == self.reference(n, ell), (n, ell)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_bad_n_named(self, n):
+        for check in (lambda: compliance_check(n, 1), lambda: rlsl_kernel(n, 1, lambda j: 0)):
+            with pytest.raises(ValueError, match=f"n must be at least 1, got n={n}"):
+                check()
