@@ -82,7 +82,11 @@ def _cmd_exact(args) -> int:
     fit = make_fitness(args.function, args.n, r=args.r)
     init = parse_init(args.init, fit)
     expected = oracle.expected_under_init(levels, args.n, init)
-    uniform = oracle.expected_under_init(levels, args.n, Uniform())
+    uniform = (
+        expected
+        if isinstance(init, Uniform)
+        else oracle.expected_under_init(levels, args.n, Uniform())
+    )
     lines = [
         "n,r,ell,init,expected,expected_uniform",
         ",".join(

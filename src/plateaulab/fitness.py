@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .core import _U64_MASK, WORD_BITS, BitString, count_bit_range
+from .core import BitString, count_bit_range
 from .theory import _check_params
 
 
@@ -144,21 +144,21 @@ class BlockedFitness(FitnessFunction):
 class NeutralityFitness(BlockedFitness):
     """Blocked genotype: each width-k block votes, the base scores the votes.
 
-    The genotype length is base.n * k.
+    The base must depend on the ones count alone, so it scores the vote
+    count.  The genotype length is base.n * k.
     """
 
     def __init__(self, base: FitnessFunction, k: int):
         if k <= 0:
             raise ValueError(f"block width must be positive, got {k}")
+        if not base.level_symmetric:
+            raise ValueError(f"the base must depend on the ones count alone, got {base!r}")
         super().__init__(base.n, k)
         self.base = base
         self.max_value = base.max_value
 
     def vote_value(self, votes: int, count: int) -> int:
-        if self.base.level_symmetric:
-            return self.base.level_value(count)
-        words = [(votes >> s) & _U64_MASK for s in range(0, self.blocks, WORD_BITS)]
-        return self.base.value_packed(words, count)
+        return self.base.level_value(count)
 
     def __repr__(self) -> str:
         return f"NeutralityFitness(base={self.base!r}, k={self.k})"

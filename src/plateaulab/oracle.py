@@ -23,104 +23,85 @@ _ROW_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BirthDeathChain:
-    """Nearest-neighbour chain on an integer interval with absorbing targets.
+def _single_flip_chain(n: int, lo: int, hi: int, tie: bool) -> KernelChain:
+    """Width-1 kernel of single-bit flips on ones counts lo..hi, indexed from lo.
 
-    up/down are indexed by state - lo; any leftover probability is a
-    self-loop.  Absorbing states carry no outgoing mass.
+    Level m rises with probability (n - m)/n and falls with m/n, any
+    leftover is a self-loop, and hi is absorbing.  With ``tie`` the first
+    level is a balanced majority count, which every flip raises.
     """
-
-    lo: int
-    hi: int
-    up: tuple[float, ...]
-    down: tuple[float, ...]
-    absorbing: frozenset[int]
-
-    def __post_init__(self) -> None:
-        size = self.hi - self.lo + 1
-        if size < 1 or len(self.up) != size or len(self.down) != size:
-            raise ValueError("up/down must cover every state in [lo..hi]")
-        for s in range(size):
-            u, d = self.up[s], self.down[s]
-            if not (0.0 <= u <= 1.0 and 0.0 <= d <= 1.0 and u + d <= 1.0 + _ROW_TOL):
-                raise ValueError(f"invalid transition probabilities at state {self.lo + s}")
-        for s in self.absorbing:
-            if not self.lo <= s <= self.hi:
-                raise ValueError(f"absorbing state {s} outside [lo..hi]")
-            if self.up[s - self.lo] != 0.0 or self.down[s - self.lo] != 0.0:
-                raise ValueError(f"absorbing state {s} must have no outgoing mass")
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo + 1
+    m = np.arange(lo, hi, dtype=float)
+    band = np.zeros((hi - lo + 1, 3))
+    down, stay, up = band[:-1].T
+    up[:], down[:] = (n - m) / n, m / n
+    if tie:
+        up[0], down[0] = 1.0, 0.0
+    stay[:] = 1.0 - up - down
+    band[-1, 1] = 1.0
+    return KernelChain.from_band(band, {hi - lo})
 
 
-def plateau_chain(n: int, r: int) -> BirthDeathChain:
+def plateau_chain(n: int, r: int) -> KernelChain:
     """Majority-count walk of single-bit local search on the two-sided plateau.
 
-    From the balanced level every flip breaks the tie upward; above it the
-    leading count grows only when one of the n - m minority bits is
-    flipped, so up(m) = (n - m)/n and down(m) = m/n.  The level n/2 + r is
-    absorbing.
+    Level s is the majority count n/2 + s.  From the balanced level every
+    flip breaks the tie upward; above it the leading count grows only when
+    one of the n - m minority bits is flipped, so up(m) = (n - m)/n and
+    down(m) = m/n.  The level n/2 + r is absorbing.
     """
     theory._check_params(n, r)
-    lo, hi = n // 2, n // 2 + r
-    up = (1.0, *((n - m) / n for m in range(lo + 1, hi)), 0.0)
-    down = (0.0, *(m / n for m in range(lo + 1, hi)), 0.0)
-    return BirthDeathChain(lo, hi, up, down, frozenset({hi}))
+    return _single_flip_chain(n, n // 2, n // 2 + r, tie=True)
 
 
-def majority_chain(n: int, r: int) -> BirthDeathChain:
+def majority_chain(n: int, r: int) -> KernelChain:
     """Ones-count walk of single-bit local search on the one-sided objective.
 
-    Every sub-threshold state accepts every move, so up(j) = (n - j)/n and
+    Every sub-threshold level accepts every move, so up(j) = (n - j)/n and
     down(j) = j/n on [0..n/2+r], with the threshold level absorbing.
     r=0 gives the walk used to recover a majority of ones.
     """
     theory._check_params(n, r, min_r=0)
-    lo, hi = 0, n // 2 + r
-    up = (*((n - j) / n for j in range(lo, hi)), 0.0)
-    down = (*(j / n for j in range(lo, hi)), 0.0)
-    return BirthDeathChain(lo, hi, up, down, frozenset({hi}))
+    return _single_flip_chain(n, 0, n // 2 + r, tie=False)
 
 
-def bd_hitting_times(chain: BirthDeathChain) -> np.ndarray:
-    """Expected absorption times for a chain absorbing in a top block.
+def bd_hitting_times(kernel: KernelChain) -> np.ndarray:
+    """Expected absorption times for a width-1 kernel absorbing in a top block.
 
-    Uses the ladder recurrence t(m) = (1 + down(m) t(m-1)) / up(m) for the
-    expected passage time from m to m+1 and accumulates it with
+    Uses the ladder recurrence t(s) = (1 + down(s) t(s-1)) / up(s) for the
+    expected passage time from level s to s+1 and accumulates it with
     compensated (Kahan) summation; overflow degrades to +inf rather than
     raising.
     """
-    target = min(chain.absorbing) if chain.absorbing else None
-    if target is None or chain.absorbing != frozenset(range(target, chain.hi + 1)):
+    if kernel.width != 1:
+        raise ValueError(f"the ladder solver needs a width-1 kernel, got width {kernel.width}")
+    size = kernel.size
+    target = min(kernel.absorbing, default=size)
+    if target == size or kernel.absorbing != frozenset(range(target, size)):
         raise ValueError("solver requires a contiguous top block of absorbing states")
-    if chain.down[0] != 0.0:
-        raise ValueError("bottom state must not leak below the state range")
-    size = chain.size
+    # read and written as Python floats through memoryviews, with no numpy
+    # scalar and no per-level list; ``times`` holds the passage times until
+    # the compensated sum overwrites them from the top
+    down, up = memoryview(kernel.band[:, 0]), memoryview(kernel.band[:, 2])
     times = np.zeros(size)
-    k = target - chain.lo
-    ladder = np.empty(k)
-    with np.errstate(over="ignore"):
-        for s in range(k):
-            if chain.up[s] <= 0.0:
-                raise ValueError(
-                    f"no absorbing state reachable from state {chain.lo + s}"
-                )
-            below = chain.down[s] * ladder[s - 1] if s > 0 else 0.0
-            ladder[s] = (1.0 + below) / chain.up[s]
+    ladder = memoryview(times)
+    passage = 0.0
+    for s in range(target):
+        if up[s] <= 0.0:
+            raise ValueError(f"no absorbing state reachable from level {s}")
+        passage = (1.0 + down[s] * passage) / up[s]
+        ladder[s] = passage
     total = 0.0
     carry = 0.0
-    for s in range(k - 1, -1, -1):
-        if math.isinf(ladder[s]) or math.isinf(total):
+    for s in range(target - 1, -1, -1):
+        step = ladder[s]
+        if math.isinf(step) or math.isinf(total):
             total = math.inf
         else:
-            y = ladder[s] - carry
+            y = step - carry
             t = total + y
             carry = (t - total) - y
             total = t
-        times[s] = total
+        ladder[s] = total
     return times
 
 
@@ -222,12 +203,14 @@ def rlsl_kernel(
         if j in absorbing:
             band[j, ell] = 1.0
             continue
+        # fold the row in overlap order, so the diagonal sums in that order,
+        # and write it once
+        row = [0.0] * (2 * ell + 1)
+        value = values[j]
         for a, p in zip(overlap_support(n, j, ell), hypergeom_pmf(n, j, ell)):
             d = ell - 2 * a
-            if values[j + d] >= values[j]:
-                band[j, ell + d] += p
-            else:
-                band[j, ell] += p
+            row[ell + d if values[j + d] >= value else ell] += p
+        band[j] = row
     return KernelChain.from_band(band, absorbing)
 
 
@@ -360,21 +343,20 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
 
 def majority_hitting_by_level(n: int, r: int) -> np.ndarray:
     """Exact expected run times on the one-sided objective, per ones count 0..n."""
-    chain = majority_chain(n, r)
-    times = bd_hitting_times(chain)
+    times = bd_hitting_times(majority_chain(n, r))
     out = np.zeros(n + 1)
-    out[: chain.size] = times
+    out[: times.size] = times
     return out
 
 
 def plateau_hitting_by_level(n: int, r: int) -> np.ndarray:
     """Exact expected run times on the two-sided plateau, per ones count 0..n."""
-    chain = plateau_chain(n, r)
-    times = bd_hitting_times(chain)
+    times = bd_hitting_times(plateau_chain(n, r))
+    half = n // 2
     out = np.zeros(n + 1)
     for j in range(n + 1):
         m = max(j, n - j)
-        out[j] = times[m - chain.lo] if m <= chain.hi else 0.0
+        out[j] = times[m - half] if m <= half + r else 0.0
     return out
 
 
@@ -424,14 +406,13 @@ def drift_check(n: int, r: int) -> list[DriftRow]:
     lam^(m - n/2) (lam - 1) / (3r), which is attained one level under the
     optimum.
     """
-    chain = plateau_chain(n, r)
+    downs, _, ups = plateau_chain(n, r).band.T.tolist()
     lam = theory.potential_base(n, r)
     half = n // 2
     rows = []
-    for m in range(chain.lo, chain.hi):
-        s = m - chain.lo
-        up, down = chain.up[s], chain.down[s]
-        if m + 1 == chain.hi:
+    for m in range(half, half + r):
+        up, down = ups[m - half], downs[m - half]
+        if m + 1 == half + r:
             gain = theory._pow(lam, r) - theory._pow(lam, m - half)
         else:
             gain = theory._pow(lam, m - half) * (lam - 1.0)

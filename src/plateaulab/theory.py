@@ -79,7 +79,7 @@ def majority_bound(n: int, r: int) -> float:
     if r == 0:
         return 0.0
     lam = potential_base(n, r)
-    return 6.0 * r * (_pow(lam, r) - 1.0) / (lam - 1.0) + n * (1.0 + math.log(r)) / 2.0
+    return 6.0 * r * (_pow(lam, r) - 1.0) / (lam - 1.0) + majority_of_ones_bound(n, r)
 
 
 def majority_of_ones_bound(n: int, d: int) -> float:

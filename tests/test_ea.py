@@ -350,8 +350,8 @@ BLOCKED = {
     "onemax-k7-20": NeutralityFitness(OneMax(20), 7),
     "plateau-k4": NeutralityFitness(PlateauFitness(6, 2), 4),
     "majority-k5": NeutralityFitness(MajorityFitness(8, 2), 5),
-    # a base that is not level-symmetric, with its block in the second vote word
-    "block-base-k3": NeutralityFitness(BlockMajorityFitness(70, 70, 1), 3),
+    # the vote of block 70, in the second 64-bit word of the vote mask
+    "block-base-k3": BlockMajorityFitness(70, 70, 3),
     "first-block-k6": BlockMajorityFitness(1, 11, 6),
     "last-block-k7": BlockMajorityFitness(20, 20, 7),
 }

@@ -145,6 +145,10 @@ class TestNeutrality:
         with pytest.raises(ValueError):
             NeutralityFitness(OneMax(2), 2).value(bs("110"))
 
+    def test_base_must_be_level_symmetric(self):
+        with pytest.raises(ValueError, match="ones count alone"):
+            NeutralityFitness(BlockMajorityFitness(2, 3, 1), 2)
+
     @given(st.data())
     @settings(max_examples=60)
     def test_within_block_permutation_invariance(self, data):

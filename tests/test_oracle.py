@@ -9,7 +9,6 @@ from plateaulab.core import FixedOnes, Uniform
 from plateaulab.fitness import MajorityFitness, OneMax, PlateauFitness, make_fitness
 from plateaulab.oracle import (
     BAND_LIMIT,
-    BirthDeathChain,
     KernelChain,
     bd_hitting_times,
     compliance_check,
@@ -28,25 +27,47 @@ from plateaulab.oracle import (
 
 class TestChains:
     def test_plateau_chain_structure(self):
-        chain = plateau_chain(6, 2)
-        assert (chain.lo, chain.hi) == (3, 5)
-        assert chain.up[0] == 1.0 and chain.down[0] == 0.0
-        assert chain.up[1] == pytest.approx(2 / 6)
-        assert chain.down[1] == pytest.approx(4 / 6)
-        assert chain.absorbing == frozenset({5})
+        chain = plateau_chain(6, 2)  # majority counts 3..5
+        assert isinstance(chain, KernelChain)
+        assert chain.width == 1 and chain.size == 3
+        assert chain.band[0].tolist() == [0.0, 0.0, 1.0]
+        assert chain.band[1, 2] == pytest.approx(2 / 6)
+        assert chain.band[1, 0] == pytest.approx(4 / 6)
+        assert chain.band[2].tolist() == [0.0, 1.0, 0.0]
+        assert chain.absorbing == frozenset({2})
 
     def test_majority_chain_structure(self):
         chain = majority_chain(4, 1)
-        assert (chain.lo, chain.hi) == (0, 3)
-        assert chain.up[0] == 1.0
-        assert chain.up[2] == pytest.approx(2 / 4)
-        assert chain.down[2] == pytest.approx(2 / 4)
+        assert isinstance(chain, KernelChain)
+        assert chain.width == 1 and chain.size == 4
+        assert chain.band[0, 2] == 1.0
+        assert chain.band[2, 2] == pytest.approx(2 / 4)
+        assert chain.band[2, 0] == pytest.approx(2 / 4)
+        assert chain.absorbing == frozenset({3})
+
+    def test_leftover_mass_is_the_self_loop(self):
+        for chain in (majority_chain(10, 2), plateau_chain(10, 3)):
+            down, stay, up = chain.band[:-1].T
+            assert np.array_equal(stay, 1.0 - up - down)
 
     def test_invalid_probabilities_rejected(self):
-        with pytest.raises(ValueError):
-            BirthDeathChain(0, 1, (0.7, 0.0), (0.7, 0.0), frozenset({1}))
-        with pytest.raises(ValueError):
-            BirthDeathChain(0, 1, (1.0, 0.5), (0.0, 0.0), frozenset({1}))
+        cases = [
+            # a row that moves more than all of its mass
+            ([[0.0, 0.3, 0.8], [0.0, 1.0, 0.0]], {1}, "sum to 1"),
+            # a negative leftover on the diagonal
+            ([[0.0, -0.5, 1.5], [0.0, 1.0, 0.0]], {1}, "nonnegative"),
+            # a bottom level that leaks below the range
+            ([[0.7, -0.4, 0.7], [0.0, 1.0, 0.0]], {1}, "past the level range"),
+            ([[0.3, 0.0, 0.7], [0.0, 1.0, 0.0]], {1}, "past the level range"),
+            # an absorbing level with outgoing mass, or outside the range
+            ([[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]], {1}, "unit self-loop"),
+            ([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]], {2}, "out of range"),
+            # a band that is not 2 * width + 1 columns wide
+            ([[0.0, 1.0], [1.0, 0.0]], {1}, "columns"),
+        ]
+        for band, absorbing, match in cases:
+            with pytest.raises(ValueError, match=match):
+                KernelChain.from_band(np.array(band), absorbing)
 
 
 class TestBirthDeathSolver:
@@ -77,9 +98,48 @@ class TestBirthDeathSolver:
         assert math.isinf(times[0])
 
     def test_unreachable_absorption(self):
-        chain = BirthDeathChain(0, 2, (0.0, 0.5, 0.0), (0.0, 0.5, 0.0), frozenset({2}))
-        with pytest.raises(ValueError):
+        band = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])
+        chain = KernelChain.from_band(band, {2})
+        with pytest.raises(ValueError, match="no absorbing state reachable from level 0"):
             bd_hitting_times(chain)
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 64, 128, 256])
+    def test_same_object_cross_check(self, n):
+        # either exact solver takes the same width-1 chain
+        for r in sorted({0, 1, 2, n // 4, n // 2 - 1, n // 2} & set(range(n // 2 + 1))):
+            chains = [majority_chain(n, r), rlsl_kernel(n, 1, MajorityFitness(n, r).level_value)]
+            if r >= 1:
+                chains.append(plateau_chain(n, r))
+            for chain in chains:
+                ladder = bd_hitting_times(chain)
+                banded = kernel_hitting_times(chain)
+                assert np.all(np.isfinite(ladder)), (n, r)
+                assert np.max(np.abs(banded - ladder) / np.maximum(ladder, 1.0)) < 1e-8, (n, r)
+
+    @pytest.mark.parametrize("n,r", [(2, 1), (10, 0), (64, 5), (256, 128)])
+    def test_solves_ell1_kernel_directly(self, n, r):
+        # the kernel's ell=1 overlap rows are the chain's (n - j)/n and j/n
+        kernel = rlsl_kernel(n, 1, MajorityFitness(n, r).level_value)
+        assert bd_hitting_times(kernel).tolist() == majority_hitting_by_level(n, r).tolist()
+
+    def test_width_other_than_one_rejected(self):
+        with pytest.raises(ValueError, match="width-1"):
+            bd_hitting_times(rlsl_kernel(8, 2, MajorityFitness(8, 1).level_value))
+        with pytest.raises(ValueError, match="width-1"):
+            bd_hitting_times(KernelChain(np.eye(3), frozenset({0, 1, 2})))
+
+    def test_absorbing_set_must_be_one_top_block(self):
+        # the two-sided plateau absorbs at both ends of the ones count
+        two_sided = rlsl_kernel(8, 1, PlateauFitness(8, 2).level_value)
+        assert two_sided.absorbing == frozenset({0, 1, 2, 6, 7, 8})
+        with pytest.raises(ValueError, match="contiguous top block"):
+            bd_hitting_times(two_sided)
+        # a gap below the top level
+        band = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="contiguous top block"):
+            bd_hitting_times(KernelChain.from_band(band, {1, 3}))
+        with pytest.raises(ValueError, match="contiguous top block"):
+            bd_hitting_times(rlsl_kernel(4, 1, lambda j: 0, absorbing=()))
 
 
 class TestKernel:
@@ -87,7 +147,9 @@ class TestKernel:
         n, r = 6, 2
         kernel = rlsl_kernel(n, 1, MajorityFitness(n, r).level_value)
         chain = majority_chain(n, r)
-        for j in range(chain.hi):
+        hi = n // 2 + r
+        assert np.array_equal(kernel.band[:hi, [0, 2]], chain.band[:hi, [0, 2]])
+        for j in range(hi):
             assert kernel.matrix[j, j + 1] == pytest.approx((n - j) / n, abs=1e-12)
             if j:
                 assert kernel.matrix[j, j - 1] == pytest.approx(j / n, abs=1e-12)
