@@ -189,7 +189,10 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(_key_seed_type()(key)))
+        # an explicit zero counter is the default one without numpy's
+        # Python-level conversion of counter=None (about 2 us a stream)
+        counter = np.zeros(4, dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(_key_seed_type()(key), counter=counter))
 
 
 @functools.cache
@@ -410,11 +413,18 @@ def sample_bitstring(
 
 def _sample_uniform(n: int, rng: np.random.Generator) -> BitString:
     n_words = (n + WORD_BITS - 1) // WORD_BITS
-    # the draw ``rng.bytes(8 * n_words)`` makes, without its byte copies
-    words = rng.integers(0, 2**32, size=2 * n_words, dtype=np.uint32).view(np.uint64)
+    # the words ``rng.bytes(8 * n_words)`` draws, without its byte copies.
+    # It reads 32 bits at a time, low half of each stream word first, so
+    # with no half word buffered (as at every run's first draw) it reads
+    # exactly the next n_words raw stream words
+    bit_gen = rng.bit_generator
+    if bit_gen.state["has_uint32"]:
+        words = rng.integers(0, 2**32, size=2 * n_words, dtype=np.uint32).view(np.uint64)
+    else:
+        words = bit_gen.random_raw(n_words)
     tail = n % WORD_BITS
     if tail:
-        words[-1] &= np.uint64((1 << tail) - 1)
+        words[-1] = int(words[-1]) & ((1 << tail) - 1)
     return BitString._raw(n, words, int.from_bytes(words.tobytes(), "little").bit_count())
 
 

@@ -24,10 +24,13 @@ DEFAULT_CAP = 10**9
 # twice as many, up to _BATCH
 _BATCH_FIRST = 64
 _BATCH = 4096
-# ell>1 proposal batches: the first has this many rows, each later one
-# twice as many, capped so that a batch holds at most this many rejection
-# draws' indices, or this many positions of lockstep shuffles
-_SUBSET_ROWS_FIRST = 16
+# ell>1 proposal batches: the first has this many rejection rows or this
+# many shuffled rows (a lockstep shuffle's fixed cost per batch outweighs
+# its cost per row), each later one twice as many, capped so that a batch
+# holds at most this many rejection draws' indices, or this many positions
+# of lockstep shuffles
+_REJECTION_ROWS_FIRST = 16
+_SHUFFLE_ROWS_FIRST = 64
 _SUBSET_BUDGET = 8192
 
 
@@ -173,8 +176,12 @@ def _batch_sizes(first, largest, cap):
 def _subset_batches(n, ell, rng, cap):
     """Proposal flip sets for up to ``cap`` proposals, as (rows, ell) arrays."""
     # a rejection row costs O(ell), a shuffled row O(n)
-    row_cap = max(1, _SUBSET_BUDGET // (ell if rejection_regime(n, ell) else n))
-    for k in _batch_sizes(min(_SUBSET_ROWS_FIRST, row_cap), row_cap, cap):
+    if rejection_regime(n, ell):
+        first, row_cost = _REJECTION_ROWS_FIRST, ell
+    else:
+        first, row_cost = _SHUFFLE_ROWS_FIRST, n
+    row_cap = max(1, _SUBSET_BUDGET // row_cost)
+    for k in _batch_sizes(min(first, row_cap), row_cap, cap):
         yield sample_uniform_subset(n, ell, rng, size=k)
 
 
@@ -197,12 +204,13 @@ def _run_level(fit, ell, ones, rng, cap, traj):
     incumbent, so by exchangeability its ones may be taken to sit at
     positions 0..ones-1: a proposal turns ``a`` ones into zeros when ``a``
     of its flips lie below ``ones``.  Fitness is read from the objective's
-    per-level tables; at ell=1 a proposal needs only the acceptance of one
-    step up or down from the incumbent's level.
+    per-level tables; at ell=1 a proposal moves the incumbent to its level's
+    successor one set bit down or up, which is the level itself when the
+    step is rejected.
     """
     n = fit.n
     fmax = fit.max_value
-    vals, up, down = fit.level_tables
+    vals, lower, higher = fit.level_tables
     fx = vals[ones]
     if fx == fmax:
         return 0
@@ -212,11 +220,7 @@ def _run_level(fit, ell, ones, rng, cap, traj):
         for batch in _index_batches(n, rng, cap):
             for i in batch:
                 t += 1
-                if i < ones:
-                    if down[ones]:
-                        ones -= 1
-                elif up[ones]:
-                    ones += 1
+                ones = lower[ones] if i < ones else higher[ones]
                 if append is not None:
                     append(ones)
                 if vals[ones] == fmax:
@@ -249,24 +253,34 @@ def _run_level(fit, ell, ones, rng, cap, traj):
 
 
 def _run_blocked(fit, ell, x0, rng, cap, traj):
-    """Engine for blocked objectives: the state is the bits, the per-block
-    ones counts and the vote mask.
+    """Engine for blocked objectives: the state is the bits, the ones
+    counts of the scored blocks and their vote mask.
 
     A proposal changes only the counts of the blocks its flips hit, and it
     is scored only when it flips a vote; any other proposal keeps every
-    vote, so its fitness equals the incumbent's and it is accepted.
+    vote, so its fitness equals the incumbent's and it is accepted.  A flip
+    outside the scored blocks never moves a vote: unless a trajectory is
+    recorded, nothing reads its bit again, and it is not applied.
     """
     n, k = fit.n, fit.k
     thr = fit.block_threshold
     fmax = fit.max_value
     score = fit.vote_value
-    bit_arr = x0.unpacked()
-    counts = bit_arr.reshape(fit.blocks, k).sum(axis=1).tolist()
-    votes = fit.votes(counts)
+    scored = fit.scored_blocks
+    # the scored blocks' bits are positions lo..hi-1
+    lo, hi = scored.start * k, scored.stop * k
+    packed = int.from_bytes(x0.words.tobytes(), "little")
+    block_mask = (1 << k) - 1
+    counts = [0] * fit.blocks
+    votes = 0
+    for b in scored:
+        counts[b] = (packed >> b * k & block_mask).bit_count()
+        if counts[b] >= thr:
+            votes |= 1 << b
     fx = score(votes, votes.bit_count())
     if fx == fmax:
         return 0
-    bits = bit_arr.tolist()
+    bits = x0.unpacked().tolist()
     ones = x0.ones
     append = traj.append if traj is not None else None
     t = 0
@@ -276,34 +290,44 @@ def _run_blocked(fit, ell, x0, rng, cap, traj):
         for batch in _index_batches(n, rng, cap):
             for i in batch:
                 t += 1
-                b = i // k
-                old = counts[b]
-                on = bits[i]
-                c = old - 1 if on else old + 1
-                if c + old == crossing:
-                    v = votes ^ (1 << b)
-                    fy = score(v, v.bit_count())
-                    if fy < fx:
-                        if append is not None:
-                            append(ones)
-                        continue
-                    votes = v
-                    fx = fy
+                if lo <= i < hi:
+                    b = i // k
+                    old = counts[b]
+                    on = bits[i]
+                    c = old - 1 if on else old + 1
+                    if c + old == crossing:
+                        v = votes ^ (1 << b)
+                        fy = score(v, v.bit_count())
+                        if fy < fx:
+                            if append is not None:
+                                append(ones)
+                            continue
+                        if fy == fmax:
+                            # only a vote change can reach the maximum
+                            if append is not None:
+                                append(ones - 1 if on else ones + 1)
+                            return t
+                        votes = v
+                        fx = fy
+                    counts[b] = c
+                elif append is None:
+                    # outside the scored blocks, and no trajectory reads it
+                    continue
+                else:
+                    on = bits[i]
                 bits[i] = on ^ 1
-                counts[b] = c
                 ones += -1 if on else 1
                 if append is not None:
                     append(ones)
-                if fx == fmax:
-                    return t
         return None
     for batch in _subset_batches(n, ell, rng, cap):
         for row in batch.tolist():
             t += 1
             new: dict[int, int] = {}
             for i in row:
-                b = i // k
-                new[b] = new.get(b, counts[b]) + 1 - 2 * bits[i]
+                if lo <= i < hi:
+                    b = i // k
+                    new[b] = new.get(b, counts[b]) + 1 - 2 * bits[i]
             v = votes
             for b, c in new.items():
                 if (c >= thr) != (counts[b] >= thr):
@@ -316,13 +340,17 @@ def _run_blocked(fit, ell, x0, rng, cap, traj):
                     continue
                 votes = v
                 fx = fy
-            for i in row:
-                ones += 1 - 2 * bits[i]
-                bits[i] ^= 1
+            if append is not None:
+                for i in row:
+                    ones += 1 - 2 * bits[i]
+                    bits[i] ^= 1
+                append(ones)
+            else:
+                for i in row:
+                    if lo <= i < hi:
+                        bits[i] ^= 1
             for b, c in new.items():
                 counts[b] = c
-            if append is not None:
-                append(ones)
             if fx == fmax:
                 return t
     return None

@@ -40,13 +40,16 @@ class FitnessFunction:
         )
 
     @functools.cached_property
-    def level_tables(self) -> tuple[list[int], list[bool], list[bool]]:
-        """``level_value`` at every ones count 0..n, and per count whether one
-        more and one fewer set bit score at least as high; built once."""
-        vals = [self.level_value(j) for j in range(self.n + 1)]
-        steps = [b >= a for a, b in zip(vals, vals[1:])]
-        drops = [a >= b for a, b in zip(vals, vals[1:])]
-        return vals, steps + [False], [False] + drops
+    def level_tables(self) -> tuple[list[int], list[int], list[int]]:
+        """``level_value`` at every ones count 0..n, and per count j the count
+        an elitist single flip moves to from j: ``lower[j]`` when it clears
+        a set bit, ``higher[j]`` when it sets one.  Each is the neighbouring
+        count when that scores at least as high, else j; built once."""
+        n = self.n
+        vals = [self.level_value(j) for j in range(n + 1)]
+        lower = [j - 1 if j > 0 and vals[j - 1] >= vals[j] else j for j in range(n + 1)]
+        higher = [j + 1 if j < n and vals[j + 1] >= vals[j] else j for j in range(n + 1)]
+        return vals, lower, higher
 
 
 class PlateauFitness(FitnessFunction):
@@ -113,7 +116,10 @@ class BlockedFitness(FitnessFunction):
     Bit b of a vote mask is the vote of block b (0-based).  Subclasses
     define ``vote_value``, the score of a vote mask plus its vote count,
     so the engine can keep per-block counts and rescore only when a
-    proposal flips a vote.
+    proposal flips a vote.  ``vote_value`` reads only the votes of
+    ``scored_blocks``, a range of block indices (all blocks unless a
+    subclass narrows it): a vote mask holds those votes and no others,
+    and a flip outside them never changes the score.
     """
 
     def __init__(self, blocks: int, k: int):
@@ -123,21 +129,18 @@ class BlockedFitness(FitnessFunction):
         self.k = k
         self.n = blocks * k
         self.block_threshold = k // 2 + 1
-
-    def votes(self, counts: Sequence[int]) -> int:
-        """Vote mask of the given per-block ones counts."""
-        thr = self.block_threshold
-        return sum(1 << b for b, c in enumerate(counts) if c >= thr)
+        self.scored_blocks = range(blocks)
 
     def vote_value(self, votes: int, count: int) -> int:
         """Score of vote mask ``votes`` with ``count`` set votes (hot path)."""
         raise NotImplementedError
 
     def value_packed(self, words: Sequence[int], ones: int) -> int:
-        k = self.k
-        votes = self.votes(
-            [count_bit_range(words, lo, lo + k) for lo in range(0, self.n, k)]
-        )
+        k, thr = self.k, self.block_threshold
+        votes = 0
+        for b in self.scored_blocks:
+            if count_bit_range(words, b * k, b * k + k) >= thr:
+                votes |= 1 << b
         return self.vote_value(votes, votes.bit_count())
 
 
@@ -178,15 +181,11 @@ class BlockMajorityFitness(BlockedFitness):
         if not 1 <= block <= blocks:
             raise ValueError(f"block index {block} out of range [1..{blocks}]")
         self.block = block
+        # only this block's vote is read, so only this block is counted
+        self.scored_blocks = range(block - 1, block)
 
     def vote_value(self, votes: int, count: int) -> int:
         return (votes >> (self.block - 1)) & 1
-
-    def value_packed(self, words: Sequence[int], ones: int) -> int:
-        # only this block's vote is read, so only this block is counted
-        lo = (self.block - 1) * self.k
-        vote = int(count_bit_range(words, lo, lo + self.k) >= self.block_threshold)
-        return self.vote_value(vote << (self.block - 1), vote)
 
     def __repr__(self) -> str:
         return f"BlockMajorityFitness(block={self.block}, blocks={self.blocks}, k={self.k})"

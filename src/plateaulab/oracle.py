@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import theory
-from .core import FixedOnes, InitDistribution, Uniform, log_binomial
+from .core import FixedOnes, InitDistribution, Uniform
 from .core import hypergeom_pmf, overlap_support
 
 # band entries (n + 1)(2 ell + 1) of the largest kernel rlsl_kernel builds:
@@ -136,20 +136,26 @@ class KernelChain:
         if band.ndim != 2 or band.shape[1] % 2 == 0:
             raise ValueError("band must have 2 * width + 1 columns")
         size, width = band.shape[0], band.shape[1] // 2
-        outside = _band_columns(np.arange(size), width, size) < 0
-        if np.any(band[outside] != 0.0):
+        # only the first and last width rows have positions past either end
+        head = min(width, size)
+        edges = np.r_[0:head, max(head, size - width) : size]
+        outside = _band_columns(edges, width, size) < 0
+        if np.any(band[edges][outside] != 0.0):
             raise ValueError("band entries past the level range must be zero")
         if np.any(band < -_ROW_TOL):
             raise ValueError("transition probabilities must be nonnegative")
         rowsum = band.sum(axis=1)
-        if np.max(np.abs(rowsum - 1.0)) > _ROW_TOL:
+        rowsum -= 1.0
+        if np.max(np.abs(rowsum, out=rowsum)) > _ROW_TOL:
             raise ValueError("every row must sum to 1 within 1e-12")
         absorbing = frozenset(absorbing)
         for s in absorbing:
             if not 0 <= s < size:
                 raise ValueError(f"absorbing state {s} out of range")
-            if band[s, width] != 1.0:
-                raise ValueError(f"absorbing state {s} must be a unit self-loop")
+        states = sorted(absorbing)
+        bad = np.flatnonzero(band[states, width] != 1.0)
+        if bad.size:
+            raise ValueError(f"absorbing state {states[bad[0]]} must be a unit self-loop")
         self.band = band
         self.width = width
         self.absorbing = absorbing
@@ -375,8 +381,12 @@ def expected_under_init(
         return float(levels[init.checked(n)])
     if isinstance(init, Uniform):
         log_half = n * math.log(2.0)
+        # lg[i] = lgamma(i + 1), so each weight is exp(log_binomial(n, j) -
+        # log_half) by the same float operations, in the same order
+        lg = [math.lgamma(i) for i in range(1, n + 2)]
+        top = lg[n]
         weights = np.array(
-            [math.exp(log_binomial(n, j) - log_half) for j in range(n + 1)]
+            [math.exp(top - lg[j] - lg[n - j] - log_half) for j in range(n + 1)]
         )
         mask = weights > 0.0
         if np.any(~np.isfinite(levels[mask])):

@@ -366,11 +366,14 @@ class TestBlockedEngine:
         ell = {"1": 1, "2": 2, "k": fit.k, "n": fit.n}[ell_kind]
         cfg = RunConfig(fit, RlsMutation(ell), Uniform(), 7, max_iters=cap,
                         record_trajectory=True)
+        # unrecorded, the engine skips flips outside the scored blocks
+        bare = RunConfig(fit, RlsMutation(ell), Uniform(), 7, max_iters=cap)
         for i in range(2):
             res = run(cfg, i)
             runtime, traj = reference_run(cfg, i)
             assert res.runtime == runtime
             assert res.trajectory.tolist() == traj
+            assert run(bare, i).runtime == runtime
 
     def test_reference_covers_censoring(self):
         cfg = RunConfig(BLOCKED["onemax-k7-20"], RlsMutation(2), Uniform(), 7,

@@ -225,13 +225,15 @@ class TestLevelTables:
         "fit", [PlateauFitness(8, 2), MajorityFitness(8, 0), MajorityFitness(10, 3), OneMax(7)]
     )
     def test_tables_follow_level_value(self, fit):
-        vals, up, down = fit.level_tables
+        vals, lower, higher = fit.level_tables
         n = fit.n
         assert vals == [fit.level_value(j) for j in range(n + 1)]
-        assert up == [j < n and fit.level_value(j + 1) >= fit.level_value(j)
-                      for j in range(n + 1)]
-        assert down == [j > 0 and fit.level_value(j - 1) >= fit.level_value(j)
-                        for j in range(n + 1)]
+        # a single flip moves to the neighbouring count iff that scores at
+        # least as high; past either end there is no neighbour to move to
+        assert higher == [j + 1 if j < n and fit.level_value(j + 1) >= fit.level_value(j)
+                          else j for j in range(n + 1)]
+        assert lower == [j - 1 if j > 0 and fit.level_value(j - 1) >= fit.level_value(j)
+                         else j for j in range(n + 1)]
         assert fit.level_tables is fit.level_tables
 
 

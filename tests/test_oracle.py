@@ -334,6 +334,29 @@ class TestBandedKernel:
         with pytest.raises(ValueError, match="2 \\* width \\+ 1"):
             KernelChain.from_band(np.ones((2, 2)) / 2, frozenset())
 
+    def test_entries_past_the_range_rejected_in_every_edge_row(self):
+        # width 2 over five levels: rows 0, 1 reach below level 0 and rows
+        # 3, 4 past level 4; over two levels width 3 reaches past both ends
+        cases = [((5, 5), row, col) for row, col in
+                 [(0, 0), (0, 1), (1, 0), (3, 4), (4, 3), (4, 4)]]
+        cases += [((2, 7), 0, 2), ((2, 7), 0, 5), ((2, 7), 1, 1), ((2, 7), 1, 6)]
+        for shape, row, col in cases:
+            band = np.zeros(shape)
+            width = shape[1] // 2
+            band[:, width] = 1.0
+            band[row, width], band[row, col] = 0.5, 0.5
+            with pytest.raises(ValueError, match="past the level range"):
+                KernelChain.from_band(band, frozenset())
+
+    def test_chain_build_peak_is_near_its_band(self):
+        tracemalloc.start()
+        try:
+            chain = majority_chain(10**6, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * chain.band.nbytes
+
     def test_band_validation_rules(self):
         with pytest.raises(ValueError, match="sum to 1"):
             KernelChain.from_band(np.array([[0.0, 0.5, 0.4], [0.0, 1.0, 0.0]]), frozenset())
@@ -456,6 +479,19 @@ class TestExpectedUnderInit:
     def test_fixed_ones_at_absorbing(self):
         levels = majority_hitting_by_level(10, 2)
         assert expected_under_init(levels, 10, FixedOnes(7)) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 1000, 10**5])
+    def test_uniform_equals_per_level_log_binomial_weights(self, n):
+        from plateaulab.core import log_binomial
+
+        levels = np.sqrt(np.arange(n + 1, dtype=float)) + 1.0
+        log_half = n * math.log(2.0)
+        weights = np.array(
+            [math.exp(log_binomial(n, j) - log_half) for j in range(n + 1)]
+        )
+        mask = weights > 0.0
+        expected = float(np.dot(weights[mask], levels[mask]))
+        assert expected_under_init(levels, n, Uniform()) == expected
 
     def test_binomial_weights_normalized(self):
         from plateaulab.core import log_binomial
