@@ -414,14 +414,16 @@ def sample_bitstring(
 def _sample_uniform(n: int, rng: np.random.Generator) -> BitString:
     n_words = (n + WORD_BITS - 1) // WORD_BITS
     # the words ``rng.bytes(8 * n_words)`` draws, without its byte copies.
-    # It reads 32 bits at a time, low half of each stream word first, so
-    # with no half word buffered (as at every run's first draw) it reads
-    # exactly the next n_words raw stream words
+    # It reads 32 bits at a time; Philox hands out the low half of each
+    # 64-bit stream word first, so with no half word buffered (as at every
+    # run's first draw) it reads exactly the next n_words raw stream words.
+    # Any other bit generator keeps the 32-bit draw: MT19937's raw words
+    # are 32 bits wide and its state holds no buffered half
     bit_gen = rng.bit_generator
-    if bit_gen.state["has_uint32"]:
-        words = rng.integers(0, 2**32, size=2 * n_words, dtype=np.uint32).view(np.uint64)
-    else:
+    if isinstance(bit_gen, np.random.Philox) and not bit_gen.state["has_uint32"]:
         words = bit_gen.random_raw(n_words)
+    else:
+        words = rng.integers(0, 2**32, size=2 * n_words, dtype=np.uint32).view(np.uint64)
     tail = n % WORD_BITS
     if tail:
         words[-1] = int(words[-1]) & ((1 << tail) - 1)

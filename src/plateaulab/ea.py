@@ -259,8 +259,9 @@ def _run_blocked(fit, ell, x0, rng, cap, traj):
     A proposal changes only the counts of the blocks its flips hit, and it
     is scored only when it flips a vote; any other proposal keeps every
     vote, so its fitness equals the incumbent's and it is accepted.  A flip
-    outside the scored blocks never moves a vote: unless a trajectory is
-    recorded, nothing reads its bit again, and it is not applied.
+    outside the scored blocks never moves a vote: at ell=1, unless a
+    trajectory is recorded, nothing reads its bit again, and it is not
+    applied.
     """
     n, k = fit.n, fit.k
     thr = fit.block_threshold
@@ -340,17 +341,13 @@ def _run_blocked(fit, ell, x0, rng, cap, traj):
                     continue
                 votes = v
                 fx = fy
-            if append is not None:
-                for i in row:
-                    ones += 1 - 2 * bits[i]
-                    bits[i] ^= 1
-                append(ones)
-            else:
-                for i in row:
-                    if lo <= i < hi:
-                        bits[i] ^= 1
+            for i in row:
+                ones += 1 - 2 * bits[i]
+                bits[i] ^= 1
             for b, c in new.items():
                 counts[b] = c
+            if append is not None:
+                append(ones)
             if fx == fmax:
                 return t
     return None

@@ -384,6 +384,23 @@ class TestSampleBitstring:
             assert x.ones == int(np.bitwise_count(words).sum())
         assert rng.integers(2**63) == ref_rng.integers(2**63)
 
+    @pytest.mark.parametrize("bit_gen", [np.random.MT19937, np.random.PCG64, np.random.SFC64])
+    @pytest.mark.parametrize("n", [1, 64, 130])
+    def test_uniform_under_other_bit_generators_keeps_the_32_bit_draw(self, bit_gen, n):
+        # MT19937's raw words are 32 bits wide and its state has no buffered
+        # half; every generator but Philox gets the 32-bit draw of earlier
+        # releases
+        ref_rng, rng = np.random.Generator(bit_gen(21)), np.random.Generator(bit_gen(21))
+        n_words = (n + 63) // 64
+        for _ in range(3):
+            words = ref_rng.integers(0, 2**32, size=2 * n_words, dtype=np.uint32).view(np.uint64)
+            if n % 64:
+                words[-1] &= np.uint64((1 << (n % 64)) - 1)
+            x = sample_bitstring(n, Uniform(), rng)
+            assert np.array_equal(x.words, words)
+            assert x.ones == int(np.bitwise_count(words).sum())
+        assert rng.integers(2**63) == ref_rng.integers(2**63)
+
     def test_fixed_ones_out_of_range(self):
         with pytest.raises(ValueError):
             sample_bitstring(4, FixedOnes(5), rng_for(7))
