@@ -11,7 +11,7 @@ import numpy as np
 
 from . import harness, oracle, theory
 from .core import Uniform
-from .ea import DEFAULT_CAP, RlsMutation, RunConfig, run
+from .ea import DEFAULT_CAP, RlsMutation, RunConfig
 from .fitness import FUNCTION_NAMES, make_fitness
 from .harness import ExperimentSpec, PlotSpec, format_value, parse_init, table_lines
 
@@ -124,10 +124,8 @@ def _cmd_simulate(args) -> int:
     fit = make_fitness(args.function, args.n, r=args.r, k=args.k)
     init = parse_init(args.init, fit)
     config = RunConfig(fit, RlsMutation(args.ell), init, args.seed, max_iters=args.cap)
-    harness.check_runs_finish(config)
     lines = ["run,runtime,init_ones,censored"]
-    for idx in range(args.runs):
-        result = run(config, idx)
+    for idx, result in enumerate(harness.run_cell(config, args.runs)):
         runtime = "" if result.censored else str(result.runtime)
         lines.append(
             f"{idx},{runtime},{result.init_ones},{str(result.censored).lower()}"

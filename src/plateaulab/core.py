@@ -1,79 +1,51 @@
-"""Packed bitstrings, keyed random streams, and counting primitives."""
+"""Bitstrings, keyed random streams, and counting primitives."""
 
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-WORD_BITS = 64
 _U64_MASK = (1 << 64) - 1
 # draws UniformNonOptimal makes before it gives up
 _NONOPT_ATTEMPTS = 10_000
 
 
-def _popcount(words: np.ndarray) -> int:
-    return int(np.bitwise_count(words).sum())
-
-
-def _words_at(n: int, pos: np.ndarray) -> np.ndarray:
-    """Packed words of the length-n string whose ones are at ``pos``."""
-    bits = np.zeros((n + WORD_BITS - 1) // WORD_BITS * WORD_BITS, dtype=np.uint8)
-    bits[pos] = 1
-    return np.packbits(bits, bitorder="little").view("<u8").astype(np.uint64)
+def _bits_at(n: int, pos: np.ndarray) -> int:
+    """The bits of the length-n string whose ones are at ``pos``."""
+    flags = np.zeros(n, dtype=np.uint8)
+    flags[pos] = 1
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 class BitString:
-    """Fixed-length bit vector packed into 64-bit words.
+    """Fixed-length bit vector held as one non-negative int: bit i is position i.
 
-    The number of set bits is cached and kept consistent by every
-    operation, so counting stays O(1) no matter how many flips a run
-    performs.  Instances are treated as immutable: operations return new
-    strings rather than mutating in place.
+    The number of set bits is counted once, at construction, so reading
+    it stays O(1).  Instances are treated as immutable: operations return
+    new strings rather than mutating in place.
     """
 
-    __slots__ = ("n", "words", "ones")
+    __slots__ = ("n", "bits", "ones")
 
-    def __init__(self, n: int, words: np.ndarray | None = None):
+    def __init__(self, n: int, bits: int = 0):
         if n <= 0:
             raise ValueError("bitstring length must be positive")
-        n_words = (n + WORD_BITS - 1) // WORD_BITS
-        if words is None:
-            words = np.zeros(n_words, dtype=np.uint64)
-        else:
-            words = np.array(words, dtype=np.uint64)
-            if words.shape != (n_words,):
-                raise ValueError(f"expected {n_words} words for length {n}")
-            tail = n % WORD_BITS
-            if tail and (int(words[-1]) >> tail):
-                raise ValueError("bits beyond the string length must be zero")
+        if bits < 0 or bits >> n:
+            raise ValueError("bits beyond the string length must be zero")
         self.n = n
-        self.words = words
-        self.ones = _popcount(words)
-
-    @classmethod
-    def _raw(cls, n: int, words: np.ndarray, ones: int) -> "BitString":
-        # trusted constructor: caller guarantees the invariants
-        obj = object.__new__(cls)
-        obj.n = n
-        obj.words = words
-        obj.ones = ones
-        return obj
+        self.bits = bits
+        self.ones = bits.bit_count()
 
     @classmethod
     def from01(cls, bits: str) -> "BitString":
         """Build from a left-to-right 0/1 string; position 0 is the first char."""
-        if not bits or any(c not in "01" for c in bits):
+        if not bits or not set(bits) <= {"0", "1"}:
             raise ValueError("expected a non-empty string over {0,1}")
-        s = cls(len(bits))
-        for i, c in enumerate(bits):
-            if c == "1":
-                s.words[i >> 6] |= np.uint64(1 << (i & 63))
-        s.ones = _popcount(s.words)
-        return s
+        return cls(len(bits), int(bits[::-1], 2))
 
     @classmethod
     def from_indices(cls, n: int, idx: Iterable[int]) -> "BitString":
@@ -84,32 +56,26 @@ class BitString:
         if len(pos) and int(pos.view(np.uint64).max()) >= n:
             bad = pos[(pos < 0) | (pos >= n)][0]
             raise ValueError(f"index {bad} out of range for length {n}")
-        words = _words_at(n, pos)
-        ones = _popcount(words)
-        if ones != len(pos):
+        x = cls(n, _bits_at(n, pos))
+        if x.ones != len(pos):
             raise ValueError("indices must be pairwise distinct")
-        return cls._raw(n, words, ones)
+        return x
 
     def bit(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise ValueError(f"index {i} out of range for length {self.n}")
-        return (int(self.words[i >> 6]) >> (i & 63)) & 1
+        return (self.bits >> i) & 1
 
     def to01(self) -> str:
-        return "".join("1" if self.bit(i) else "0" for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1]
 
     def complement(self) -> "BitString":
-        words = np.bitwise_not(self.words)
-        tail = self.n % WORD_BITS
-        if tail:
-            words[-1] &= np.uint64((1 << tail) - 1)
-        return BitString._raw(self.n, words, self.n - self.ones)
+        return BitString(self.n, self.bits ^ ((1 << self.n) - 1))
 
     def unpacked(self) -> np.ndarray:
         """The n bits as a 0/1 uint8 array, position 0 first."""
-        return np.unpackbits(
-            self.words.astype("<u8").view(np.uint8), count=self.n, bitorder="little"
-        )
+        packed = np.frombuffer(self.bits.to_bytes((self.n + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(packed, count=self.n, bitorder="little")
 
     def __len__(self) -> int:
         return self.n
@@ -117,10 +83,10 @@ class BitString:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return self.n == other.n and bool(np.array_equal(self.words, other.words))
+        return self.n == other.n and self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((self.n, self.words.tobytes()))
+        return hash((self.n, self.bits))
 
     def __repr__(self) -> str:
         if self.n <= 64:
@@ -128,41 +94,17 @@ class BitString:
         return f"BitString(n={self.n}, ones={self.ones})"
 
 
-def count_bit_range(words: Sequence[int], lo: int, hi: int) -> int:
-    """Number of set bits at positions [lo, hi) of a packed word sequence."""
-    if lo >= hi:
-        return 0
-    w0, w1 = lo >> 6, (hi - 1) >> 6
-    if w0 == w1:
-        mask = ((1 << (hi - lo)) - 1) << (lo & 63)
-        return (int(words[w0]) & mask).bit_count()
-    total = (int(words[w0]) >> (lo & 63)).bit_count()
-    for w in range(w0 + 1, w1):
-        total += int(words[w]).bit_count()
-    last_bits = ((hi - 1) & 63) + 1
-    total += (int(words[w1]) & ((1 << last_bits) - 1)).bit_count()
-    return total
-
-
 def flip_bits(x: BitString, idx: Iterable[int]) -> BitString:
     """Return a copy of ``x`` flipped exactly at the distinct positions ``idx``."""
-    words = x.words.copy()
-    flipped_ones = 0
-    count = 0
-    seen: set[int] = set()
+    mask = 0
     for i in idx:
         i = int(i)
         if not 0 <= i < x.n:
             raise ValueError(f"index {i} out of range for length {x.n}")
-        if i in seen:
+        if mask >> i & 1:
             raise ValueError(f"duplicate flip index {i}")
-        seen.add(i)
-        mask = np.uint64(1 << (i & 63))
-        if words[i >> 6] & mask:
-            flipped_ones += 1
-        words[i >> 6] ^= mask
-        count += 1
-    return BitString._raw(x.n, words, x.ones + count - 2 * flipped_ones)
+        mask |= 1 << i
+    return BitString(x.n, x.bits ^ mask)
 
 
 @dataclass(frozen=True)
@@ -227,7 +169,7 @@ def _key_seed_type() -> type:
 def rejection_regime(n: int, ell: int) -> bool:
     """Whether ``ell``-subsets of [0..n-1] are drawn by rejection: ``ell``
     is tiny next to ``n``, so a draw is O(ell) and rarely repeats."""
-    return ell <= n >> 6
+    return ell <= n // 64
 
 
 def sample_uniform_subset(
@@ -392,7 +334,7 @@ def sample_bitstring(
             # the only string with j ones: nothing is drawn from the stream
             return BitString.from_indices(n, range(j))
         # the subset is distinct and in range, so it needs no re-check
-        return BitString._raw(n, _words_at(n, sample_uniform_subset(n, j, rng)), j)
+        return BitString(n, _bits_at(n, sample_uniform_subset(n, j, rng)))
     if isinstance(dist, Point):
         x = BitString.from01(dist.bits)
         if x.n != n:
@@ -412,7 +354,7 @@ def sample_bitstring(
 
 
 def _sample_uniform(n: int, rng: np.random.Generator) -> BitString:
-    n_words = (n + WORD_BITS - 1) // WORD_BITS
+    n_words = (n + 63) // 64
     # the words ``rng.bytes(8 * n_words)`` draws, without its byte copies.
     # It reads 32 bits at a time; Philox hands out the low half of each
     # 64-bit stream word first, so with no half word buffered (as at every
@@ -423,11 +365,8 @@ def _sample_uniform(n: int, rng: np.random.Generator) -> BitString:
     if isinstance(bit_gen, np.random.Philox) and not bit_gen.state["has_uint32"]:
         words = bit_gen.random_raw(n_words)
     else:
-        words = rng.integers(0, 2**32, size=2 * n_words, dtype=np.uint32).view(np.uint64)
-    tail = n % WORD_BITS
-    if tail:
-        words[-1] = int(words[-1]) & ((1 << tail) - 1)
-    return BitString._raw(n, words, int.from_bytes(words.tobytes(), "little").bit_count())
+        words = rng.integers(0, 2**32, size=2 * n_words, dtype=np.uint32)
+    return BitString(n, int.from_bytes(words.tobytes(), "little") & ((1 << n) - 1))
 
 
 def log_binomial(n: int, k: int) -> float:

@@ -270,12 +270,9 @@ def _run_blocked(fit, ell, x0, rng, cap, traj):
     scored = fit.scored_blocks
     # the scored blocks' bits are positions lo..hi-1
     lo, hi = scored.start * k, scored.stop * k
-    packed = int.from_bytes(x0.words.tobytes(), "little")
-    block_mask = (1 << k) - 1
-    counts = [0] * fit.blocks
+    counts = fit.block_counts(x0.bits)
     votes = 0
     for b in scored:
-        counts[b] = (packed >> b * k & block_mask).bit_count()
         if counts[b] >= thr:
             votes |= 1 << b
     fx = score(votes, votes.bit_count())

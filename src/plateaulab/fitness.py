@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from typing import Sequence
 
-from .core import BitString, count_bit_range
+from .core import BitString
 from .theory import _check_params
 
 
@@ -15,7 +15,7 @@ class FitnessFunction:
     ``max_value`` is attained by at least one input and never exceeded.
     ``level_symmetric`` marks functions that depend on the input only
     through its ones count; those expose ``level_value``, the others
-    ``value_packed``.  The repr names the objective and its parameters:
+    ``value_bits``.  The repr names the objective and its parameters:
     it keys the random streams of the runs on it (``RunConfig``).
     """
 
@@ -28,10 +28,10 @@ class FitnessFunction:
             raise ValueError(f"expected a length-{self.n} bitstring, got {x.n}")
         if self.level_symmetric:
             return self.level_value(x.ones)
-        return self.value_packed(x.words, x.ones)
+        return self.value_bits(x.bits)
 
-    def value_packed(self, words: Sequence[int], ones: int) -> int:
-        """Evaluate from packed words plus a trusted ones count (hot path)."""
+    def value_bits(self, bits: int) -> int:
+        """Evaluate from the string's bits, bit i being position i."""
         raise NotImplementedError
 
     def level_value(self, ones: int) -> int:
@@ -52,8 +52,9 @@ class FitnessFunction:
         return vals, lower, higher
 
 
-class PlateauFitness(FitnessFunction):
-    """Two-sided threshold indicator: 1 iff max(#zeros, #ones) >= n/2 + r."""
+class _ThresholdFitness(FitnessFunction):
+    """0/1 objective of the ones count with threshold n/2 + r.  Its repr
+    keys the random streams of the runs on it (``RunConfig``)."""
 
     level_symmetric = True
     max_value = 1
@@ -63,31 +64,23 @@ class PlateauFitness(FitnessFunction):
         self.n = n
         self.r = r
         self.threshold = n // 2 + r
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, r={self.r})"
+
+
+class PlateauFitness(_ThresholdFitness):
+    """Two-sided threshold indicator: 1 iff max(#zeros, #ones) >= n/2 + r."""
 
     def level_value(self, ones: int) -> int:
         return 1 if ones >= self.threshold or self.n - ones >= self.threshold else 0
 
-    def __repr__(self) -> str:
-        return f"PlateauFitness(n={self.n}, r={self.r})"
 
-
-class MajorityFitness(FitnessFunction):
+class MajorityFitness(_ThresholdFitness):
     """One-sided threshold indicator: 1 iff the ones count is >= n/2 + r."""
-
-    level_symmetric = True
-    max_value = 1
-
-    def __init__(self, n: int, r: int):
-        _check_params(n, r, min_r=0)
-        self.n = n
-        self.r = r
-        self.threshold = n // 2 + r
 
     def level_value(self, ones: int) -> int:
         return 1 if ones >= self.threshold else 0
-
-    def __repr__(self) -> str:
-        return f"MajorityFitness(n={self.n}, r={self.r})"
 
 
 class OneMax(FitnessFunction):
@@ -135,13 +128,27 @@ class BlockedFitness(FitnessFunction):
         """Score of vote mask ``votes`` with ``count`` set votes (hot path)."""
         raise NotImplementedError
 
-    def value_packed(self, words: Sequence[int], ones: int) -> int:
-        k, thr = self.k, self.block_threshold
+    def block_counts(self, bits: int) -> list[int]:
+        """Ones count of each block of ``bits``, 0 for blocks not scored."""
+        k = self.k
+        mask = (1 << k) - 1
+        counts = [0] * self.blocks
+        for b in self.scored_blocks:
+            counts[b] = (bits >> b * k & mask).bit_count()
+        return counts
+
+    def value_bits(self, bits: int) -> int:
+        counts, thr = self.block_counts(bits), self.block_threshold
         votes = 0
         for b in self.scored_blocks:
-            if count_bit_range(words, b * k, b * k + k) >= thr:
+            if counts[b] >= thr:
                 votes |= 1 << b
         return self.vote_value(votes, votes.bit_count())
+
+    def value_packed(self, words: Sequence[int], ones: int) -> int:
+        """``value_bits`` of the string packed into little-endian 64-bit
+        ``words``; ``bench/tracer.py`` times blocked fitness through it."""
+        return self.value_bits(sum(int(w) << 64 * i for i, w in enumerate(words)))
 
 
 class NeutralityFitness(BlockedFitness):

@@ -183,6 +183,11 @@ def _execute(tasks: list[RunTask], workers: int) -> list[RunResult]:
     return [res for block in blocks for res in block]
 
 
+def run_cell(config: RunConfig, runs: int, workers: int = 1) -> list[RunResult]:
+    """Results of runs 0..runs-1 of the cell ``config``, in run order."""
+    return _execute(_tasks(config, runs, workers), workers)
+
+
 def sweep(spec: ExperimentSpec) -> list[CellResult]:
     """Run every (n, ell) cell of the spec and summarize it.
 
@@ -255,7 +260,7 @@ def restart_experiment(
         max_iters=cap,
         record_restart_stats=True,
     )
-    results = _execute(_tasks(config, runs, workers), workers)
+    results = run_cell(config, runs, workers)
     complete = [res.restart for res in results if not res.restart.partial]
     if not complete:
         raise RuntimeError("every run was censored; raise the cap")
@@ -313,7 +318,7 @@ def dilution_experiment(
         master_seed,
         max_iters=cap,
     )
-    results = _execute(_tasks(config, runs, workers), workers)
+    results = run_cell(config, runs, workers)
     stats = CellStats.from_runtimes([res.runtime for res in results])
     if stats.censored == stats.runs:
         raise RuntimeError("every run was censored; raise the cap")
@@ -348,8 +353,7 @@ def trajectory_capture(
         max_iters=cap,
         record_trajectory=True,
     )
-    check_runs_finish(cfg)
-    return run(cfg, 0)
+    return run_cell(cfg, 1)[0]
 
 
 def format_value(v) -> str:

@@ -319,6 +319,8 @@ class TestRestartsAndWmodel:
             ("wmodel", "--blocks", "2", "--k", "4", "--runs", "5", "--workers", "0"),
             ("sweep", "--n", "10", "--r", "2", "--runs", "5", "--workers", "0"),
             ("restarts", "--n", "10", "--r", "2", "--runs", "5", "--workers", "-2"),
+            ("simulate", "--n", "10", "--r", "2", "--runs", "0"),
+            ("simulate", "--n", "10", "--r", "2", "--runs", "-3"),
         ],
     )
     def test_zero_runs_rejected(self, capsys, argv):

@@ -220,6 +220,26 @@ class TestBlockMajority:
         assert parts == neutral.value(x)
 
 
+class TestBlockCounts:
+    # 140 bits in width-7 blocks: blocks 10 and 19 straddle 64-bit words
+    @pytest.mark.parametrize(
+        "fit",
+        [NeutralityFitness(OneMax(20), 7)]
+        + [BlockMajorityFitness(b, 20, 7) for b in (1, 10, 19, 20)],
+        ids=repr,
+    )
+    def test_counts_and_packed_words_across_word_edges(self, fit):
+        for seed in range(30):
+            x = random_bitstring(fit.n, seed)
+            # the 64-bit words as Python ints, the form the benchmark tracer passes
+            words = [x.bits >> 64 * w & (1 << 64) - 1 for w in range(3)]
+            assert fit.value_packed(words, x.ones) == fit.value(x)
+            sums = x.unpacked().reshape(fit.blocks, fit.k).sum(axis=1).tolist()
+            assert fit.block_counts(x.bits) == [
+                c if b in fit.scored_blocks else 0 for b, c in enumerate(sums)
+            ]
+
+
 class TestLevelTables:
     @pytest.mark.parametrize(
         "fit", [PlateauFitness(8, 2), MajorityFitness(8, 0), MajorityFitness(10, 3), OneMax(7)]
