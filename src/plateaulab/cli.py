@@ -134,8 +134,19 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+_CONFIG_KEYS = (
+    "function", "n", "ell", "r", "k", "runs", "seed", "cap", "init", "out", "svg", "workers"
+)
+
+
 def _merge_config(args) -> ExperimentSpec:
     conf = harness.load_config(args.config) if args.config else {}
+    unknown = [key for key in conf if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ValueError(
+            f"unknown config key {', '.join(unknown)}; "
+            f"accepted keys: {', '.join(_CONFIG_KEYS)}"
+        )
     default = ExperimentSpec()
 
     def pick(flag_value, key: str, default_value, convert=int):

@@ -10,6 +10,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 _U64_MASK = (1 << 64) - 1
+# the Philox counter every stream starts from; Philox copies it, so one
+# read-only array serves them all
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
 # draws UniformNonOptimal makes before it gives up
 _NONOPT_ATTEMPTS = 10_000
 
@@ -133,8 +137,9 @@ class RngStream:
         key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
         # an explicit zero counter is the default one without numpy's
         # Python-level conversion of counter=None (about 2 us a stream)
-        counter = np.zeros(4, dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(_key_seed_type()(key), counter=counter))
+        return np.random.Generator(
+            np.random.Philox(_key_seed_type()(key), counter=_ZERO_COUNTER)
+        )
 
 
 @functools.cache

@@ -21,8 +21,10 @@ from .fitness import BlockedFitness, FitnessFunction, MajorityFitness
 
 DEFAULT_CAP = 10**9
 # ell=1 proposal batches: the first has this many indices, each later one
-# twice as many, up to _BATCH
-_BATCH_FIRST = 64
+# twice as many, up to _BATCH.  One integers() call costs about as much as
+# some 500 more indices in the call before it, and most plateau and
+# majority runs outlast 64 proposals
+_BATCH_FIRST = 256
 _BATCH = 4096
 # ell>1 proposal batches: the first has this many rejection rows or this
 # many shuffled rows (a lockstep shuffle's fixed cost per batch outweighs
@@ -111,7 +113,7 @@ class RestartStats:
     partial: bool
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class RunResult:
     """Outcome of one run: hitting time (or censoring) plus instrumentation."""
 

@@ -259,6 +259,16 @@ class TestSweep:
             f"error: config key {key}: expected comma-separated integers: '10,x'"
         )
 
+    def test_config_unknown_key(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(
+            "[sweep]\nfunction = majority\nn = 20\nr = 2\nells = 1,3\nruns = 3\nseed = 4\n"
+        )
+        code, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: unknown config key ells; accepted keys: function, n, ell,")
+
     def test_file_outputs(self, capsys, tmp_path):
         csv_path = tmp_path / "out.csv"
         svg_path = tmp_path / "out.svg"

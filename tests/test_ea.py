@@ -280,7 +280,11 @@ class TestIndexBatches:
             "batches and assume it does"
         )
 
-    @pytest.mark.parametrize("cap", [1, 63, 64, 65, 191, 192, 193, 20_000])
+    # caps inside the first batch, and on both sides of the first two
+    # batch ends (256 and 768)
+    @pytest.mark.parametrize(
+        "cap", [1, 63, 64, 65, 191, 192, 193, 255, 256, 257, 767, 768, 769, 20_000]
+    )
     def test_batches_double_up_to_cap(self, cap):
         batches = list(_index_batches(100, RngStream(8).generator(), cap))
         sizes = [len(b) for b in batches]
@@ -306,12 +310,12 @@ LEVEL_INITS = {
 
 
 class TestLevelEngine:
-    # caps on both sides of the first two ell=1 batch ends (64 and 192)
+    # caps inside the first ell=1 batch, and on both sides of its end (256)
     @pytest.mark.parametrize("name", sorted(LEVEL))
     @pytest.mark.parametrize("init", sorted(LEVEL_INITS))
     # above n/2 a proposal draws the n-ell positions it keeps; at ell=n none
     @pytest.mark.parametrize("ell_kind", ["1", "2", "n/2", "n/2+1", "n-1", "n"])
-    @pytest.mark.parametrize("cap", [1, 63, 64, 65, 191, 192, 193, 1500])
+    @pytest.mark.parametrize("cap", [1, 63, 64, 65, 191, 192, 193, 255, 256, 257, 1500])
     def test_matches_reference_loop(self, name, init, ell_kind, cap):
         fit = LEVEL[name]
         n = fit.n
@@ -360,7 +364,7 @@ BLOCKED = {
 class TestBlockedEngine:
     @pytest.mark.parametrize("name", sorted(BLOCKED))
     @pytest.mark.parametrize("ell_kind", ["1", "2", "k", "n"])
-    @pytest.mark.parametrize("cap", [37, 65, 193, 1500])
+    @pytest.mark.parametrize("cap", [37, 65, 193, 257, 1500])
     def test_matches_reference_loop(self, name, ell_kind, cap):
         fit = BLOCKED[name]
         ell = {"1": 1, "2": 2, "k": fit.k, "n": fit.n}[ell_kind]
