@@ -328,11 +328,16 @@ class UniformNonOptimal(InitDistribution):
 
 
 def sample_bitstring(
-    n: int, dist: InitDistribution, rng: np.random.Generator
+    n: int, dist: InitDistribution, rng: np.random.Generator, *, fresh: bool = False
 ) -> BitString:
-    """Draw one bitstring of length ``n`` from the given distribution."""
+    """Draw one bitstring of length ``n`` from the given distribution.
+
+    ``fresh=True`` vouches that ``rng`` holds no buffered 32-bit half word,
+    as a generator nothing has drawn from does; a uniform draw then need
+    not read the bit generator's state to learn it.
+    """
     if isinstance(dist, Uniform):
-        return _sample_uniform(n, rng)
+        return _sample_uniform(n, rng, fresh)
     if isinstance(dist, FixedOnes):
         j = dist.checked(n)
         if j in (0, n):
@@ -348,7 +353,8 @@ def sample_bitstring(
     if isinstance(dist, UniformNonOptimal):
         fit = dist.fitness
         for _ in range(_NONOPT_ATTEMPTS):
-            x = _sample_uniform(n, rng)
+            # a raw-word draw buffers nothing, so a fresh stream stays fresh
+            x = _sample_uniform(n, rng, fresh)
             if fit.value(x) < fit.max_value:
                 return x
         raise RuntimeError(
@@ -358,27 +364,24 @@ def sample_bitstring(
     raise ValueError(f"unknown initialization distribution {dist!r}")
 
 
-def _sample_uniform(n: int, rng: np.random.Generator) -> BitString:
+def _sample_uniform(n: int, rng: np.random.Generator, fresh: bool) -> BitString:
     n_words = (n + 63) // 64
     # the words ``rng.bytes(8 * n_words)`` draws, without its byte copies.
     # It reads 32 bits at a time; Philox hands out the low half of each
     # 64-bit stream word first, so with no half word buffered (as at every
     # run's first draw) it reads exactly the next n_words raw stream words.
-    # Any other bit generator keeps the 32-bit draw: MT19937's raw words
-    # are 32 bits wide and its state holds no buffered half
+    # Unless the caller vouches for a fresh stream, learning that costs a
+    # read of ``state``, a dict of three new arrays (about 3.5 us).  Any
+    # other bit generator keeps the 32-bit draw: MT19937's raw words are
+    # 32 bits wide and its state holds no buffered half
     bit_gen = rng.bit_generator
-    if isinstance(bit_gen, np.random.Philox) and not bit_gen.state["has_uint32"]:
+    if isinstance(bit_gen, np.random.Philox) and (
+        fresh or not bit_gen.state["has_uint32"]
+    ):
         words = bit_gen.random_raw(n_words)
     else:
         words = rng.integers(0, 2**32, size=2 * n_words, dtype=np.uint32)
     return BitString(n, int.from_bytes(words.tobytes(), "little") & ((1 << n) - 1))
-
-
-def log_binomial(n: int, k: int) -> float:
-    """log C(n, k) via lgamma; accurate to well under 1e-12 relative."""
-    if not 0 <= k <= n:
-        raise ValueError(f"binomial arguments out of range: n={n}, k={k}")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def overlap_support(n: int, j: int, ell: int) -> range:

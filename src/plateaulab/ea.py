@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import KW_ONLY, dataclass, field
 from itertools import repeat
+from operator import length_hint
 from typing import Optional, Sequence
 
 import numpy as np
@@ -138,13 +139,14 @@ def run(cfg: RunConfig, run_index: int) -> RunResult:
     """
     fit, init = cfg.fitness, cfg.init
     rng = RngStream(cfg.cell_seed, run_index).generator()
+    # nothing has drawn from the new stream, so no half word is buffered
     if fit.level_symmetric:
         # the level engine's state is the ones count: a fixed count draws nothing
         fixed = isinstance(init, FixedOnes)
-        state = init.ones if fixed else sample_bitstring(fit.n, init, rng).ones
+        state = init.ones if fixed else sample_bitstring(fit.n, init, rng, fresh=True).ones
         init_ones, engine = state, _run_level
     else:
-        state = sample_bitstring(fit.n, init, rng)
+        state = sample_bitstring(fit.n, init, rng, fresh=True)
         init_ones, engine = state.ones, _run_blocked
     record = cfg.record_trajectory or cfg.record_restart_stats
     traj: Optional[list[int]] = [init_ones] if record else None
@@ -213,21 +215,31 @@ def _run_level(fit, ell, ones, rng, cap, traj):
     n = fit.n
     fmax = fit.max_value
     vals, lower, higher = fit.level_tables
-    fx = vals[ones]
-    if fx == fmax:
+    optimal = fit.optimal_levels
+    if optimal[ones]:
         return 0
     append = traj.append if traj is not None else None
     t = 0
     if ell == 1:
+        # no proposal counts itself: a hit at index p of a batch leaves
+        # len(batch) - p - 1 entries in its list iterator, and each batch
+        # run through adds its length to the count once
         for batch in _index_batches(n, rng, cap):
-            for i in batch:
-                t += 1
-                ones = lower[ones] if i < ones else higher[ones]
-                if append is not None:
+            it = iter(batch)
+            if append is None:
+                for i in it:
+                    ones = lower[ones] if i < ones else higher[ones]
+                    if optimal[ones]:
+                        return t + len(batch) - length_hint(it)
+            else:
+                for i in it:
+                    ones = lower[ones] if i < ones else higher[ones]
                     append(ones)
-                if vals[ones] == fmax:
-                    return t
+                    if optimal[ones]:
+                        return t + len(batch) - length_hint(it)
+            t += len(batch)
         return None
+    fx = vals[ones]
     # above n/2 a proposal draws the n - ell positions it keeps, a uniform
     # set whose complement is uniform too; at ell=n it draws nothing.  A
     # sorted row holding a of the incumbent's ones moves it to
@@ -285,40 +297,54 @@ def _run_blocked(fit, ell, x0, rng, cap, traj):
     append = traj.append if traj is not None else None
     t = 0
     if ell == 1:
-        # a +-1 step crosses the threshold iff the two counts are thr-1, thr
+        # a +-1 step crosses the threshold iff the two counts are thr-1, thr;
+        # only a vote change can reach the maximum.  As in the level engine,
+        # a hit's index is read off its batch's list iterator
         crossing = 2 * thr - 1
         for batch in _index_batches(n, rng, cap):
-            for i in batch:
-                t += 1
-                if lo <= i < hi:
-                    b = i // k
-                    old = counts[b]
+            it = iter(batch)
+            if append is None:
+                for i in it:
+                    # outside the scored blocks nothing reads the bit again
+                    if lo <= i < hi:
+                        b = i // k
+                        old = counts[b]
+                        on = bits[i]
+                        c = old - 1 if on else old + 1
+                        if c + old == crossing:
+                            v = votes ^ (1 << b)
+                            fy = score(v, v.bit_count())
+                            if fy < fx:
+                                continue
+                            if fy == fmax:
+                                return t + len(batch) - length_hint(it)
+                            votes = v
+                            fx = fy
+                        counts[b] = c
+                        bits[i] = on ^ 1
+            else:
+                for i in it:
                     on = bits[i]
-                    c = old - 1 if on else old + 1
-                    if c + old == crossing:
-                        v = votes ^ (1 << b)
-                        fy = score(v, v.bit_count())
-                        if fy < fx:
-                            if append is not None:
+                    if lo <= i < hi:
+                        b = i // k
+                        old = counts[b]
+                        c = old - 1 if on else old + 1
+                        if c + old == crossing:
+                            v = votes ^ (1 << b)
+                            fy = score(v, v.bit_count())
+                            if fy < fx:
                                 append(ones)
-                            continue
-                        if fy == fmax:
-                            # only a vote change can reach the maximum
-                            if append is not None:
+                                continue
+                            if fy == fmax:
                                 append(ones - 1 if on else ones + 1)
-                            return t
-                        votes = v
-                        fx = fy
-                    counts[b] = c
-                elif append is None:
-                    # outside the scored blocks, and no trajectory reads it
-                    continue
-                else:
-                    on = bits[i]
-                bits[i] = on ^ 1
-                ones += -1 if on else 1
-                if append is not None:
+                                return t + len(batch) - length_hint(it)
+                            votes = v
+                            fx = fy
+                        counts[b] = c
+                    bits[i] = on ^ 1
+                    ones += -1 if on else 1
                     append(ones)
+            t += len(batch)
         return None
     for batch in _subset_batches(n, ell, rng, cap):
         for row in batch.tolist():

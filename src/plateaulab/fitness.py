@@ -51,6 +51,12 @@ class FitnessFunction:
         higher = [j + 1 if j < n and vals[j + 1] >= vals[j] else j for j in range(n + 1)]
         return vals, lower, higher
 
+    @functools.cached_property
+    def optimal_levels(self) -> list[bool]:
+        """Per ones count 0..n, whether it attains ``max_value``; built once."""
+        top = self.max_value
+        return [v == top for v in self.level_tables[0]]
+
 
 class _ThresholdFitness(FitnessFunction):
     """0/1 objective of the ones count with threshold n/2 + r.  Its repr

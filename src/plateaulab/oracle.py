@@ -381,8 +381,8 @@ def expected_under_init(
         return float(levels[init.checked(n)])
     if isinstance(init, Uniform):
         log_half = n * math.log(2.0)
-        # lg[i] = lgamma(i + 1), so each weight is exp(log_binomial(n, j) -
-        # log_half) by the same float operations, in the same order
+        # lg[i] = lgamma(i + 1), so each weight is exp(log C(n, j) - log_half)
+        # with log C(n, j) = lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1)
         lg = [math.lgamma(i) for i in range(1, n + 2)]
         top = lg[n]
         weights = np.array(

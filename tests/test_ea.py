@@ -265,6 +265,28 @@ def reference_run(cfg, run_index):
     return None, traj
 
 
+def check_batch_ends(fit, i, cap):
+    """Run i of the uniform-start single-flip cell on ``fit`` (seed 7) under
+    ``cap``, with and without a recorded trajectory, against the reference
+    loop: the same runtime, and one trajectory entry per proposal."""
+    cfg = RunConfig(fit, RlsMutation(1), Uniform(), 7, max_iters=cap,
+                    record_trajectory=True)
+    runtime, traj = reference_run(cfg, i)
+    res = run(cfg, i)
+    assert res.runtime == runtime
+    assert res.trajectory.tolist() == traj
+    assert len(res.trajectory) == (cap if runtime is None else runtime) + 1
+    bare = RunConfig(fit, RlsMutation(1), Uniform(), 7, max_iters=cap)
+    assert run(bare, i).runtime == runtime
+    if isinstance(fit, MajorityFitness):
+        # restart statistics record the trajectory and return none
+        stats = RunConfig(fit, RlsMutation(1), Uniform(), 7, max_iters=cap,
+                          record_restart_stats=True)
+        got = run(stats, i)
+        assert got.runtime == runtime and got.trajectory is None
+        assert got.restart == extract_restart_stats(traj, fit.n, fit.r)
+
+
 class TestIndexBatches:
     @pytest.mark.parametrize("n", [2, 3, 100, 2**31 - 1, 2**32 - 5])
     def test_split_calls_replay_one_call(self, n):
@@ -329,6 +351,20 @@ class TestLevelEngine:
             assert res.runtime == runtime
             assert res.trajectory.tolist() == traj
 
+    # (objective, run index, hitting time) of uniform-start single-flip runs
+    # whose hit is the last index of the first batch or the first of the next
+    @pytest.mark.parametrize(
+        "name,i,hit",
+        [("majority", 348, 256), ("majority", 439, 257), ("plateau", 148, 256),
+         ("plateau", 1065, 257)],
+    )
+    @pytest.mark.parametrize("cap", [1, 255, 256, 257, 768])
+    def test_batch_ends_match_reference_loop(self, name, i, hit, cap):
+        fit = LEVEL[name]
+        pinned = RunConfig(fit, RlsMutation(1), Uniform(), 7)
+        assert reference_run(pinned, i)[0] == hit
+        check_batch_ends(fit, i, cap)
+
     # n=1000: rejection rows (ell <= 15) and 8-row lockstep shuffles
     # (ell=16); n=8200: rejection rows and one-row sparse shuffles
     @pytest.mark.parametrize(
@@ -378,6 +414,20 @@ class TestBlockedEngine:
             assert res.runtime == runtime
             assert res.trajectory.tolist() == traj
             assert run(bare, i).runtime == runtime
+
+    # as in the level engine; first-block-k6 and last-block-k7 score one
+    # block, so most of their flips fall outside the scored blocks
+    @pytest.mark.parametrize(
+        "name,i,hit",
+        [("onemax-k7-20", 164, 256), ("onemax-k7-20", 33, 257), ("majority-k5", 3018, 256),
+         ("first-block-k6", 627, 257), ("last-block-k7", 9810, 256)],
+    )
+    @pytest.mark.parametrize("cap", [1, 255, 256, 257, 768])
+    def test_batch_ends_match_reference_loop(self, name, i, hit, cap):
+        fit = BLOCKED[name]
+        pinned = RunConfig(fit, RlsMutation(1), Uniform(), 7)
+        assert reference_run(pinned, i)[0] == hit
+        check_batch_ends(fit, i, cap)
 
     def test_reference_covers_censoring(self):
         cfg = RunConfig(BLOCKED["onemax-k7-20"], RlsMutation(2), Uniform(), 7,

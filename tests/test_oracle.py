@@ -257,6 +257,11 @@ class TestKernelSolver:
         assert kernel_hitting_times(small).tolist() == [0.0, 0.0]
 
 
+def log_binomial(n, k):
+    """log C(n, k) via lgamma, the float operations of the uniform weights."""
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
 def dense_reference_build(n, ell, fitness_by_level):
     """The kernel as the dense builder wrote it: one += per overlap, in order."""
     values = [fitness_by_level(j) for j in range(n + 1)]
@@ -482,8 +487,6 @@ class TestExpectedUnderInit:
 
     @pytest.mark.parametrize("n", [1, 2, 63, 1000, 10**5])
     def test_uniform_equals_per_level_log_binomial_weights(self, n):
-        from plateaulab.core import log_binomial
-
         levels = np.sqrt(np.arange(n + 1, dtype=float)) + 1.0
         log_half = n * math.log(2.0)
         weights = np.array(
@@ -494,8 +497,6 @@ class TestExpectedUnderInit:
         assert expected_under_init(levels, n, Uniform()) == expected
 
     def test_binomial_weights_normalized(self):
-        from plateaulab.core import log_binomial
-
         for n in (10, 100, 300):
             total = sum(
                 math.exp(log_binomial(n, j) - n * math.log(2)) for j in range(n + 1)
