@@ -30,11 +30,13 @@ _BATCH = 4096
 # ell>1 proposal batches: the first has this many rejection rows or this
 # many shuffled rows (a lockstep shuffle's fixed cost per batch outweighs
 # its cost per row), each later one twice as many, capped so that a batch
-# holds at most this many rejection draws' indices, or this many positions
-# of lockstep shuffles
+# holds at most this many rejection draws' indices or lockstep positions.
+# A lockstep batch keeps the first batch's rows past that cap (n > 128),
+# as long as its flat index array stays within _SHUFFLE_POSITIONS
 _REJECTION_ROWS_FIRST = 16
 _SHUFFLE_ROWS_FIRST = 64
 _SUBSET_BUDGET = 8192
+_SHUFFLE_POSITIONS = _SHUFFLE_ROWS_FIRST * _SUBSET_BUDGET
 
 
 @dataclass(frozen=True)
@@ -181,10 +183,11 @@ def _subset_batches(n, ell, rng, cap):
     """Proposal flip sets for up to ``cap`` proposals, as (rows, ell) arrays."""
     # a rejection row costs O(ell), a shuffled row O(n)
     if rejection_regime(n, ell):
-        first, row_cost = _REJECTION_ROWS_FIRST, ell
+        first, row_cap = _REJECTION_ROWS_FIRST, _SUBSET_BUDGET // ell
     else:
-        first, row_cost = _SHUFFLE_ROWS_FIRST, n
-    row_cap = max(1, _SUBSET_BUDGET // row_cost)
+        first = _SHUFFLE_ROWS_FIRST
+        row_cap = min(max(first, _SUBSET_BUDGET // n), _SHUFFLE_POSITIONS // n)
+    row_cap = max(1, row_cap)
     for k in _batch_sizes(min(first, row_cap), row_cap, cap):
         yield sample_uniform_subset(n, ell, rng, size=k)
 

@@ -21,6 +21,11 @@ DRIFT_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 64
 _ROW_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
+# half-widths up to this eliminate on Python floats, where a level costs
+# less than its numpy calls; numpy's add.reduce sums a row of at most 7
+# entries left to right, so both loops give the same bits there
+_LIST_WIDTH = 7
+_LIST_BLOCK = 4096
 
 
 def _single_flip_chain(n: int, lo: int, hi: int, tie: bool) -> KernelChain:
@@ -109,30 +114,13 @@ class KernelChain:
     """Row-stochastic transition matrix over ones-count levels, stored as a band.
 
     ``band[s, width + d]`` holds P[s, s + d] for |d| <= width; positions
-    past either end of the level range hold zero.  ``KernelChain(matrix,
-    absorbing)`` takes a dense square matrix and keeps the band its
-    nonzeros span; ``from_band`` takes the band itself.
+    past either end of the level range hold zero.  ``from_band`` checks a
+    band and builds the chain on it.
     """
-
-    def __init__(self, matrix: np.ndarray, absorbing: Iterable[int]):
-        P = np.asarray(matrix, dtype=float)
-        if P.ndim != 2 or P.shape[0] != P.shape[1]:
-            raise ValueError("transition matrix must be square")
-        size = P.shape[0]
-        rows, cols = np.nonzero(P)
-        width = int(np.max(np.abs(cols - rows))) if rows.size else 0
-        band = np.zeros((size, 2 * width + 1))
-        for d in range(-width, width + 1):
-            band[max(0, -d) : size - max(0, d), width + d] = np.diagonal(P, d)
-        self._init(band, absorbing)
 
     @classmethod
     def from_band(cls, band: np.ndarray, absorbing: Iterable[int]) -> KernelChain:
-        kernel = cls.__new__(cls)
-        kernel._init(np.asarray(band, dtype=float), absorbing)
-        return kernel
-
-    def _init(self, band: np.ndarray, absorbing: Iterable[int]) -> None:
+        band = np.asarray(band, dtype=float)
         if band.ndim != 2 or band.shape[1] % 2 == 0:
             raise ValueError("band must have 2 * width + 1 columns")
         size, width = band.shape[0], band.shape[1] // 2
@@ -156,9 +144,9 @@ class KernelChain:
         bad = np.flatnonzero(band[states, width] != 1.0)
         if bad.size:
             raise ValueError(f"absorbing state {states[bad[0]]} must be a unit self-loop")
-        self.band = band
-        self.width = width
-        self.absorbing = absorbing
+        kernel = cls()
+        kernel.band, kernel.width, kernel.absorbing = band, width, absorbing
+        return kernel
 
     @property
     def size(self) -> int:
@@ -204,19 +192,28 @@ def rlsl_kernel(
         top = max(values)
         absorbing = {j for j, v in enumerate(values) if v == top}
     absorbing = frozenset(absorbing)
+    trans = [j for j in range(n + 1) if j not in absorbing]
     band = np.zeros((n + 1, 2 * ell + 1))
-    for j in range(n + 1):
-        if j in absorbing:
-            band[j, ell] = 1.0
-            continue
-        # fold the row in overlap order, so the diagonal sums in that order,
-        # and write it once
-        row = [0.0] * (2 * ell + 1)
-        value = values[j]
-        for a, p in zip(overlap_support(n, j, ell), hypergeom_pmf(n, j, ell)):
-            d = ell - 2 * a
-            row[ell + d if values[j + d] >= value else ell] += p
-        band[j] = row
+    # the absorbing rows' unit self-loops; transient diagonals follow below
+    band[:, ell] = 1.0
+    # overlaps[i, a]: probability that the flip hits a ones of level trans[i]
+    overlaps = np.zeros((len(trans), ell + 1))
+    for i, j in enumerate(trans):
+        lo = overlap_support(n, j, ell).start
+        row = hypergeom_pmf(n, j, ell)
+        overlaps[i, lo : lo + len(row)] = row
+    # overlap a moves level j to j + ell - 2a, band column 2 (ell - a), so
+    # the even columns reversed follow a.  Off the support the probability
+    # is 0, and the value read at the level clipped into range does not matter
+    levels, at = np.array(values), np.array(trans, dtype=np.intp)
+    reached = np.clip(at[:, None] + np.arange(ell, -ell - 1, -2), 0, n)
+    moved = levels[reached] >= levels[at, None]
+    if ell % 2 == 0:
+        moved[:, ell // 2] = False  # a = ell/2 keeps the level
+    band[at, ::2] = np.where(moved, overlaps, 0.0)[:, ::-1]
+    # the diagonal adds the rejected and kept mass in overlap order, as a
+    # row-by-row fold does; the zeros in between change no bit
+    band[at, ell] = np.add.accumulate(np.where(moved, 0.0, overlaps), axis=1)[:, -1]
     return KernelChain.from_band(band, absorbing)
 
 
@@ -315,27 +312,18 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
     Q = np.lib.stride_tricks.as_strided(
         band.reshape(-1)[w:], shape=(m, m), strides=(2 * w * band.itemsize, band.itemsize)
     )
-    for z in range(m - 1, 0, -1):
-        lo = max(0, z - w)
-        row = Q[z, lo:z]
-        leave = np.add.reduce(row) + rhs[z, 1]
-        if leave <= 0.0:
-            raise ValueError(
-                f"absorption unreachable from level {trans[z]} (singular system)"
-            )
-        # row z and its visit cost now hold the back-substitution terms
-        row /= leave
-        rhs[z] /= leave
-        col = Q[lo:z, z, None]
-        Q[lo:z, lo:z] += col * row
-        rhs[lo:z] += col * rhs[z]
+    if w <= _LIST_WIDTH:
+        _eliminate_lists(band, rhs, w, trans)
+    else:
+        _eliminate_views(Q, rhs, w, trans)
     if rhs[0, 1] <= 0.0:
-        raise ValueError(f"absorption unreachable from level {trans[0]} (singular system)")
+        raise _unreachable(trans[0])
     E = np.empty(m)
     E[0] = rhs[0, 0] / rhs[0, 1]
+    visits = rhs[:, 0].tolist()
     for z in range(1, m):
-        lo = max(0, z - w)
-        E[z] = rhs[z, 0] + float(Q[z, lo:z] @ E[lo:z])
+        lo = z - w if z > w else 0
+        E[z] = visits[z] + float(Q[z, lo:z] @ E[lo:z])
     out[trans] = E
     if np.all(np.isfinite(E)):
         QE = np.einsum("ij,ij->i", P, np.append(out, 0.0)[cols])
@@ -345,6 +333,75 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
                 f"solver residual {residual:g} violates the accuracy contract"
             )
     return out
+
+
+def _unreachable(level: int) -> ValueError:
+    return ValueError(f"absorption unreachable from level {level} (singular system)")
+
+
+def _eliminate_views(Q: np.ndarray, rhs: np.ndarray, w: int, trans: np.ndarray) -> None:
+    """Eliminate levels m-1..1 of ``kernel_hitting_times`` through numpy views.
+
+    Row z of ``Q`` and of ``rhs`` end up divided by the pivot, as the
+    back-substitution reads them; every update writes in place.
+    """
+    for z in range(len(rhs) - 1, 0, -1):
+        lo = z - w if z > w else 0
+        row = Q[z, lo:z]
+        ends = rhs[z]
+        leave = np.add.reduce(row) + ends[1]
+        if leave <= 0.0:
+            raise _unreachable(trans[z])
+        row /= leave
+        ends /= leave
+        col = Q[lo:z, z, None]
+        block = Q[lo:z, lo:z]
+        block += col * row
+        below = rhs[lo:z]
+        below += col * ends
+
+
+def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int, trans: np.ndarray) -> None:
+    """``_eliminate_views`` on Python floats, with the same operations in the same order.
+
+    ``band`` holds Q[i, k] at column w + k - i.  A pivot row's entries are
+    summed left to right, which is how numpy's add.reduce sums fewer than
+    8 entries, so for w <= 7 both eliminations give the same bits.  The
+    levels go to lists _LIST_BLOCK at a time, with the w below them that
+    they update, so the lists stay small at any m.
+    """
+    for stop in range(len(band), 1, -_LIST_BLOCK):
+        start = max(1, stop - _LIST_BLOCK)
+        base = max(0, start - w)
+        rows, ends = band[base:stop].tolist(), rhs[base:stop].tolist()
+        # z and i count from base; lo follows the same rule as in _eliminate_views
+        for z in range(stop - 1 - base, start - 1 - base, -1):
+            lo = z - w if z > w else 0
+            row, (visit, leaving) = rows[z], ends[z]
+            # Q[z, lo:z] is row[first:w]; the level at row[c] sits at
+            # column c + z - i of row i
+            first = w - (z - lo)
+            leave = 0.0
+            for c in range(first, w):
+                leave += row[c]
+            leave += leaving
+            if leave <= 0.0:
+                raise _unreachable(trans[base + z])
+            for c in range(first, w):
+                row[c] /= leave
+            visit /= leave
+            leaving /= leave
+            ends[z] = [visit, leaving]
+            for i in range(lo, z):
+                upper, shift = rows[i], z - i
+                f = upper[w + shift]
+                for c in range(first, w):
+                    upper[c + shift] += f * row[c]
+                below = ends[i]
+                below[0] += f * visit
+                below[1] += f * leaving
+        band[base:stop] = rows
+        rhs[base:stop] = ends
 
 
 def majority_hitting_by_level(n: int, r: int) -> np.ndarray:
@@ -457,10 +514,14 @@ def compliance_check(n: int, ell: int) -> tuple[bool, Optional[tuple[int, int, i
     _check_flip(n, ell)
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n={n} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}")
-    moves = rlsl_kernel(n, ell, lambda j: 0, absorbing=()).matrix
-    survival = moves[:, ::-1].cumsum(axis=1)[:, ::-1]
-    for j in range(n - 1):
-        for i in range(n + 1):
-            if survival[j, i] > survival[j + 2, i] + 1e-12:
-                return False, (j, j + 2, i)
+    band = rlsl_kernel(n, ell, lambda j: 0, absorbing=()).band
+    # tail[j, c]: probability that level j moves to level j + c - ell or
+    # higher, summed from the top as a dense row's survival function is
+    tail = np.pad(band[:, ::-1].cumsum(axis=1)[:, ::-1], ((0, 0), (0, 1)))
+    levels = np.arange(n + 1)
+    survival = tail[levels[:, None], np.clip(levels - levels[:, None] + ell, 0, 2 * ell + 1)]
+    bad = np.argwhere(survival[:-2] > survival[2:] + 1e-12)
+    if bad.size:
+        j, i = bad[0].tolist()
+        return False, (j, j + 2, i)
     return True, None

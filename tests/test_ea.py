@@ -23,6 +23,7 @@ from plateaulab.ea import (
     RunConfig,
     RunResult,
     _index_batches,
+    _subset_batches,
     extract_restart_stats,
     run,
 )
@@ -365,13 +366,16 @@ class TestLevelEngine:
         assert reference_run(pinned, i)[0] == hit
         check_batch_ends(fit, i, cap)
 
-    # n=1000: rejection rows (ell <= 15) and 8-row lockstep shuffles
-    # (ell=16); n=8200: rejection rows and one-row sparse shuffles
+    # n=1000: rejection rows (ell <= 15) and 64-row lockstep shuffles
+    # (ell >= 16); n=8200: rejection rows and 63-row lockstep shuffles.
+    # The caps cross the ends of the first and second batches of both
     @pytest.mark.parametrize(
-        "n,ell,r", [(1000, 2, 8), (1000, 15, 16), (1000, 16, 16), (8200, 2, 8), (8200, 200, 60)]
+        "n,ell,r",
+        [(1000, 2, 8), (1000, 15, 16), (1000, 16, 16), (1000, 100, 16), (8200, 2, 8),
+         (8200, 200, 60)],
     )
     @pytest.mark.parametrize("init", ["uniform", "half"])
-    @pytest.mark.parametrize("cap", [1, 17, 300])
+    @pytest.mark.parametrize("cap", [1, 8, 9, 17, 63, 64, 65, 127, 128, 129, 300])
     def test_large_n_matches_reference_loop(self, n, ell, r, init, cap):
         start = Uniform() if init == "uniform" else FixedOnes(n // 2)
         cfg = RunConfig(MajorityFitness(n, r), RlsMutation(ell), start, 7,
@@ -381,6 +385,29 @@ class TestLevelEngine:
             runtime, traj = reference_run(cfg, i)
             assert res.runtime == runtime
             assert res.trajectory.tolist() == traj
+
+
+class TestSubsetBatches:
+    # (n, ell, full batch sizes): n=1000 draws rejection rows up to ell=15
+    # and lockstep shuffles of 64 rows from ell=16 (8 rows under the plain
+    # 8192-position cap); n=8200 draws rejection rows up to ell=128 and
+    # shuffles of 63 rows from ell=129 (one row under that cap), as many
+    # as fit 64 * 8192 positions
+    @pytest.mark.parametrize(
+        "n,ell,full",
+        [(1000, 15, [16, 32, 64, 128, 256, 512, 546]), (1000, 16, [64]), (1000, 500, [64]),
+         (8200, 128, [16, 32, 64]), (8200, 129, [63]), (8200, 1000, [63])],
+    )
+    @pytest.mark.parametrize("cap", [1, 8, 9, 62, 63, 64, 65, 130, 200])
+    def test_sizes_and_single_draw_replay(self, n, ell, full, cap):
+        batches = list(_subset_batches(n, ell, RngStream(5, n).generator(), cap))
+        sizes = [len(b) for b in batches]
+        schedule = full + [full[-1]] * len(sizes)
+        assert sum(sizes) == cap
+        assert sizes[:-1] == schedule[: len(sizes) - 1] and sizes[-1] <= schedule[len(sizes) - 1]
+        single = RngStream(5, n).generator()
+        expected = [sample_uniform_subset(n, ell, single).tolist() for _ in range(cap)]
+        assert [row for batch in batches for row in batch.tolist()] == expected
 
 
 BLOCKED = {
@@ -428,6 +455,19 @@ class TestBlockedEngine:
         pinned = RunConfig(fit, RlsMutation(1), Uniform(), 7)
         assert reference_run(pinned, i)[0] == hit
         check_batch_ends(fit, i, cap)
+
+    # 1000 bits: rejection rows at ell=15, 64-row lockstep shuffles above
+    @pytest.mark.parametrize("ell", [15, 16, 100])
+    @pytest.mark.parametrize("cap", [9, 64, 65, 300])
+    def test_large_n_matches_reference_loop(self, ell, cap):
+        fit = NeutralityFitness(OneMax(250), 4)
+        cfg = RunConfig(fit, RlsMutation(ell), Uniform(), 7, max_iters=cap,
+                        record_trajectory=True)
+        for i in range(2):
+            res = run(cfg, i)
+            runtime, traj = reference_run(cfg, i)
+            assert res.runtime == runtime
+            assert res.trajectory.tolist() == traj
 
     def test_reference_covers_censoring(self):
         cfg = RunConfig(BLOCKED["onemax-k7-20"], RlsMutation(2), Uniform(), 7,

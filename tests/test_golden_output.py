@@ -55,8 +55,8 @@ COMMANDS = {
         "sweep", "--function", "onemax-neutral", "--n", "20", "--k", "7",
         "--ell", "1,2,5", "--runs", "10", "--seed", "7",
     ),
-    # n=8200: rejection draws (ell <= 128) next to one-row batches of sparse
-    # shuffles (ell >= 129)
+    # n=8200: rejection draws (ell <= 128) next to 63-row lockstep shuffles
+    # (ell >= 129)
     "sweep_n8200": (
         "sweep", "--function", "majority", "--n", "8200", "--r", "10",
         "--ell", "2,128,129,200", "--runs", "4", "--init", "ones=4100", "--cap", "300",
@@ -92,6 +92,31 @@ def test_restarts_no_retry_golden_keeps_its_case():
     fields = dict(zip(header.split(","), row.split(",")))
     assert fields["retried_runs"] == "0"
     assert fields["mean_retries"] == fields["retries_stderr"] == "nan"
+
+
+# full-precision exact expectations over both objectives, three sizes
+# (r about sqrt(n)/2), short and long flips, a fixed and the uniform start
+EXACT_GRID = [
+    (function, n, r, ell, init)
+    for function in ("majority", "plateau")
+    for n, r in ((64, 4), (256, 8), (1024, 16))
+    for ell in (2, 3, 10)
+    for init in (f"ones={n // 2 + 1}", "uniform")
+]
+
+
+def test_exact_grid_bytes(capsys):
+    lines = ["function,n,r,ell,init,expected,expected_uniform"]
+    for function, n, r, ell, init in EXACT_GRID:
+        code = main([
+            "exact", "--function", function, "--n", str(n), "--r", str(r),
+            "--ell", str(ell), "--init", init,
+        ])
+        assert code == EXIT_OK
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "n,r,ell,init,expected,expected_uniform"
+        lines.append(f"{function},{row}")
+    assert "\n".join(lines) + "\n" == (GOLDEN / "out_exact_grid.txt").read_text()
 
 
 def test_sweep_file_bytes(tmp_path, capsys):

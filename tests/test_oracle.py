@@ -1,10 +1,11 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from plateaulab import theory
+from plateaulab import oracle, theory
 from plateaulab.core import FixedOnes, Uniform
 from plateaulab.fitness import MajorityFitness, OneMax, PlateauFitness, make_fitness
 from plateaulab.oracle import (
@@ -126,7 +127,7 @@ class TestBirthDeathSolver:
         with pytest.raises(ValueError, match="width-1"):
             bd_hitting_times(rlsl_kernel(8, 2, MajorityFitness(8, 1).level_value))
         with pytest.raises(ValueError, match="width-1"):
-            bd_hitting_times(KernelChain(np.eye(3), frozenset({0, 1, 2})))
+            bd_hitting_times(KernelChain.from_band(np.ones((3, 1)), frozenset({0, 1, 2})))
 
     def test_absorbing_set_must_be_one_top_block(self):
         # the two-sided plateau absorbs at both ends of the ones count
@@ -204,8 +205,8 @@ class TestKernel:
 class TestKernelSolver:
     def test_two_state_geometric(self):
         for p in (0.5, 0.1):
-            matrix = np.array([[1 - p, p], [0.0, 1.0]])
-            kernel = KernelChain(matrix, frozenset({1}))
+            band = np.array([[0.0, 1 - p, p], [0.0, 1.0, 0.0]])
+            kernel = KernelChain.from_band(band, frozenset({1}))
             assert kernel_hitting_times(kernel)[0] == pytest.approx(1 / p, rel=1e-12)
 
     def test_matches_hand_solution(self):
@@ -236,14 +237,15 @@ class TestKernelSolver:
             assert np.max(np.abs(dense - folded) / scale) < 1e-10
 
     def test_singular_system_rejected(self):
-        matrix = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        kernel = KernelChain(matrix, frozenset({2}))
+        # levels 0 and 1 swap for ever; level 2 absorbs
+        band = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        kernel = KernelChain.from_band(band, frozenset({2}))
         with pytest.raises(ValueError):
             kernel_hitting_times(kernel)
 
     def test_row_sum_validation(self):
         with pytest.raises(ValueError):
-            KernelChain(np.array([[0.5, 0.4], [0.0, 1.0]]), frozenset({1}))
+            KernelChain.from_band(np.array([[0.0, 0.5, 0.4], [0.0, 1.0, 0.0]]), frozenset({1}))
 
     def test_size_limit(self):
         # n = 20000 lies past every n <= 4096 the band limit was sized for,
@@ -253,7 +255,7 @@ class TestKernelSolver:
         times = kernel_hitting_times(kernel)
         ladder = majority_hitting_by_level(n, r)
         assert np.max(np.abs(times - ladder) / np.maximum(ladder, 1.0)) < 1e-8
-        small = KernelChain(np.eye(2), frozenset({0, 1}))
+        small = KernelChain.from_band(np.ones((2, 1)), frozenset({0, 1}))
         assert kernel_hitting_times(small).tolist() == [0.0, 0.0]
 
 
@@ -262,13 +264,27 @@ def log_binomial(n, k):
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def dense_reference_build(n, ell, fitness_by_level):
-    """The kernel as the dense builder wrote it: one += per overlap, in order."""
+def dense_kernel(matrix, absorbing):
+    """The chain on the band that a dense matrix's nonzeros span."""
+    P = np.asarray(matrix, dtype=float)
+    rows, cols = np.nonzero(P)
+    width = int(np.max(np.abs(cols - rows), initial=0))
+    band = np.zeros((len(P), 2 * width + 1))
+    band[rows, width + cols - rows] = P[rows, cols]
+    return KernelChain.from_band(band, absorbing)
+
+
+def dense_reference_build(n, ell, fitness_by_level, absorbing=None):
+    """The kernel as the dense builder wrote it: one += per overlap, in order.
+
+    By default the argmax levels are absorbing, as in ``rlsl_kernel``."""
     values = [fitness_by_level(j) for j in range(n + 1)]
-    top = max(values)
+    if absorbing is None:
+        top = max(values)
+        absorbing = {j for j, v in enumerate(values) if v == top}
     P = np.zeros((n + 1, n + 1))
     for j in range(n + 1):
-        if values[j] == top:
+        if j in absorbing:
             P[j, j] = 1.0
             continue
         for a in range(max(0, ell - (n - j)), min(j, ell) + 1):
@@ -312,12 +328,12 @@ class TestBandedKernel:
             [[0.5, 0.5, 0.0, 0.0], [0.25, 0.5, 0.25, 0.0], [0.0, 0.0, 1.0, 0.0],
              [0.0, 0.0, 0.0, 1.0]]
         )
-        kernel = KernelChain(matrix, frozenset({2, 3}))
+        kernel = dense_kernel(matrix, frozenset({2, 3}))
         assert kernel.width == 1 and kernel.band.shape == (4, 3)
         assert kernel.band[1].tolist() == [0.25, 0.5, 0.25]
         assert kernel.band[0, 0] == 0.0 and kernel.band[3, 2] == 0.0
         assert np.array_equal(kernel.matrix, matrix)
-        assert KernelChain(np.eye(3), frozenset({0, 1, 2})).width == 0
+        assert dense_kernel(np.eye(3), frozenset({0, 1, 2})).width == 0
 
     def test_rlsl_kernel_band_has_half_width_ell(self):
         kernel = rlsl_kernel(40, 7, MajorityFitness(40, 3).level_value)
@@ -325,12 +341,21 @@ class TestBandedKernel:
 
     @pytest.mark.parametrize("n", [2, 7, 64, 257])
     def test_matrix_bit_identical_to_dense_build(self, n):
-        fits = [OneMax(n)] + ([MajorityFitness(n, 1)] if n % 2 == 0 else [])
-        for fit in fits:
-            by_level = fit.level_value
+        # non-monotone levels with ties, where rejections fold into the
+        # diagonal between accepted moves
+        rng = random.Random(n)
+        bumpy = [rng.choice((-1, 0, 1, 2, 2.5)) for _ in range(n + 1)]
+        fits = [OneMax(n).level_value, bumpy.__getitem__]
+        if n % 2 == 0:
+            fits.append(MajorityFitness(n, 1).level_value)
+        # the argmax levels, none, one inner level, and both ends
+        absorbing_sets = [None, (), {n // 2}, {0, n}]
+        for by_level in fits:
             for ell in sorted({ell for ell in (1, 2, 3, n // 2, n) if 1 <= ell <= n}):
-                built = rlsl_kernel(n, ell, by_level).matrix
-                assert built.tobytes() == dense_reference_build(n, ell, by_level).tobytes()
+                for absorbing in absorbing_sets:
+                    built = rlsl_kernel(n, ell, by_level, absorbing).matrix
+                    reference = dense_reference_build(n, ell, by_level, absorbing)
+                    assert built.tobytes() == reference.tobytes(), (ell, absorbing)
 
     def test_band_entries_past_the_range_rejected(self):
         band = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0]])
@@ -407,9 +432,44 @@ class TestBandedSolver:
             lo, hi = max(0, s - width), min(size, s + width + 1)
             row = rng.random(hi - lo)
             matrix[s, lo:hi] = row / row.sum()
-        kernel = KernelChain(matrix, absorbing)
+        kernel = dense_kernel(matrix, absorbing)
         assert kernel.width == width
         assert_matches_reference(kernel)
+
+    @pytest.mark.parametrize("width", range(1, oracle._LIST_WIDTH + 1))
+    @pytest.mark.parametrize("block", [3, 4096])
+    def test_list_elimination_matches_views_bit_for_bit(self, width, block, monkeypatch):
+        # small widths eliminate on Python floats, in blocks of levels; on
+        # numpy views the same kernel must give the same bits
+        rng = np.random.default_rng(width)
+        size = 40
+        absorbing = frozenset(int(s) for s in rng.choice(size, 4, replace=False))
+        band = np.zeros((size, 2 * width + 1))
+        for s in range(size):
+            if s in absorbing:
+                band[s, width] = 1.0
+                continue
+            lo, hi = max(0, s - width), min(size, s + width + 1)
+            # entries over six orders of magnitude, so a changed order of
+            # operations changes bits
+            row = rng.random(hi - lo) * 10.0 ** rng.integers(-6, 1, hi - lo)
+            band[s, width + lo - s : width + hi - s] = row / row.sum()
+        kernel = KernelChain.from_band(band, absorbing)
+        monkeypatch.setattr(oracle, "_LIST_BLOCK", block)
+        lists = kernel_hitting_times(kernel)
+        monkeypatch.setattr(oracle, "_LIST_WIDTH", -1)
+        assert lists.tobytes() == kernel_hitting_times(kernel).tobytes()
+
+    def test_numpy_sums_short_rows_left_to_right(self):
+        # the list elimination sums pivot rows this way up to _LIST_WIDTH
+        rng = np.random.default_rng(5)
+        for k in range(1, oracle._LIST_WIDTH + 1):
+            for _ in range(200):
+                row = rng.random(k) * 10.0 ** rng.integers(-8, 9, k)
+                total = 0.0
+                for x in row.tolist():
+                    total += x
+                assert np.add.reduce(row) == total, row
 
     def test_hand_built_sparse_far_jumps(self):
         # only the outermost diagonals are occupied; transients 0, 2, 3, 5
@@ -419,7 +479,7 @@ class TestBandedSolver:
         matrix[3, [0, 4]] = [0.7, 0.3]
         matrix[5, [2]] = [1.0]
         matrix[1, 1] = matrix[4, 4] = 1.0
-        kernel = KernelChain(matrix, frozenset({1, 4}))
+        kernel = dense_kernel(matrix, frozenset({1, 4}))
         assert kernel.width == 3
         assert_matches_reference(kernel)
 
