@@ -267,9 +267,9 @@ def _sample_subsets(n: int, ell: int, rng: np.random.Generator, k: int) -> np.nd
         raise ValueError(f"batch size must be at least 1, got {k}")
     if rejection_regime(n, ell):
         return np.array(_rejection_rows(n, ell, rng, k), dtype=np.int64)
-    if k == 1:
-        # a one-row lockstep shuffle is slower than the scalar one
-        return sample_uniform_subset(n, ell, rng)[None]
+    if k <= 2:
+        # a lockstep shuffle of one or two rows is slower than scalar ones
+        return np.array([sample_uniform_subset(n, ell, rng) for _ in range(k)])
     # one integers() call over the tiled bounds consumes the stream exactly
     # as k calls over np.arange(ell) do, so the k shuffles run in lockstep
     # on one flat index array.  Step i never touches position i again, so

@@ -31,8 +31,9 @@ _BATCH = 4096
 # many shuffled rows (a lockstep shuffle's fixed cost per batch outweighs
 # its cost per row), each later one twice as many, capped so that a batch
 # holds at most this many rejection draws' indices or lockstep positions.
-# A lockstep batch keeps the first batch's rows past that cap (n > 128),
-# as long as its flat index array stays within _SHUFFLE_POSITIONS
+# Past that cap (n > 128) lockstep batches still double up to the first
+# batch's rows, as long as their flat index array stays within
+# _SHUFFLE_POSITIONS
 _REJECTION_ROWS_FIRST = 16
 _SHUFFLE_ROWS_FIRST = 64
 _SUBSET_BUDGET = 8192
@@ -183,12 +184,12 @@ def _subset_batches(n, ell, rng, cap):
     """Proposal flip sets for up to ``cap`` proposals, as (rows, ell) arrays."""
     # a rejection row costs O(ell), a shuffled row O(n)
     if rejection_regime(n, ell):
-        first, row_cap = _REJECTION_ROWS_FIRST, _SUBSET_BUDGET // ell
+        first, row_cost, largest = _REJECTION_ROWS_FIRST, ell, 1
     else:
-        first = _SHUFFLE_ROWS_FIRST
-        row_cap = min(max(first, _SUBSET_BUDGET // n), _SHUFFLE_POSITIONS // n)
-    row_cap = max(1, row_cap)
-    for k in _batch_sizes(min(first, row_cap), row_cap, cap):
+        first, row_cost = _SHUFFLE_ROWS_FIRST, n
+        largest = min(first, _SHUFFLE_POSITIONS // n)
+    row_cap = max(1, _SUBSET_BUDGET // row_cost)
+    for k in _batch_sizes(min(first, row_cap), max(row_cap, largest), cap):
         yield sample_uniform_subset(n, ell, rng, size=k)
 
 

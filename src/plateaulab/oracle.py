@@ -514,14 +514,10 @@ def compliance_check(n: int, ell: int) -> tuple[bool, Optional[tuple[int, int, i
     _check_flip(n, ell)
     if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"n={n} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}")
-    band = rlsl_kernel(n, ell, lambda j: 0, absorbing=()).band
-    # tail[j, c]: probability that level j moves to level j + c - ell or
-    # higher, summed from the top as a dense row's survival function is
-    tail = np.pad(band[:, ::-1].cumsum(axis=1)[:, ::-1], ((0, 0), (0, 1)))
-    levels = np.arange(n + 1)
-    survival = tail[levels[:, None], np.clip(levels - levels[:, None] + ell, 0, 2 * ell + 1)]
-    bad = np.argwhere(survival[:-2] > survival[2:] + 1e-12)
-    if bad.size:
-        j, i = bad[0].tolist()
-        return False, (j, j + 2, i)
+    moves = rlsl_kernel(n, ell, lambda j: 0, absorbing=()).matrix
+    survival = moves[:, ::-1].cumsum(axis=1)[:, ::-1]
+    for j in range(n - 1):
+        for i in range(n + 1):
+            if survival[j, i] > survival[j + 2, i] + 1e-12:
+                return False, (j, j + 2, i)
     return True, None

@@ -98,13 +98,13 @@ class CountingRng:
 def subset_batches(draw):
     """(n, ell, k, seed) in one of the samplers' regimes."""
     n = draw(st.integers(1, 5000))
-    regimes = ["lockstep", "one-row"] + (["rejection"] if n >= 64 else [])
+    regimes = ["lockstep", "scalar"] + (["rejection"] if n >= 64 else [])
     regime = draw(st.sampled_from(regimes))
     if regime == "rejection":
         ell = draw(st.integers(1, n >> 6))
     else:
         ell = draw(st.integers((n >> 6) + 1, n))
-    k = 1 if regime == "one-row" else draw(st.integers(1, 100))
+    k = draw(st.integers(1, 2) if regime == "scalar" else st.integers(1, 100))
     return n, ell, k, draw(st.integers(0, 2**32))
 
 

@@ -366,16 +366,16 @@ class TestLevelEngine:
         assert reference_run(pinned, i)[0] == hit
         check_batch_ends(fit, i, cap)
 
-    # n=1000: rejection rows (ell <= 15) and 64-row lockstep shuffles
-    # (ell >= 16); n=8200: rejection rows and 63-row lockstep shuffles.
-    # The caps cross the ends of the first and second batches of both
+    # n=1000: rejection rows (ell <= 15) and lockstep shuffles of 8, 16,
+    # 32, then 64 rows (ell >= 16); n=8200: rejection rows and lockstep
+    # shuffles of 1, 2, ..., 32, then 63 rows.  The caps cross batch ends
     @pytest.mark.parametrize(
         "n,ell,r",
         [(1000, 2, 8), (1000, 15, 16), (1000, 16, 16), (1000, 100, 16), (8200, 2, 8),
          (8200, 200, 60)],
     )
     @pytest.mark.parametrize("init", ["uniform", "half"])
-    @pytest.mark.parametrize("cap", [1, 8, 9, 17, 63, 64, 65, 127, 128, 129, 300])
+    @pytest.mark.parametrize("cap", [1, 8, 9, 17, 56, 57, 63, 64, 120, 121, 126, 127, 300])
     def test_large_n_matches_reference_loop(self, n, ell, r, init, cap):
         start = Uniform() if init == "uniform" else FixedOnes(n // 2)
         cfg = RunConfig(MajorityFitness(n, r), RlsMutation(ell), start, 7,
@@ -388,17 +388,18 @@ class TestLevelEngine:
 
 
 class TestSubsetBatches:
-    # (n, ell, full batch sizes): n=1000 draws rejection rows up to ell=15
-    # and lockstep shuffles of 64 rows from ell=16 (8 rows under the plain
-    # 8192-position cap); n=8200 draws rejection rows up to ell=128 and
-    # shuffles of 63 rows from ell=129 (one row under that cap), as many
-    # as fit 64 * 8192 positions
+    # (n, ell, batch sizes up to the largest): n=1000 draws rejection rows
+    # up to ell=15 and lockstep shuffles from ell=16; n=8200 draws rejection
+    # rows up to ell=128 and shuffles from ell=129.  A shuffle batch starts
+    # at the plain 8192-position cap (8 rows, one row) and doubles up to
+    # 64 rows, or as many as fit 64 * 8192 positions (63)
     @pytest.mark.parametrize(
         "n,ell,full",
-        [(1000, 15, [16, 32, 64, 128, 256, 512, 546]), (1000, 16, [64]), (1000, 500, [64]),
-         (8200, 128, [16, 32, 64]), (8200, 129, [63]), (8200, 1000, [63])],
+        [(1000, 15, [16, 32, 64, 128, 256, 512, 546]), (1000, 16, [8, 16, 32, 64]),
+         (1000, 500, [8, 16, 32, 64]), (8200, 128, [16, 32, 64]),
+         (8200, 129, [1, 2, 4, 8, 16, 32, 63]), (8200, 1000, [1, 2, 4, 8, 16, 32, 63])],
     )
-    @pytest.mark.parametrize("cap", [1, 8, 9, 62, 63, 64, 65, 130, 200])
+    @pytest.mark.parametrize("cap", [1, 8, 9, 24, 25, 56, 57, 63, 64, 120, 121, 126, 127, 200])
     def test_sizes_and_single_draw_replay(self, n, ell, full, cap):
         batches = list(_subset_batches(n, ell, RngStream(5, n).generator(), cap))
         sizes = [len(b) for b in batches]
@@ -456,9 +457,10 @@ class TestBlockedEngine:
         assert reference_run(pinned, i)[0] == hit
         check_batch_ends(fit, i, cap)
 
-    # 1000 bits: rejection rows at ell=15, 64-row lockstep shuffles above
+    # 1000 bits: rejection rows at ell=15, lockstep shuffles of 8, 16, 32,
+    # then 64 rows above
     @pytest.mark.parametrize("ell", [15, 16, 100])
-    @pytest.mark.parametrize("cap", [9, 64, 65, 300])
+    @pytest.mark.parametrize("cap", [8, 9, 56, 57, 120, 121, 300])
     def test_large_n_matches_reference_loop(self, ell, cap):
         fit = NeutralityFitness(OneMax(250), 4)
         cfg = RunConfig(fit, RlsMutation(ell), Uniform(), 7, max_iters=cap,

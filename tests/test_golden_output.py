@@ -55,8 +55,8 @@ COMMANDS = {
         "sweep", "--function", "onemax-neutral", "--n", "20", "--k", "7",
         "--ell", "1,2,5", "--runs", "10", "--seed", "7",
     ),
-    # n=8200: rejection draws (ell <= 128) next to 63-row lockstep shuffles
-    # (ell >= 129)
+    # n=8200: rejection draws (ell <= 128) next to lockstep shuffles
+    # (ell >= 129) of 1, 2, ..., 32, then 63 rows
     "sweep_n8200": (
         "sweep", "--function", "majority", "--n", "8200", "--r", "10",
         "--ell", "2,128,129,200", "--runs", "4", "--init", "ones=4100", "--cap", "300",
