@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -171,6 +172,130 @@ def _key_seed_type() -> type:
     return PhiloxKey
 
 
+class Draws:
+    """A generator whose bounded draws are read from raw Philox words.
+
+    ``Generator.integers(lo, n)`` below 2**32 makes each value from 32-bit
+    draws by Lemire's rule, and Philox serves a 32-bit draw from the low
+    half of a 64-bit stream word first, keeping the high half buffered in
+    its state for the next one.  ``rows`` returns what ``integers``
+    returns, and leaves the stream as it leaves it, but reads whole words
+    with ``random_raw`` and applies the rule to them in numpy.  For that
+    it must know whether a half word is buffered, which a read of
+    ``state`` tells at about 3.5 us; ``buffered`` records it instead (None
+    while unknown), so once this object is made every draw from ``rng``
+    goes through it.  Any other bit generator, or a big-endian host, draws
+    through ``integers``.
+    """
+
+    __slots__ = ("rng", "buffered", "_raw")
+
+    def __init__(self, rng: np.random.Generator, *, buffered: Optional[bool]):
+        self.rng = rng
+        self.buffered = buffered
+        bit_gen = rng.bit_generator
+        # a word viewed as two 32-bit halves lists its low half first only
+        # on a little-endian host
+        raw = isinstance(bit_gen, np.random.Philox) and sys.byteorder == "little"
+        self._raw = bit_gen.random_raw if raw else None
+
+    def rows(self, n: int, m: int, k: int) -> np.ndarray:
+        """``rng.integers(np.arange(k * m) % m, n).reshape(k, m)``: row r's
+        column i is uniform on [i, n), from the stream's next draws."""
+        if self._raw is None or m == 1 or n > 2**32:
+            # numpy fills one bound about as fast as the raw rule, and above
+            # 2**32 it draws by another rule; its redraws leave the half
+            # word to be read from the state when a raw draw next needs it
+            self.buffered = None
+            return _integer_rows(self.rng, n, m, k)
+        if m == n:
+            # the last column's range holds the one value n - 1, and numpy
+            # draws nothing for it
+            out = np.empty((k, m), dtype=np.int64)
+            out[:, :-1] = self.rows(n, m - 1, k)
+            out[:, -1] = n - 1
+            return out
+        lo, span, floor = _lemire_bounds(n, m)
+        u = self._u32(k * m)
+        # Lemire: the value is lo + (u * span >> 32), redrawn while the low
+        # half of u * span falls below (2**32 - span) % span
+        halves = (u.reshape(k, m) * span).view(np.uint32)
+        redraw = halves[:, ::2] < floor
+        out = halves[:, 1::2] + lo
+        if redraw.any():
+            at = int(redraw.argmax())
+            return self._redraw(n, m, out.reshape(-1), at, u[at + 1 :]).reshape(k, m)
+        return out
+
+    def _redraw(self, n: int, m: int, out: np.ndarray, at: int, spare: np.ndarray) -> np.ndarray:
+        """Finish the flat values ``out[at:]``, the first of which was
+        rejected: it takes the next draw, and each later value the draw
+        one further on.  ``spare`` holds the draws read and not yet used;
+        only the shortfall is read from the stream, so every draw read is
+        one numpy reads too."""
+        lo, span, floor = _lemire_bounds(n, m)
+        while True:
+            need = len(out) - at
+            pool = np.concatenate((spare, self._u32(need - len(spare))))
+            cols = np.arange(at, len(out)) % m
+            halves = (pool * span[cols]).view(np.uint32)
+            redraw = halves[::2] < floor[cols]
+            stop = int(redraw.argmax()) if redraw.any() else need
+            out[at : at + stop] = halves[1 : 2 * stop : 2] + lo[cols[:stop]]
+            if stop == need:
+                return out
+            at += stop
+            spare = pool[stop + 1 :]
+
+    def _u32(self, count: int) -> np.ndarray:
+        """The next ``count`` 32-bit draws ``next_uint32`` would return.
+
+        Whole words come from ``random_raw``, low half first.  A buffered
+        half word comes first, and an odd last draw leaves the high half
+        of its word buffered; both are drawn through numpy, which keeps
+        the buffer, and ``buffered`` follows them.
+        """
+        if self.buffered is None:
+            self.buffered = bool(self.rng.bit_generator.state["has_uint32"])
+        parts = []
+        if self.buffered and count:
+            # integers(2**32) is one 32-bit draw
+            parts.append(np.array([self.rng.integers(2**32)], dtype=np.uint32))
+            count -= 1
+            self.buffered = False
+        parts.append(self._raw(count >> 1).view(np.uint32))
+        if count & 1:
+            parts.append(np.array([self.rng.integers(2**32)], dtype=np.uint32))
+            self.buffered = True
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+@functools.lru_cache(maxsize=64)
+def _lemire_bounds(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per column i < m of ``Draws.rows``: the offset i, the span n - i,
+    and the threshold (2**32 - span) % span below which a draw is redrawn."""
+    lo = np.arange(m, dtype=np.int64)
+    span = (n - lo).astype(np.uint64)
+    floor = ((2**32 - span) % span).astype(np.uint32)
+    for a in (lo, span, floor):
+        a.flags.writeable = False
+    return lo, span, floor
+
+
+def _integer_rows(rng, n: int, m: int, k: int) -> np.ndarray:
+    """``Draws.rows`` drawn through ``rng.integers``."""
+    if m == 1:
+        return rng.integers(0, n, size=(k, 1))
+    return rng.integers(np.arange(k * m) % m, n).reshape(k, m)
+
+
+def _draw_rows(rng, n: int, m: int, k: int) -> np.ndarray:
+    """``Draws.rows`` from a ``Draws`` or a bare generator."""
+    if isinstance(rng, Draws):
+        return rng.rows(n, m, k)
+    return _integer_rows(rng, n, m, k)
+
+
 def rejection_regime(n: int, ell: int) -> bool:
     """Whether ``ell``-subsets of [0..n-1] are drawn by rejection: ``ell``
     is tiny next to ``n``, so a draw is O(ell) and rarely repeats."""
@@ -178,7 +303,7 @@ def rejection_regime(n: int, ell: int) -> bool:
 
 
 def sample_uniform_subset(
-    n: int, ell: int, rng: np.random.Generator, size: Optional[int] = None
+    n: int, ell: int, rng: np.random.Generator | Draws, size: Optional[int] = None
 ) -> np.ndarray:
     """Draw ``ell`` distinct indices from [0..n-1], uniform over all subsets.
 
@@ -188,20 +313,17 @@ def sample_uniform_subset(
 
     With ``size=k`` the result is a ``(k, ell)`` array whose row i is the
     i-th of k consecutive single draws, and ``rng`` is left in the same
-    state those k draws leave it in.
+    state those k draws leave it in.  ``rng`` may be a ``Draws``, which
+    reads the same values from raw stream words.
     """
     if not 1 <= ell <= n:
         raise ValueError(f"subset size must lie in [1..n]; got ell={ell}, n={n}")
-    if size is not None:
-        return _sample_subsets(n, ell, rng, size)
-    if rejection_regime(n, ell):
-        row = _rejection_rows(n, ell, rng, 1)[0]
-    else:
-        row = _shuffle_prefix(n, rng.integers(np.arange(ell), n).tolist())
-    return np.asarray(row, dtype=np.int64)
+    if size is None:
+        return _sample_subsets(n, ell, rng, 1)[0]
+    return _sample_subsets(n, ell, rng, size)
 
 
-def _rejection_rows(n: int, ell: int, rng: np.random.Generator, k: int) -> list[list[int]]:
+def _rejection_rows(n: int, ell: int, rng, k: int) -> list[list[int]]:
     """k consecutive rejection draws of ``ell`` distinct indices from [0..n-1].
 
     One draw reads ``integers(0, n, size=2 * need)`` per attempt and keeps
@@ -213,7 +335,7 @@ def _rejection_rows(n: int, ell: int, rng: np.random.Generator, k: int) -> list[
     by what the draws still due read at least.
     """
     width = 2 * ell
-    buf = rng.integers(0, n, size=width * k).tolist()
+    buf = _draw_rows(rng, n, 1, width * k).ravel().tolist()
     rows = []
     pos = 0
     for left in range(k - 1, -1, -1):
@@ -230,7 +352,8 @@ def _rejection_rows(n: int, ell: int, rng: np.random.Generator, k: int) -> list[
         while need:
             end = pos + 2 * need
             if end > len(buf):
-                buf += rng.integers(0, n, size=end - len(buf) + width * left).tolist()
+                top_up = end - len(buf) + width * left
+                buf += _draw_rows(rng, n, 1, top_up).ravel().tolist()
             for i in buf[pos:end]:
                 if i not in chosen:
                     chosen.add(i)
@@ -262,20 +385,20 @@ def _shuffle_prefix(n: int, js: list[int]) -> list[int]:
     return idx[: len(js)]
 
 
-def _sample_subsets(n: int, ell: int, rng: np.random.Generator, k: int) -> np.ndarray:
+def _sample_subsets(n: int, ell: int, rng, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"batch size must be at least 1, got {k}")
     if rejection_regime(n, ell):
         return np.array(_rejection_rows(n, ell, rng, k), dtype=np.int64)
+    # one draw of k rows of targets consumes the stream exactly as k
+    # single draws of one row do
+    js = _draw_rows(rng, n, ell, k)
     if k <= 2:
         # a lockstep shuffle of one or two rows is slower than scalar ones
-        return np.array([sample_uniform_subset(n, ell, rng) for _ in range(k)])
-    # one integers() call over the tiled bounds consumes the stream exactly
-    # as k calls over np.arange(ell) do, so the k shuffles run in lockstep
-    # on one flat index array.  Step i never touches position i again, so
-    # it only reads each row's target (the row's i-th entry) and moves the
-    # value at position i there.
-    js = rng.integers(np.arange(k * ell) % ell, n).reshape(k, ell)
+        return np.array([_shuffle_prefix(n, row) for row in js.tolist()], dtype=np.int64)
+    # the k shuffles run in lockstep on one flat index array.  Step i never
+    # touches position i again, so it only reads each row's target (the
+    # row's i-th entry) and moves the value at position i there.
     base = np.arange(0, k * n, n)
     targets = np.ascontiguousarray(js.T)
     targets += base
@@ -328,13 +451,14 @@ class UniformNonOptimal(InitDistribution):
 
 
 def sample_bitstring(
-    n: int, dist: InitDistribution, rng: np.random.Generator, *, fresh: bool = False
+    n: int, dist: InitDistribution, rng: np.random.Generator | Draws, *, fresh: bool = False
 ) -> BitString:
     """Draw one bitstring of length ``n`` from the given distribution.
 
-    ``fresh=True`` vouches that ``rng`` holds no buffered 32-bit half word,
-    as a generator nothing has drawn from does; a uniform draw then need
-    not read the bit generator's state to learn it.
+    ``fresh=True`` vouches that a bare generator ``rng`` holds no buffered
+    32-bit half word, as one nothing has drawn from does; a uniform draw
+    then need not read the bit generator's state to learn it.  A ``Draws``
+    knows whether its generator holds one, and the flag is not read.
     """
     if isinstance(dist, Uniform):
         return _sample_uniform(n, rng, fresh)
@@ -364,7 +488,10 @@ def sample_bitstring(
     raise ValueError(f"unknown initialization distribution {dist!r}")
 
 
-def _sample_uniform(n: int, rng: np.random.Generator, fresh: bool) -> BitString:
+def _sample_uniform(n: int, rng, fresh: bool) -> BitString:
+    if isinstance(rng, Draws):
+        # either draw reads an even count of 32-bit draws: ``buffered`` holds
+        rng, fresh = rng.rng, rng.buffered is False
     n_words = (n + 63) // 64
     # the words ``rng.bytes(8 * n_words)`` draws, without its byte copies.
     # It reads 32 bits at a time; Philox hands out the low half of each

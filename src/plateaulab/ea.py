@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    Draws,
     FixedOnes,
     InitDistribution,
     RngStream,
@@ -140,9 +141,14 @@ def run(cfg: RunConfig, run_index: int) -> RunResult:
     initial individual is already optimal), or None once ``max_iters``
     proposals were exhausted.
     """
-    fit, init = cfg.fitness, cfg.init
+    fit, init, ell = cfg.fitness, cfg.init, cfg.mutation.ell
     rng = RngStream(cfg.cell_seed, run_index).generator()
-    # nothing has drawn from the new stream, so no half word is buffered
+    # nothing has drawn from the new stream, so no half word is buffered.
+    # Flip sets are read from raw words, which needs to know that from here
+    # on; single flips are drawn 256 or more at a time, where raw words
+    # gain nothing
+    if ell > 1:
+        rng = Draws(rng, buffered=False)
     if fit.level_symmetric:
         # the level engine's state is the ones count: a fixed count draws nothing
         fixed = isinstance(init, FixedOnes)
@@ -153,7 +159,7 @@ def run(cfg: RunConfig, run_index: int) -> RunResult:
         init_ones, engine = state.ones, _run_blocked
     record = cfg.record_trajectory or cfg.record_restart_stats
     traj: Optional[list[int]] = [init_ones] if record else None
-    runtime = engine(fit, cfg.mutation.ell, state, rng, cfg.max_iters, traj)
+    runtime = engine(fit, ell, state, rng, cfg.max_iters, traj)
     return RunResult(
         runtime=runtime,
         init_ones=init_ones,

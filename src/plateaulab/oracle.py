@@ -26,6 +26,8 @@ _RESIDUAL_TOL = 1e-9
 # entries left to right, so both loops give the same bits there
 _LIST_WIDTH = 7
 _LIST_BLOCK = 4096
+# transient rows kernel_hitting_times sets up at a time
+_SETUP_ROWS = 1024
 
 
 def _single_flip_chain(n: int, lo: int, hi: int, tie: bool) -> KernelChain:
@@ -284,6 +286,12 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
     fills in: O(m w^2) time and O(m w) memory for m transient levels.  The
     computed vector is verified against the residual contract
     max|(I - Q) E - 1| <= 1e-9 (1 + max E) on the kernel's own band.
+
+    A pivot of zero means absorption is unreachable from its level, or
+    that its leaving mass underflowed.  The band's positive entries tell
+    which: the first raises ValueError.  The second, like an expectation
+    that overflows, makes the expectation of every level that can reach
+    the level +inf.
     """
     size, w = kernel.size, kernel.width
     if not kernel.absorbing:
@@ -297,61 +305,111 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
     # extra last slot maps positions past the range (-1) to -1 as well
     index = np.full(size + 1, -1)
     index[trans] = np.arange(m)
-    cols = _band_columns(trans, w, size)
-    target = index[cols]
-    P = kernel.band[trans]
     # columns: visit cost, then leaving mass into absorbing levels
     rhs = np.ones((m, 2))
-    rhs[:, 1] = np.where(target < 0, P, 0.0).sum(axis=1)
     # transient block in band form; its half-width is at most w
     band = np.zeros((m, 2 * w + 1))
-    i, c = np.nonzero(target >= 0)
-    band[i, w + target[i, c] - i] = P[i, c]
+    # _SETUP_ROWS rows at a time, so that no array but the band grows with
+    # the number of levels times the width
+    for lo in range(0, m, _SETUP_ROWS):
+        levels = trans[lo : lo + _SETUP_ROWS]
+        P = kernel.band[levels]
+        target = index[_band_columns(levels, w, size)]
+        rhs[lo : lo + len(levels), 1] = np.where(target < 0, P, 0.0).sum(axis=1)
+        i, c = np.nonzero(target >= 0)
+        band[lo + i, w + target[i, c] - lo - i] = P[i, c]
     # Q[i, k] = band[i, w + k - i] sits at flat index w + 2w i + k: a
     # strided (m, m) view whose |i - k| <= w entries are the band
     Q = np.lib.stride_tricks.as_strided(
         band.reshape(-1)[w:], shape=(m, m), strides=(2 * w * band.itemsize, band.itemsize)
     )
-    if w <= _LIST_WIDTH:
-        _eliminate_lists(band, rhs, w, trans)
-    else:
-        _eliminate_views(Q, rhs, w, trans)
-    if rhs[0, 1] <= 0.0:
-        raise _unreachable(trans[0])
     E = np.empty(m)
-    E[0] = rhs[0, 0] / rhs[0, 1]
-    visits = rhs[:, 0].tolist()
-    for z in range(1, m):
-        lo = z - w if z > w else 0
-        E[z] = visits[z] + float(Q[z, lo:z] @ E[lo:z])
+    # an expectation past the float range comes out +inf or nan (0 * inf)
+    # and is dealt with below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w <= _LIST_WIDTH:
+            zero = _eliminate_lists(band, rhs, w)
+        else:
+            zero = _eliminate_views(Q, rhs, w)
+        if rhs[0, 1] <= 0.0:
+            zero.append(0)
+            E[0] = 0.0
+        else:
+            E[0] = rhs[0, 0] / rhs[0, 1]
+        visits = rhs[:, 0].tolist()
+        for z in range(1, m):
+            lo = z - w if z > w else 0
+            E[z] = visits[z] + float(Q[z, lo:z] @ E[lo:z])
     out[trans] = E
-    if np.all(np.isfinite(E)):
-        QE = np.einsum("ij,ij->i", P, np.append(out, 0.0)[cols])
-        residual = float(np.max(np.abs(E - QE - 1.0)))
-        if residual > _RESIDUAL_TOL * (1.0 + float(np.max(E))):
-            raise ArithmeticError(
-                f"solver residual {residual:g} violates the accuracy contract"
-            )
+    if zero or not np.all(np.isfinite(E)):
+        absorbs = _reaching(kernel, index[:-1] < 0)
+        for level in trans[zero]:
+            if not absorbs[level]:
+                raise ValueError(
+                    f"absorption unreachable from level {level} (singular system)"
+                )
+        start = np.zeros(size, dtype=bool)
+        start[trans[zero]] = True
+        start[trans[~np.isfinite(E)]] = True
+        out[_reaching(kernel, start)] = math.inf
+        return out
+    # (Q E)[s] over the kernel rows from the first transient level to the
+    # last, read through a strided view of E padded with w zeros at either
+    # end; absorbing levels hold E = 0
+    first, stop = trans[0], trans[-1] + 1
+    padded = np.zeros(stop - first + 2 * w)
+    padded[w : w + stop - first] = out[first:stop]
+    windows = np.ndarray(
+        (stop - first, 2 * w + 1), buffer=padded, strides=(padded.itemsize,) * 2
+    )
+    QE = np.einsum("ij,ij->i", kernel.band[first:stop], windows)[trans - first]
+    residual = float(np.max(np.abs(E - QE - 1.0)))
+    if residual > _RESIDUAL_TOL * (1.0 + float(np.max(E))):
+        raise ArithmeticError(f"solver residual {residual:g} violates the accuracy contract")
     return out
 
 
-def _unreachable(level: int) -> ValueError:
-    return ValueError(f"absorption unreachable from level {level} (singular system)")
+def _reaching(kernel: KernelChain, start: np.ndarray) -> np.ndarray:
+    """Mask of the levels with a path of positive band entries into a
+    ``start`` level whose earlier levels are all transient."""
+    band, w, size = kernel.band, kernel.width, kernel.size
+    transient = np.ones(size, dtype=bool)
+    transient[list(kernel.absorbing)] = False
+    reach = start.copy()
+    frontier = np.flatnonzero(start)
+    # level s steps to s + c - w with probability band[s, c]
+    cols = np.arange(2 * w + 1)
+    while frontier.size:
+        found = []
+        # _SETUP_ROWS levels at a time, as in kernel_hitting_times
+        for lo in range(0, frontier.size, _SETUP_ROWS):
+            s = frontier[lo : lo + _SETUP_ROWS, None] + (w - cols)
+            inside = (s >= 0) & (s < size)
+            s, c = s[inside], np.broadcast_to(cols, inside.shape)[inside]
+            s = s[transient[s] & ~reach[s] & (band[s, c] > 0.0)]
+            reach[s] = True
+            found.append(s)
+        frontier = np.unique(np.concatenate(found))
+    return reach
 
 
-def _eliminate_views(Q: np.ndarray, rhs: np.ndarray, w: int, trans: np.ndarray) -> None:
+def _eliminate_views(Q: np.ndarray, rhs: np.ndarray, w: int) -> list[int]:
     """Eliminate levels m-1..1 of ``kernel_hitting_times`` through numpy views.
 
     Row z of ``Q`` and of ``rhs`` end up divided by the pivot, as the
-    back-substitution reads them; every update writes in place.
+    back-substitution reads them; every update writes in place.  A level
+    whose pivot is zero is neither divided nor folded into the levels
+    below it; the list of such levels is returned.
     """
+    zero = []
     for z in range(len(rhs) - 1, 0, -1):
         lo = z - w if z > w else 0
         row = Q[z, lo:z]
         ends = rhs[z]
         leave = np.add.reduce(row) + ends[1]
         if leave <= 0.0:
-            raise _unreachable(trans[z])
+            zero.append(z)
+            continue
         row /= leave
         ends /= leave
         col = Q[lo:z, z, None]
@@ -359,9 +417,10 @@ def _eliminate_views(Q: np.ndarray, rhs: np.ndarray, w: int, trans: np.ndarray) 
         block += col * row
         below = rhs[lo:z]
         below += col * ends
+    return zero
 
 
-def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int, trans: np.ndarray) -> None:
+def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int) -> list[int]:
     """``_eliminate_views`` on Python floats, with the same operations in the same order.
 
     ``band`` holds Q[i, k] at column w + k - i.  A pivot row's entries are
@@ -370,6 +429,7 @@ def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int, trans: np.ndarra
     levels go to lists _LIST_BLOCK at a time, with the w below them that
     they update, so the lists stay small at any m.
     """
+    zero = []
     for stop in range(len(band), 1, -_LIST_BLOCK):
         start = max(1, stop - _LIST_BLOCK)
         base = max(0, start - w)
@@ -386,7 +446,8 @@ def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int, trans: np.ndarra
                 leave += row[c]
             leave += leaving
             if leave <= 0.0:
-                raise _unreachable(trans[base + z])
+                zero.append(base + z)
+                continue
             for c in range(first, w):
                 row[c] /= leave
             visit /= leave
@@ -402,6 +463,7 @@ def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int, trans: np.ndarra
                 below[1] += f * leaving
         band[base:stop] = rows
         rhs[base:stop] = ends
+    return zero
 
 
 def majority_hitting_by_level(n: int, r: int) -> np.ndarray:

@@ -97,6 +97,18 @@ class TestExact:
         assert code == EXIT_OK, err
         assert float(parse_csv(out)[0]["expected"]) > 0
 
+    @pytest.mark.parametrize("ell", ["1", "3"])
+    def test_expectation_past_the_float_range_prints_inf(self, capsys, ell):
+        code, out, err = run_cli(capsys, "exact", "--n", "2048", "--r", "1000", "--ell", ell)
+        assert code == EXIT_OK, err
+        assert out.splitlines()[1].endswith(",inf,inf") and err == ""
+
+    def test_unreachable_absorption_exits_2(self, capsys):
+        # four flips take level 2 of 4 to itself, and 1 and 3 to each other
+        code, out, err = run_cli(capsys, "exact", "--n", "4", "--r", "2", "--ell", "4")
+        assert code == EXIT_USAGE and out == ""
+        assert "absorption unreachable from level 2 (singular system)" in err
+
 class TestDriftCheck:
     def test_pass_and_tight_state(self, capsys):
         code, out, _ = run_cli(capsys, "drift-check", "--n", "4", "--r", "2")

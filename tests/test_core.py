@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from plateaulab.core import (
     BitString,
+    Draws,
     FixedOnes,
     Point,
     RngStream,
@@ -342,6 +343,128 @@ class TestSubsetSampling:
         stat = sum((c - expected) ** 2 / expected for c in counts.values())
         stat += (cells - len(counts)) * expected  # never-seen subsets
         assert stat < chi2.ppf(1 - 0.001, df=cells - 1)
+
+
+def lemire_reference(rng, bounds, n):
+    """Lemire's rule in Python over numpy's own 32-bit draws: the values
+    ``rng.integers(bounds, n)`` returns, and how many draws it redrew."""
+    out, redraws = [], 0
+    for low in map(int, bounds):
+        span = n - low
+        if span == 1:  # numpy draws nothing for a range of one value
+            out.append(low)
+            continue
+        floor = (2**32 - span) % span
+        while True:
+            # a uint32 draw of the whole 32-bit range is one 32-bit draw
+            prod = int(rng.integers(0, 2**32, dtype=np.uint32)) * span
+            if prod & 0xFFFFFFFF >= floor:
+                break
+            redraws += 1
+        out.append(low + (prod >> 32))
+    return out, redraws
+
+
+def check_draws_leave(draws, ref):
+    """``draws`` left its stream as ``ref``, knows (or does not claim to
+    know) its half word, and both streams go on alike."""
+    assert philox_state(draws.rng) == philox_state(ref)
+    assert draws.buffered in (None, bool(ref.bit_generator.state["has_uint32"]))
+    assert draws.rng.integers(0, 2**40) == ref.integers(0, 2**40)
+    raw = draws.rng.bit_generator.random_raw(3)
+    assert raw.tolist() == ref.bit_generator.random_raw(3).tolist()
+
+
+def tiled_integers(rng, n, m, k):
+    return rng.integers(np.arange(k * m) % m, n).reshape(k, m)
+
+
+class TestRawDraws:
+    # n from 2 to 20000; m = n (the last range holds one value), m = 1
+    # (drawn through numpy) and odd and even counts k * m
+    @pytest.mark.parametrize(
+        "n,m,k",
+        [(2, 2, 3), (3, 2, 5), (5, 3, 1), (7, 7, 4), (100, 1, 9), (100, 2, 64), (100, 25, 81),
+         (100, 50, 64), (101, 34, 3), (1000, 500, 1), (1000, 16, 2), (8200, 129, 3),
+         (20000, 400, 2), (20000, 9999, 1)],
+    )
+    @pytest.mark.parametrize("mid_word", [False, True])
+    def test_rows_replay_integers(self, n, m, k, mid_word):
+        for seed in range(25):
+            rng, ref = rng_for(seed, n), rng_for(seed, n)
+            if mid_word:
+                # an odd count of 32-bit draws leaves a half word buffered
+                assert rng.integers(0, 9, size=3).tolist() == ref.integers(0, 9, size=3).tolist()
+            draws = Draws(rng, buffered=mid_word)
+            rows = draws.rows(n, m, k)
+            assert rows.dtype == np.int64 and rows.shape == (k, m)
+            assert np.array_equal(rows, tiled_integers(ref, n, m, k))
+            check_draws_leave(draws, ref)
+
+    @pytest.mark.parametrize("m,k", [(2, 7), (3, 50), (5, 41), (8, 64)])
+    @pytest.mark.parametrize("mid_word", [False, True])
+    def test_rejection_heavy_bounds(self, m, k, mid_word):
+        # spans just above 3 * 2**30 redraw about one draw in four
+        n = 3 * 2**30 + m
+        redraws = 0
+        for seed in range(8):
+            rng, ref, lemire = rng_for(seed, m), rng_for(seed, m), rng_for(seed, m)
+            if mid_word:
+                for g in (rng, ref, lemire):
+                    g.integers(0, 9)
+            draws = Draws(rng, buffered=mid_word)
+            rows = draws.rows(n, m, k)
+            expected, extra = lemire_reference(lemire, np.arange(k * m) % m, n)
+            redraws += extra
+            assert rows.ravel().tolist() == expected
+            assert np.array_equal(rows, tiled_integers(ref, n, m, k))
+            assert philox_state(lemire) == philox_state(ref)
+            check_draws_leave(draws, ref)
+        # a value takes 1/3 of a redraw on average; require an eighth
+        assert redraws > 8 * k * m / 8
+
+    def test_buffered_flag_follows_a_sequence_of_draws(self):
+        # what a run draws: its start, then batches of rows of several
+        # sizes; one-bound draws go through numpy and leave the flag unknown
+        calls = [(100, 25, 81), (100, 25, 64), (100, 1, 33), (100, 3, 5), (100, 3, 7),
+                 (3 * 2**30 + 3, 3, 41), (100, 100, 3), (1, 1, 5), (2, 2, 1), (64, 7, 9)]
+        for seed in range(20):
+            rng, ref = rng_for(seed, 77), rng_for(seed, 77)
+            draws = Draws(rng, buffered=False)
+            for n, m, k in calls:
+                assert np.array_equal(draws.rows(n, m, k), tiled_integers(ref, n, m, k))
+                assert philox_state(rng) == philox_state(ref)
+                assert draws.buffered in (None, bool(ref.bit_generator.state["has_uint32"]))
+            check_draws_leave(draws, ref)
+
+    @pytest.mark.parametrize("bit_gen", [np.random.MT19937, np.random.PCG64, np.random.SFC64])
+    def test_other_bit_generators_keep_integers(self, bit_gen):
+        rng, ref = np.random.Generator(bit_gen(3)), np.random.Generator(bit_gen(3))
+        draws = Draws(rng, buffered=False)
+        for n, m, k in [(100, 25, 81), (100, 1, 9), (7, 7, 3), (3 * 2**30 + 2, 2, 51)]:
+            assert np.array_equal(draws.rows(n, m, k), tiled_integers(ref, n, m, k))
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+    @pytest.mark.parametrize("n", [70, 130, 1000])
+    @pytest.mark.parametrize("start", [None, 0, 1])
+    def test_samplers_through_draws_replay_the_generator(self, n, start):
+        # a Draws passed to the samplers draws what the bare generator draws,
+        # from a stream with or without a half word (or an unknown one)
+        for seed in range(10):
+            rng, ref = rng_for(seed, n), rng_for(seed, n)
+            for g in (rng, ref):
+                g.integers(0, 9, size=start or 0)
+            draws = Draws(rng, buffered=None if start is None else bool(start))
+            for ones in (1, 5, n // 2 + 1):
+                got = sample_bitstring(n, FixedOnes(ones), draws)
+                assert got == sample_bitstring(n, FixedOnes(ones), ref)
+            assert sample_bitstring(n, Uniform(), draws) == sample_bitstring(n, Uniform(), ref)
+            for ell, k in [(1, 20), (2, 17), (n // 64 + 1, 2), (n // 3, 5), (n, 3)]:
+                rows = sample_uniform_subset(n, ell, draws, size=k)
+                assert np.array_equal(rows, sample_uniform_subset(n, ell, ref, size=k))
+                single = sample_uniform_subset(n, ell, draws)
+                assert np.array_equal(single, sample_uniform_subset(n, ell, ref))
+            check_draws_leave(draws, ref)
 
 
 class TestSampleBitstring:

@@ -471,6 +471,22 @@ class TestBlockedEngine:
             assert res.runtime == runtime
             assert res.trajectory.tolist() == traj
 
+    # an odd fixed start draws an odd count of 32-bit draws (501 shuffle
+    # targets), so the flip sets' raw draws start mid-word; a start drawn
+    # by rejection (7 ones) leaves the half word to be read from the state
+    @pytest.mark.parametrize("ones", [7, 501])
+    @pytest.mark.parametrize("ell", [16, 100])
+    @pytest.mark.parametrize("cap", [8, 9, 57, 300])
+    def test_fixed_start_matches_reference_loop(self, ones, ell, cap):
+        fit = NeutralityFitness(OneMax(250), 4)
+        cfg = RunConfig(fit, RlsMutation(ell), FixedOnes(ones), 7, max_iters=cap,
+                        record_trajectory=True)
+        for i in range(3):
+            res = run(cfg, i)
+            runtime, traj = reference_run(cfg, i)
+            assert res.runtime == runtime
+            assert res.trajectory.tolist() == traj
+
     def test_reference_covers_censoring(self):
         cfg = RunConfig(BLOCKED["onemax-k7-20"], RlsMutation(2), Uniform(), 7,
                         max_iters=37, record_trajectory=True)

@@ -243,6 +243,35 @@ class TestKernelSolver:
         with pytest.raises(ValueError):
             kernel_hitting_times(kernel)
 
+    def test_underflowed_absorption_is_inf_not_singular(self):
+        # 0 -> 1 -> 2 -> 3 (absorbing) reaches absorption, but leaving 2 for
+        # 3 and 1 for 2 take 1e-200 each: level 0's leaving mass is their
+        # product, which underflows to a zero pivot
+        tiny = 1e-200
+        band = np.array([[0.0, 0.0, 1.0], [1.0 - tiny, 0.0, tiny],
+                         [1.0 - tiny, 0.0, tiny], [0.0, 1.0, 0.0]])
+        times = kernel_hitting_times(KernelChain.from_band(band, frozenset({3})))
+        assert times.tolist() == [math.inf, math.inf, math.inf, 0.0]
+
+    def test_overflow_only_reaches_the_levels_that_lead_to_it(self):
+        # levels 0-2 as above; level 4 absorbs into 5 and never meets them
+        band = np.zeros((6, 3))
+        band[:4] = [[0.0, 0.0, 1.0], [1.0 - 1e-200, 0.0, 1e-200],
+                    [1.0 - 1e-200, 0.0, 1e-200], [0.0, 1.0, 0.0]]
+        band[4] = [0.0, 0.5, 0.5]
+        band[5] = [0.0, 1.0, 0.0]
+        times = kernel_hitting_times(KernelChain.from_band(band, frozenset({3, 5})))
+        assert times.tolist() == [math.inf, math.inf, math.inf, 0.0, 2.0, 0.0]
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 10])
+    def test_majority_expectation_past_the_float_range_is_inf(self, ell):
+        # every level of both parity classes reaches absorption; the leaving
+        # mass of the lowest levels underflows, and the ell=1 ladder overflows
+        n, r = 2048, 1000
+        times = kernel_hitting_times(rlsl_kernel(n, ell, MajorityFitness(n, r).level_value))
+        assert np.all(np.isinf(times[: n // 2 + r])) and not times[n // 2 + r :].any()
+        assert np.all(np.isinf(majority_hitting_by_level(n, r)[: n // 2 + r]))
+
     def test_row_sum_validation(self):
         with pytest.raises(ValueError):
             KernelChain.from_band(np.array([[0.0, 0.5, 0.4], [0.0, 1.0, 0.0]]), frozenset({1}))
@@ -406,6 +435,22 @@ class TestBandedKernel:
             tracemalloc.stop()
         assert times[0] > 0.0
         assert peak < 16 * 2**20
+
+    def test_solve_memory_is_about_one_transient_band(self):
+        # the setup once held six band-sized arrays next to the transient
+        # band (the kernel rows, their levels and transient indices, a
+        # masked copy and the nonzero pairs): about 8 bands at its peak
+        n, ell = 20_000, 20
+        kernel = rlsl_kernel(n, ell, MajorityFitness(n, 4).level_value)
+        band_bytes = (n + 1 - len(kernel.absorbing)) * (2 * ell + 1) * 8
+        tracemalloc.start()
+        try:
+            times = kernel_hitting_times(kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(times)) and times[0] > 0.0
+        assert peak < 3 * band_bytes
 
 
 class TestBandedSolver:
