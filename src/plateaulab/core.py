@@ -15,6 +15,8 @@ _U64_MASK = (1 << 64) - 1
 # read-only array serves them all
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 _ZERO_COUNTER.flags.writeable = False
+# a view as this dtype object costs less than one as np.uint32
+_U32 = np.dtype(np.uint32)
 # draws UniformNonOptimal makes before it gives up
 _NONOPT_ATTEMPTS = 10_000
 
@@ -176,16 +178,13 @@ class Draws:
     """A generator whose bounded draws are read from raw Philox words.
 
     ``Generator.integers(lo, n)`` below 2**32 makes each value from 32-bit
-    draws by Lemire's rule, and Philox serves a 32-bit draw from the low
-    half of a 64-bit stream word first, keeping the high half buffered in
-    its state for the next one.  ``rows`` returns what ``integers``
-    returns, and leaves the stream as it leaves it, but reads whole words
-    with ``random_raw`` and applies the rule to them in numpy.  For that
-    it must know whether a half word is buffered, which a read of
-    ``state`` tells at about 3.5 us; ``buffered`` records it instead (None
-    while unknown), so once this object is made every draw from ``rng``
-    goes through it.  Any other bit generator, or a big-endian host, draws
-    through ``integers``.
+    draws by Lemire's rule, and ``rows`` returns what it returns, and
+    leaves the stream as it leaves it, but reads whole words with
+    ``random_raw`` (see ``_next_u32``) and applies the rule to them in
+    numpy.  For that it must know whether a half word is buffered;
+    ``buffered`` records it (None while unknown), so once this object is
+    made every draw from ``rng`` goes through it.  Any other bit
+    generator, or a big-endian host, draws through ``integers``.
     """
 
     __slots__ = ("rng", "buffered", "_raw")
@@ -193,11 +192,7 @@ class Draws:
     def __init__(self, rng: np.random.Generator, *, buffered: Optional[bool]):
         self.rng = rng
         self.buffered = buffered
-        bit_gen = rng.bit_generator
-        # a word viewed as two 32-bit halves lists its low half first only
-        # on a little-endian host
-        raw = isinstance(bit_gen, np.random.Philox) and sys.byteorder == "little"
-        self._raw = bit_gen.random_raw if raw else None
+        self._raw = _raw_reader(rng)
 
     def rows(self, n: int, m: int, k: int) -> np.ndarray:
         """``rng.integers(np.arange(k * m) % m, n).reshape(k, m)``: row r's
@@ -216,10 +211,10 @@ class Draws:
             out[:, -1] = n - 1
             return out
         lo, span, floor = _lemire_bounds(n, m)
-        u = self._u32(k * m)
+        u = self.u32(k * m)
         # Lemire: the value is lo + (u * span >> 32), redrawn while the low
         # half of u * span falls below (2**32 - span) % span
-        halves = (u.reshape(k, m) * span).view(np.uint32)
+        halves = (u.reshape(k, m) * span).view(_U32)
         redraw = halves[:, ::2] < floor
         out = halves[:, 1::2] + lo
         if redraw.any():
@@ -236,9 +231,9 @@ class Draws:
         lo, span, floor = _lemire_bounds(n, m)
         while True:
             need = len(out) - at
-            pool = np.concatenate((spare, self._u32(need - len(spare))))
+            pool = np.concatenate((spare, self.u32(need - len(spare))))
             cols = np.arange(at, len(out)) % m
-            halves = (pool * span[cols]).view(np.uint32)
+            halves = (pool * span[cols]).view(_U32)
             redraw = halves[::2] < floor[cols]
             stop = int(redraw.argmax()) if redraw.any() else need
             out[at : at + stop] = halves[1 : 2 * stop : 2] + lo[cols[:stop]]
@@ -247,27 +242,56 @@ class Draws:
             at += stop
             spare = pool[stop + 1 :]
 
-    def _u32(self, count: int) -> np.ndarray:
-        """The next ``count`` 32-bit draws ``next_uint32`` would return.
+    def u32(self, count: int) -> np.ndarray:
+        """The next ``count`` 32-bit draws, as ``_next_u32`` reads them."""
+        u, self.buffered = _next_u32(self.rng, self._raw, self.buffered, count)
+        return u
 
-        Whole words come from ``random_raw``, low half first.  A buffered
-        half word comes first, and an odd last draw leaves the high half
-        of its word buffered; both are drawn through numpy, which keeps
-        the buffer, and ``buffered`` follows them.
-        """
-        if self.buffered is None:
-            self.buffered = bool(self.rng.bit_generator.state["has_uint32"])
-        parts = []
-        if self.buffered and count:
-            # integers(2**32) is one 32-bit draw
-            parts.append(np.array([self.rng.integers(2**32)], dtype=np.uint32))
-            count -= 1
-            self.buffered = False
-        parts.append(self._raw(count >> 1).view(np.uint32))
-        if count & 1:
-            parts.append(np.array([self.rng.integers(2**32)], dtype=np.uint32))
-            self.buffered = True
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+def _raw_reader(rng: np.random.Generator):
+    """``rng``'s ``random_raw`` if its 32-bit draws are the halves of its
+    raw words, low half first, else None.  Philox's are; a word viewed as
+    two 32-bit halves lists its low half first only on a little-endian
+    host, and MT19937's raw words are 32 bits wide."""
+    bit_gen = rng.bit_generator
+    if isinstance(bit_gen, np.random.Philox) and sys.byteorder == "little":
+        return bit_gen.random_raw
+    return None
+
+
+def _next_u32(
+    rng, raw, buffered: Optional[bool], count: int
+) -> tuple[np.ndarray, Optional[bool]]:
+    """The next ``count`` 32-bit draws ``next_uint32`` would return from
+    ``rng``, and whether a half word is buffered after them.
+
+    Philox serves a 32-bit draw from the low half of a 64-bit stream word
+    first and keeps the high half buffered in its state for the next one.
+    Whole words come from ``raw``, ``rng``'s ``_raw_reader``.  A buffered
+    half word comes first, and an odd last draw leaves the high half of
+    its word buffered; both are drawn through numpy, which keeps the
+    buffer.  ``buffered`` is None while unknown, and is then learnt from a
+    read of ``state`` (about 3.5 us: a dict of three new arrays).  Without
+    ``raw`` every draw goes through numpy.
+    """
+    if raw is None:
+        return rng.integers(0, 2**32, size=count, dtype=np.uint32), None
+    if buffered is None:
+        buffered = bool(rng.bit_generator.state["has_uint32"])
+    if not buffered and not count & 1:
+        return raw(count >> 1).view(_U32), False
+    u = np.empty(count, dtype=_U32)
+    head = 0
+    if buffered and count:
+        # integers(2**32) is one 32-bit draw
+        u[0] = rng.integers(2**32)
+        head, buffered = 1, False
+    words = (count - head) >> 1
+    u[head : head + 2 * words] = raw(words).view(_U32)
+    if (count - head) & 1:
+        u[-1] = rng.integers(2**32)
+        buffered = True
+    return u, buffered
 
 
 @functools.lru_cache(maxsize=64)
@@ -456,10 +480,12 @@ def sample_bitstring(
     """Draw one bitstring of length ``n`` from the given distribution.
 
     ``fresh=True`` vouches that a bare generator ``rng`` holds no buffered
-    32-bit half word, as one nothing has drawn from does; a uniform draw
-    then need not read the bit generator's state to learn it.  A ``Draws``
-    knows whether its generator holds one, and the flag is not read.
+    32-bit half word (see ``_next_u32``), as one nothing has drawn from
+    does; a uniform draw then need not read the bit generator's state to
+    learn it.  A ``Draws`` records that itself and takes no flag.
     """
+    if fresh and isinstance(rng, Draws):
+        raise ValueError("a Draws records its buffered half word; fresh= is for a generator")
     if isinstance(dist, Uniform):
         return _sample_uniform(n, rng, fresh)
     if isinstance(dist, FixedOnes):
@@ -477,7 +503,7 @@ def sample_bitstring(
     if isinstance(dist, UniformNonOptimal):
         fit = dist.fitness
         for _ in range(_NONOPT_ATTEMPTS):
-            # a raw-word draw buffers nothing, so a fresh stream stays fresh
+            # an even count of 32-bit draws leaves the half word as it was
             x = _sample_uniform(n, rng, fresh)
             if fit.value(x) < fit.max_value:
                 return x
@@ -489,26 +515,19 @@ def sample_bitstring(
 
 
 def _sample_uniform(n: int, rng, fresh: bool) -> BitString:
-    if isinstance(rng, Draws):
-        # either draw reads an even count of 32-bit draws: ``buffered`` holds
-        rng, fresh = rng.rng, rng.buffered is False
+    # the words ``rng.bytes(8 * n_words)`` draws, without its byte copies:
+    # 2 * n_words 32-bit draws
     n_words = (n + 63) // 64
-    # the words ``rng.bytes(8 * n_words)`` draws, without its byte copies.
-    # It reads 32 bits at a time; Philox hands out the low half of each
-    # 64-bit stream word first, so with no half word buffered (as at every
-    # run's first draw) it reads exactly the next n_words raw stream words.
-    # Unless the caller vouches for a fresh stream, learning that costs a
-    # read of ``state``, a dict of three new arrays (about 3.5 us).  Any
-    # other bit generator keeps the 32-bit draw: MT19937's raw words are
-    # 32 bits wide and its state holds no buffered half
-    bit_gen = rng.bit_generator
-    if isinstance(bit_gen, np.random.Philox) and (
-        fresh or not bit_gen.state["has_uint32"]
-    ):
-        words = bit_gen.random_raw(n_words)
+    if isinstance(rng, Draws):
+        u = rng.u32(2 * n_words)
+    elif fresh and isinstance(rng.bit_generator, np.random.Philox):
+        # with no half word buffered they are the next n_words words, as
+        # _next_u32 reads them; reading them here saves a single-flip
+        # run's start about 0.5 us of calls and a view
+        u = rng.bit_generator.random_raw(n_words)
     else:
-        words = rng.integers(0, 2**32, size=2 * n_words, dtype=np.uint32)
-    return BitString(n, int.from_bytes(words.tobytes(), "little") & ((1 << n) - 1))
+        u, _ = _next_u32(rng, _raw_reader(rng), None, 2 * n_words)
+    return BitString(n, int.from_bytes(u.tobytes(), "little") & ((1 << n) - 1))
 
 
 def overlap_support(n: int, j: int, ell: int) -> range:

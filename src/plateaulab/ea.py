@@ -146,16 +146,18 @@ def run(cfg: RunConfig, run_index: int) -> RunResult:
     # nothing has drawn from the new stream, so no half word is buffered.
     # Flip sets are read from raw words, which needs to know that from here
     # on; single flips are drawn 256 or more at a time, where raw words
-    # gain nothing
+    # gain nothing, so only the start draw is told
     if ell > 1:
-        rng = Draws(rng, buffered=False)
+        rng, fresh = Draws(rng, buffered=False), False
+    else:
+        fresh = True
     if fit.level_symmetric:
         # the level engine's state is the ones count: a fixed count draws nothing
         fixed = isinstance(init, FixedOnes)
-        state = init.ones if fixed else sample_bitstring(fit.n, init, rng, fresh=True).ones
+        state = init.ones if fixed else sample_bitstring(fit.n, init, rng, fresh=fresh).ones
         init_ones, engine = state, _run_level
     else:
-        state = sample_bitstring(fit.n, init, rng, fresh=True)
+        state = sample_bitstring(fit.n, init, rng, fresh=fresh)
         init_ones, engine = state.ones, _run_blocked
     record = cfg.record_trajectory or cfg.record_restart_stats
     traj: Optional[list[int]] = [init_ones] if record else None

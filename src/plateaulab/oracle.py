@@ -291,7 +291,8 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
     that its leaving mass underflowed.  The band's positive entries tell
     which: the first raises ValueError.  The second, like an expectation
     that overflows, makes the expectation of every level that can reach
-    the level +inf.
+    the level +inf, and only of those: the other levels are solved again
+    without them.
     """
     size, w = kernel.size, kernel.width
     if not kernel.absorbing:
@@ -324,24 +325,22 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
         band.reshape(-1)[w:], shape=(m, m), strides=(2 * w * band.itemsize, band.itemsize)
     )
     E = np.empty(m)
-    # an expectation past the float range comes out +inf or nan (0 * inf)
-    # and is dealt with below
+    # an expectation past the float range comes out +inf, or nan (0 * inf)
+    # where a level's window holds one it cannot reach; see below
     with np.errstate(over="ignore", invalid="ignore"):
         if w <= _LIST_WIDTH:
-            zero = _eliminate_lists(band, rhs, w)
+            zero, overflow = _eliminate_lists(band, rhs, w)
         else:
-            zero = _eliminate_views(Q, rhs, w)
+            zero, overflow = _eliminate_views(Q, rhs, w)
         if rhs[0, 1] <= 0.0:
             zero.append(0)
             E[0] = 0.0
         else:
             E[0] = rhs[0, 0] / rhs[0, 1]
         visits = rhs[:, 0].tolist()
-        for z in range(1, m):
-            lo = z - w if z > w else 0
-            E[z] = visits[z] + float(Q[z, lo:z] @ E[lo:z])
-    out[trans] = E
-    if zero or not np.all(np.isfinite(E)):
+        _back_substitute(Q, visits, E, w, range(1, m))
+    infinite = np.zeros(m, dtype=bool)
+    if zero or overflow or not np.all(np.isfinite(E)):
         absorbs = _reaching(kernel, index[:-1] < 0)
         for level in trans[zero]:
             if not absorbs[level]:
@@ -350,9 +349,15 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
                 )
         start = np.zeros(size, dtype=bool)
         start[trans[zero]] = True
-        start[trans[~np.isfinite(E)]] = True
-        out[_reaching(kernel, start)] = math.inf
-        return out
+        start[trans[overflow]] = True
+        start[trans[np.isposinf(E)]] = True
+        infinite = _reaching(kernel, start)[trans]
+        # no other level has a band entry into these: with E = 0 there, a
+        # second pass gives a nan its finite value and every finite value
+        # its bits again
+        E[infinite] = 0.0
+        _back_substitute(Q, visits, E, w, np.flatnonzero(~infinite[1:]) + 1)
+    out[trans] = E
     # (Q E)[s] over the kernel rows from the first transient level to the
     # last, read through a strided view of E padded with w zeros at either
     # end; absorbing levels hold E = 0
@@ -363,10 +368,22 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
         (stop - first, 2 * w + 1), buffer=padded, strides=(padded.itemsize,) * 2
     )
     QE = np.einsum("ij,ij->i", kernel.band[first:stop], windows)[trans - first]
-    residual = float(np.max(np.abs(E - QE - 1.0)))
-    if residual > _RESIDUAL_TOL * (1.0 + float(np.max(E))):
+    error = np.abs(E - QE - 1.0)
+    error[infinite] = 0.0
+    residual = float(np.max(error))
+    if not residual <= _RESIDUAL_TOL * (1.0 + float(np.max(E))):
         raise ArithmeticError(f"solver residual {residual:g} violates the accuracy contract")
+    out[trans[infinite]] = math.inf
     return out
+
+
+def _back_substitute(
+    Q: np.ndarray, visits: list[float], E: np.ndarray, w: int, levels: Iterable[int]
+) -> None:
+    """E[z] for each of ``levels`` in increasing order, from the levels below it."""
+    for z in levels:
+        lo = z - w if z > w else 0
+        E[z] = visits[z] + float(Q[z, lo:z] @ E[lo:z])
 
 
 def _reaching(kernel: KernelChain, start: np.ndarray) -> np.ndarray:
@@ -393,15 +410,15 @@ def _reaching(kernel: KernelChain, start: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _eliminate_views(Q: np.ndarray, rhs: np.ndarray, w: int) -> list[int]:
+def _eliminate_views(Q: np.ndarray, rhs: np.ndarray, w: int) -> tuple[list[int], list[int]]:
     """Eliminate levels m-1..1 of ``kernel_hitting_times`` through numpy views.
 
     Row z of ``Q`` and of ``rhs`` end up divided by the pivot, as the
     back-substitution reads them; every update writes in place.  A level
-    whose pivot is zero is neither divided nor folded into the levels
-    below it; the list of such levels is returned.
+    whose pivot is zero, or whose expected visits overflow, is not folded
+    into the levels below it; the lists of either kind are returned.
     """
-    zero = []
+    zero, overflow = [], []
     for z in range(len(rhs) - 1, 0, -1):
         lo = z - w if z > w else 0
         row = Q[z, lo:z]
@@ -412,15 +429,20 @@ def _eliminate_views(Q: np.ndarray, rhs: np.ndarray, w: int) -> list[int]:
             continue
         row /= leave
         ends /= leave
+        if ends[0] == math.inf:
+            # folding it would give a level below that cannot reach it
+            # 0 * inf visits
+            overflow.append(z)
+            continue
         col = Q[lo:z, z, None]
         block = Q[lo:z, lo:z]
         block += col * row
         below = rhs[lo:z]
         below += col * ends
-    return zero
+    return zero, overflow
 
 
-def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int) -> list[int]:
+def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int) -> tuple[list[int], list[int]]:
     """``_eliminate_views`` on Python floats, with the same operations in the same order.
 
     ``band`` holds Q[i, k] at column w + k - i.  A pivot row's entries are
@@ -429,7 +451,7 @@ def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int) -> list[int]:
     levels go to lists _LIST_BLOCK at a time, with the w below them that
     they update, so the lists stay small at any m.
     """
-    zero = []
+    zero, overflow = [], []
     for stop in range(len(band), 1, -_LIST_BLOCK):
         start = max(1, stop - _LIST_BLOCK)
         base = max(0, start - w)
@@ -451,6 +473,9 @@ def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int) -> list[int]:
             for c in range(first, w):
                 row[c] /= leave
             visit /= leave
+            if visit == math.inf:
+                overflow.append(base + z)
+                continue
             leaving /= leave
             ends[z] = [visit, leaving]
             for i in range(lo, z):
@@ -463,7 +488,7 @@ def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int) -> list[int]:
                 below[1] += f * leaving
         band[base:stop] = rows
         rhs[base:stop] = ends
-    return zero
+    return zero, overflow
 
 
 def majority_hitting_by_level(n: int, r: int) -> np.ndarray:

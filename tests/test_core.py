@@ -437,6 +437,25 @@ class TestRawDraws:
                 assert draws.buffered in (None, bool(ref.bit_generator.state["has_uint32"]))
             check_draws_leave(draws, ref)
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 8, 11])
+    @pytest.mark.parametrize("start", [None, 0, 1])
+    def test_u32_replays_the_32_bit_draws(self, count, start):
+        # from a stream with or without a half word, or an unknown one
+        for seed in range(10):
+            rng, ref = rng_for(seed, count), rng_for(seed, count)
+            for g in (rng, ref):
+                g.integers(0, 9, size=start or 0)
+            draws = Draws(rng, buffered=None if start is None else bool(start))
+            u = draws.u32(count)
+            assert u.dtype == np.uint32
+            assert u.tolist() == ref.integers(0, 2**32, size=count, dtype=np.uint32).tolist()
+            check_draws_leave(draws, ref)
+
+    def test_a_draws_takes_no_fresh_flag(self):
+        # a Draws records the half word itself; a second word on it is refused
+        with pytest.raises(ValueError, match="fresh"):
+            sample_bitstring(70, Uniform(), Draws(rng_for(1), buffered=False), fresh=True)
+
     @pytest.mark.parametrize("bit_gen", [np.random.MT19937, np.random.PCG64, np.random.SFC64])
     def test_other_bit_generators_keep_integers(self, bit_gen):
         rng, ref = np.random.Generator(bit_gen(3)), np.random.Generator(bit_gen(3))

@@ -263,6 +263,29 @@ class TestKernelSolver:
         times = kernel_hitting_times(KernelChain.from_band(band, frozenset({3, 5})))
         assert times.tolist() == [math.inf, math.inf, math.inf, 0.0, 2.0, 0.0]
 
+    # even levels 0 -> 2 -> 4 -> 6 (absorbing) overflow, interleaved with odd
+    # levels 1 -> 3 -> 5 -> 7 (absorbing) whose expectations are 5, 4 and 1;
+    # each odd level's window holds even levels it cannot reach, where a
+    # 0 * inf once made it nan.  With a = 1e-160 level 0's expectation
+    # overflows in the back-substitution; with t = 1e-310 level 2's expected
+    # visits overflow in the elimination.  Width 8 runs the numpy
+    # elimination, width 2 the Python-float one
+    @pytest.mark.parametrize("width", [2, 8])
+    @pytest.mark.parametrize(
+        "even",
+        [{0: {2: 1.0}, 2: {0: 1.0 - 1e-160, 4: 1e-160}, 4: {2: 1.0 - 1e-160, 6: 1e-160}},
+         {0: {2: 1.0}, 2: {0: 1e-310, 4: 1.0}, 4: {2: 1.0, 6: 1e-310}}],
+        ids=["back-substitution", "elimination"],
+    )
+    def test_overflow_leaves_an_interleaved_class_finite(self, width, even):
+        moves = {**even, 1: {3: 1.0}, 3: {1: 0.5, 5: 0.5}, 5: {7: 1.0}, 6: {6: 1.0}, 7: {7: 1.0}}
+        band = np.zeros((8, 2 * width + 1))
+        for s, row in moves.items():
+            for t, p in row.items():
+                band[s, width + t - s] = p
+        times = kernel_hitting_times(KernelChain.from_band(band, frozenset({6, 7})))
+        assert times.tolist() == [math.inf, 5.0, math.inf, 4.0, math.inf, 1.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("ell", [1, 2, 3, 10])
     def test_majority_expectation_past_the_float_range_is_inf(self, ell):
         # every level of both parity classes reaches absorption; the leaving
