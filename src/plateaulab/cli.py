@@ -271,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--init", default="uniform", help="uniform | ones=J")
+    p.add_argument(
+        "--init", default="uniform", help="uniform | uniform-nonopt | ones=J | point=BITS"
+    )
     p.add_argument("--out")
     p.set_defaults(func=_cmd_exact)
 

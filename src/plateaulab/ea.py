@@ -39,6 +39,11 @@ _REJECTION_ROWS_FIRST = 16
 _SHUFFLE_ROWS_FIRST = 64
 _SUBSET_BUDGET = 8192
 _SHUFFLE_POSITIONS = _SHUFFLE_ROWS_FIRST * _SUBSET_BUDGET
+# generators no run holds, each left where its last run stopped.  A run
+# pops one and resets it to its own stream, for about a quarter of what
+# building one costs; list.pop and list.append are atomic, so concurrent
+# runs never share a generator, and each process has its own list
+_SPARE_GENERATORS: list[np.random.Generator] = []
 
 
 @dataclass(frozen=True)
@@ -142,15 +147,21 @@ def run(cfg: RunConfig, run_index: int) -> RunResult:
     proposals were exhausted.
     """
     fit, init, ell = cfg.fitness, cfg.init, cfg.mutation.ell
-    rng = RngStream(cfg.cell_seed, run_index).generator()
-    # nothing has drawn from the new stream, so no half word is buffered.
+    stream = RngStream(cfg.cell_seed, run_index)
+    try:
+        bare = _SPARE_GENERATORS.pop()
+    except IndexError:
+        bare = stream.generator()
+    else:
+        stream.reset(bare)
+    # nothing has drawn from the stream, so no half word is buffered.
     # Flip sets are read from raw words, which needs to know that from here
     # on; single flips are drawn 256 or more at a time, where raw words
     # gain nothing, so only the start draw is told
     if ell > 1:
-        rng, fresh = Draws(rng, buffered=False), False
+        rng, fresh = Draws(bare, buffered=False), False
     else:
-        fresh = True
+        rng, fresh = bare, True
     if fit.level_symmetric:
         # the level engine's state is the ones count: a fixed count draws nothing
         fixed = isinstance(init, FixedOnes)
@@ -162,6 +173,8 @@ def run(cfg: RunConfig, run_index: int) -> RunResult:
     record = cfg.record_trajectory or cfg.record_restart_stats
     traj: Optional[list[int]] = [init_ones] if record else None
     runtime = engine(fit, ell, state, rng, cfg.max_iters, traj)
+    # only a run that returns puts its generator back; one that raised drops it
+    _SPARE_GENERATORS.append(bare)
     return RunResult(
         runtime=runtime,
         init_ones=init_ones,
@@ -177,8 +190,8 @@ def _batch_sizes(first, largest, cap):
 
     The first batch has ``first`` proposals and each later one twice as
     many, up to ``largest``; the last stops at ``cap``.  Short runs thus
-    overdraw little, and overdrawing is safe: every run owns its
-    generator and nothing draws from it after its engine returns.
+    overdraw little, and overdrawing is safe: a run holds its generator
+    alone, and the next run to take it resets it to its own stream.
     """
     size, t = first, 0
     while t < cap:

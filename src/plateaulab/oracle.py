@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import theory
-from .core import FixedOnes, InitDistribution, Uniform
+from .core import BitString, FixedOnes, InitDistribution, Point, Uniform, UniformNonOptimal
 from .core import hypergeom_pmf, overlap_support
 
 # band entries (n + 1)(2 ell + 1) of the largest kernel rlsl_kernel builds:
@@ -26,7 +26,7 @@ _RESIDUAL_TOL = 1e-9
 # entries left to right, so both loops give the same bits there
 _LIST_WIDTH = 7
 _LIST_BLOCK = 4096
-# transient rows kernel_hitting_times sets up at a time
+# transient rows rlsl_kernel and kernel_hitting_times set up at a time
 _SETUP_ROWS = 1024
 
 
@@ -198,24 +198,30 @@ def rlsl_kernel(
     band = np.zeros((n + 1, 2 * ell + 1))
     # the absorbing rows' unit self-loops; transient diagonals follow below
     band[:, ell] = 1.0
-    # overlaps[i, a]: probability that the flip hits a ones of level trans[i]
-    overlaps = np.zeros((len(trans), ell + 1))
-    for i, j in enumerate(trans):
-        lo = overlap_support(n, j, ell).start
-        row = hypergeom_pmf(n, j, ell)
-        overlaps[i, lo : lo + len(row)] = row
-    # overlap a moves level j to j + ell - 2a, band column 2 (ell - a), so
-    # the even columns reversed follow a.  Off the support the probability
-    # is 0, and the value read at the level clipped into range does not matter
-    levels, at = np.array(values), np.array(trans, dtype=np.intp)
-    reached = np.clip(at[:, None] + np.arange(ell, -ell - 1, -2), 0, n)
-    moved = levels[reached] >= levels[at, None]
-    if ell % 2 == 0:
-        moved[:, ell // 2] = False  # a = ell/2 keeps the level
-    band[at, ::2] = np.where(moved, overlaps, 0.0)[:, ::-1]
-    # the diagonal adds the rejected and kept mass in overlap order, as a
-    # row-by-row fold does; the zeros in between change no bit
-    band[at, ell] = np.add.accumulate(np.where(moved, 0.0, overlaps), axis=1)[:, -1]
+    levels = np.array(values)
+    shifts = np.arange(ell, -ell - 1, -2)
+    # _SETUP_ROWS transient levels at a time, so that no array but the band
+    # grows with n
+    for start in range(0, len(trans), _SETUP_ROWS):
+        block = trans[start : start + _SETUP_ROWS]
+        # overlaps[i, a]: probability that the flip hits a ones of level block[i]
+        overlaps = np.zeros((len(block), ell + 1))
+        for i, j in enumerate(block):
+            lo = overlap_support(n, j, ell).start
+            row = hypergeom_pmf(n, j, ell)
+            overlaps[i, lo : lo + len(row)] = row
+        # overlap a moves level j to j + ell - 2a, band column 2 (ell - a), so
+        # the even columns reversed follow a.  Off the support the probability
+        # is 0, and the value read at the level clipped into range does not matter
+        at = np.array(block, dtype=np.intp)
+        reached = np.clip(at[:, None] + shifts, 0, n)
+        moved = levels[reached] >= levels[at, None]
+        if ell % 2 == 0:
+            moved[:, ell // 2] = False  # a = ell/2 keeps the level
+        band[at, ::2] = np.where(moved, overlaps, 0.0)[:, ::-1]
+        # the diagonal adds the rejected and kept mass in overlap order, as a
+        # row-by-row fold does; the zeros in between change no bit
+        band[at, ell] = np.add.accumulate(np.where(moved, 0.0, overlaps), axis=1)[:, -1]
     return KernelChain.from_band(band, absorbing)
 
 
@@ -516,14 +522,20 @@ def expected_under_init(
     """Average a per-ones-count expectation over an initialization distribution.
 
     Uniform uses binomial weights computed in log space; their sum is 1 to
-    within 1e-12.
+    within 1e-12.  UniformNonOptimal renormalises them over the levels its
+    objective does not maximise, and Point takes its string's ones count.
     """
     levels = np.asarray(hitting_by_level, dtype=float)
     if levels.shape != (n + 1,):
         raise ValueError(f"expected one value per level 0..{n}")
     if isinstance(init, FixedOnes):
         return float(levels[init.checked(n)])
-    if isinstance(init, Uniform):
+    if isinstance(init, Point):
+        x = BitString.from01(init.bits)
+        if x.n != n:
+            raise ValueError(f"point has length {x.n}, expected {n}")
+        return float(levels[x.ones])
+    if isinstance(init, (Uniform, UniformNonOptimal)):
         log_half = n * math.log(2.0)
         # lg[i] = lgamma(i + 1), so each weight is exp(log C(n, j) - log_half)
         # with log C(n, j) = lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1)
@@ -532,6 +544,15 @@ def expected_under_init(
         weights = np.array(
             [math.exp(top - lg[j] - lg[n - j] - log_half) for j in range(n + 1)]
         )
+        if isinstance(init, UniformNonOptimal):
+            fit = init.fitness
+            if fit.n != n:
+                raise ValueError(f"the init's objective has length {fit.n}, expected {n}")
+            weights[fit.optimal_levels] = 0.0
+            total = weights.sum()
+            if total == 0.0:
+                raise ValueError("every level is optimal: no non-optimal start exists")
+            weights /= total
         mask = weights > 0.0
         if np.any(~np.isfinite(levels[mask])):
             return math.inf

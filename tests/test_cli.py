@@ -84,6 +84,36 @@ class TestExact:
         assert float(row["expected"]) > 0
         assert float(row["expected_uniform"]) > 0
 
+    @pytest.mark.parametrize("ell", ["1", "3"])
+    def test_nonoptimal_and_point_starts(self, capsys, ell):
+        base = ("exact", "--n", "20", "--r", "2", "--ell", ell)
+        code, out, _ = run_cli(capsys, *base, "--init", "ones=11")
+        assert code == EXIT_OK
+        (fixed,) = parse_csv(out)
+        code, out, _ = run_cli(capsys, *base, "--init", "point=" + "01" * 5 + "1" * 6 + "0" * 4)
+        assert code == EXIT_OK
+        (point,) = parse_csv(out)
+        assert point["expected"] == fixed["expected"]
+        code, out, _ = run_cli(capsys, *base, "--init", "uniform-nonopt")
+        assert code == EXIT_OK
+        (nonopt,) = parse_csv(out)
+        # optimal starts take 0 steps, so excluding them raises the mean
+        assert float(nonopt["expected"]) > float(nonopt["expected_uniform"]) > 0
+
+    @pytest.mark.parametrize(
+        "function,r,init,message",
+        [
+            ("majority", "2", "point=0101", "point has length 4"),
+            ("plateau", "0", "uniform-nonopt", "every level is optimal"),
+        ],
+    )
+    def test_unusable_starts_exit_2(self, capsys, function, r, init, message):
+        code, _, err = run_cli(
+            capsys, "exact", "--function", function, "--n", "20", "--r", r, "--init", init
+        )
+        assert code == EXIT_USAGE
+        assert message in err
+
     def test_constant_plateau_r0(self, capsys):
         code, out, _ = run_cli(
             capsys, "exact", "--function", "plateau", "--n", "8", "--r", "0"

@@ -227,6 +227,52 @@ class TestRngStream:
             assert np.array_equal(draw(ours), draw(ref))
 
 
+# ways to leave a generator somewhere other than the start of a stream
+DIRTY = {
+    # an odd count of 32-bit draws buffers the high half of a word
+    "half_word": lambda g: g.integers(0, 1000, size=37),
+    # one 64-bit draw leaves three words of Philox's 4-word buffer unread
+    "part_buffer": lambda g: g.random(1),
+    "counter": lambda g: g.bit_generator.advance(10**6),
+    "all_three": lambda g: (g.bit_generator.advance(99), g.random(2), g.integers(0, 7, size=3)),
+    "untouched": lambda g: None,
+}
+
+
+class TestRngStreamReset:
+    @pytest.mark.parametrize("dirty", sorted(DIRTY))
+    @pytest.mark.parametrize(
+        "seed,stream", [(0, 0), (2**64 - 1, 2**64 - 1), (5, 17), (123, 5)]
+    )
+    def test_reset_replays_a_new_generator(self, dirty, seed, stream):
+        # the used generator had another key, or (123, 5) this one
+        used = rng_for(123, 5)
+        DIRTY[dirty](used)
+        target = RngStream(seed, stream)
+        target.reset(used)
+        fresh = target.generator()
+        assert philox_state(used) == philox_state(fresh)
+        # raw 32-bit draws first: Lemire's rule would reject a stale zero
+        # half word at most bounds, and hide it
+        draws = (
+            lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+            lambda g: g.integers(0, 1000, size=37),
+            lambda g: g.bit_generator.random_raw(5),
+            lambda g: g.integers(0, 2**63, size=9),
+            lambda g: g.random(5),
+            lambda g: g.integers(0, 10, size=1),
+        )
+        for draw in draws:
+            assert np.array_equal(draw(used), draw(fresh))
+
+    def test_generator_is_new_on_every_call(self):
+        stream = RngStream(3, 4)
+        a, b = stream.generator(), stream.generator()
+        assert a is not b and a.bit_generator is not b.bit_generator
+        a.random(3)
+        assert philox_state(b) == philox_state(stream.generator())
+
+
 class TestSubsetSampling:
     def test_forced_single(self):
         rng = rng_for(1)

@@ -1,16 +1,20 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plateaulab import ea
 from plateaulab.core import (
     BitString,
     FixedOnes,
     Point,
     RngStream,
     Uniform,
+    UniformNonOptimal,
     flip_bits,
     sample_bitstring,
     sample_uniform_subset,
@@ -491,6 +495,125 @@ class TestBlockedEngine:
         cfg = RunConfig(BLOCKED["onemax-k7-20"], RlsMutation(2), Uniform(), 7,
                         max_iters=37, record_trajectory=True)
         assert run(cfg, 0).censored and reference_run(cfg, 0)[0] is None
+
+
+def outcome(res):
+    traj = None if res.trajectory is None else res.trajectory.tolist()
+    return res.runtime, res.init_ones, traj, res.restart
+
+
+# one cell per engine path; a run of each draws its start, its flips, or both
+REUSE_CELLS = {
+    "level-ell1": RunConfig(MajorityFitness(40, 4), RlsMutation(1), Uniform(), 3),
+    "level-ell3": RunConfig(PlateauFitness(40, 5), RlsMutation(3), Uniform(), 3),
+    # an odd ones=11 start leaves a half word buffered before the flips
+    "level-ell5-ones": RunConfig(MajorityFitness(40, 4), RlsMutation(5), FixedOnes(11), 3),
+    "level-ell30": RunConfig(MajorityFitness(40, 4), RlsMutation(30), Uniform(), 3),
+    # runs cut at an odd count of 32-bit draws, which leave a half word
+    # buffered for the next run on their generator.  n is a power of two,
+    # so Lemire's rule rejects no draw, not even a stale zero half word
+    "level-ell1-cap37": RunConfig(
+        MajorityFitness(128, 10), RlsMutation(1), Uniform(), 3, max_iters=37,
+        record_trajectory=True,
+    ),
+    "level-ell3-cap37": RunConfig(
+        MajorityFitness(128, 10), RlsMutation(3), Uniform(), 3, max_iters=37,
+        record_trajectory=True,
+    ),
+    "blocked-ell1": RunConfig(NeutralityFitness(OneMax(6), 4), RlsMutation(1), Uniform(), 3),
+    "blocked-ell3": RunConfig(
+        NeutralityFitness(OneMax(6), 4), RlsMutation(3), Uniform(), 3, max_iters=2000
+    ),
+    "nonopt-ell2": RunConfig(
+        PlateauFitness(14, 3), RlsMutation(2), UniformNonOptimal(PlateauFitness(14, 3)), 3
+    ),
+    "trajectory-ell1": RunConfig(
+        MajorityFitness(30, 3), RlsMutation(1), Uniform(), 3, record_trajectory=True
+    ),
+    "trajectory-ell2": RunConfig(
+        MajorityFitness(30, 3), RlsMutation(2), Uniform(), 3, record_trajectory=True
+    ),
+    "restarts": RunConfig(
+        MajorityFitness(20, 2), RlsMutation(1), Uniform(), 3, record_restart_stats=True
+    ),
+}
+REUSE_RUNS = 6
+
+
+def built_outcomes(cfg, runs=REUSE_RUNS):
+    """Each run's outcome on a generator built for it, none reused."""
+    out = []
+    for i in range(runs):
+        ea._SPARE_GENERATORS.clear()
+        out.append(outcome(run(cfg, i)))
+    return out
+
+
+class TestGeneratorReuse:
+    """A run draws what its own stream gives, whatever ran on its
+    generator before."""
+
+    @pytest.fixture(autouse=True)
+    def spare(self, monkeypatch):
+        spare = []
+        monkeypatch.setattr(ea, "_SPARE_GENERATORS", spare)
+        return spare
+
+    @pytest.mark.parametrize("name", sorted(REUSE_CELLS))
+    def test_any_cell_order(self, name, spare):
+        names = sorted(REUSE_CELLS)
+        other = names[(names.index(name) + 1) % len(names)]
+        a, b = REUSE_CELLS[name], REUSE_CELLS[other]
+        want_a, want_b = built_outcomes(a), built_outcomes(b)
+        for cfg, want in ((a, want_a), (b, want_b), (a, want_a)):
+            assert [outcome(run(cfg, i)) for i in range(REUSE_RUNS)] == want
+            # every run after the first reset the one generator
+            assert len(spare) == 1
+        # runs in reverse order, one per cell in turn
+        for i in reversed(range(REUSE_RUNS)):
+            assert outcome(run(b, i)) == want_b[i]
+            assert outcome(run(a, i)) == want_a[i]
+
+    @pytest.mark.parametrize("engine", ["_run_level", "_run_blocked"])
+    @pytest.mark.parametrize("ell", [1, 3])
+    def test_runs_after_one_that_raised(self, engine, ell, spare, monkeypatch):
+        fit = MajorityFitness(40, 4) if engine == "_run_level" else NeutralityFitness(OneMax(6), 4)
+        cfg = RunConfig(fit, RlsMutation(ell), Uniform(), 5, max_iters=5000)
+        want = built_outcomes(cfg)
+        real = getattr(ea, engine)
+
+        def raising(fit, ell, state, rng, cap, traj):
+            real(fit, ell, state, rng, 300, traj)  # draws, then fails
+            raise RuntimeError("engine failed")
+
+        assert outcome(run(cfg, 0)) == want[0]
+        spare.append(RngStream(1, 1).generator())  # a second spare generator
+        monkeypatch.setattr(ea, engine, raising)
+        with pytest.raises(RuntimeError, match="engine failed"):
+            run(cfg, 1)
+        monkeypatch.setattr(ea, engine, real)
+        assert len(spare) == 1
+        assert [outcome(run(cfg, i)) for i in range(REUSE_RUNS)] == want
+
+    def test_threads_match_serial(self, spare):
+        cells = [REUSE_CELLS[name] for name in sorted(REUSE_CELLS)]
+        want = [built_outcomes(cfg) for cfg in cells]
+
+        def runs(cfg):
+            return [outcome(run(cfg, i)) for i in range(REUSE_RUNS)]
+
+        interval = sys.getswitchinterval()
+        # more threads than cores, switching often, so that runs interleave
+        # mid-engine
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(runs, cells + cells[::-1], timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want + want[::-1]
+        # no more generators than runs held at once
+        assert 1 <= len(spare) <= 4
 
 
 class TestLevelProcess:

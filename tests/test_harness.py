@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plateaulab import harness, oracle
-from plateaulab.core import FixedOnes, Point, Uniform
+from plateaulab.core import FixedOnes, Point, Uniform, UniformNonOptimal
 from plateaulab.ea import RlsMutation, RunConfig
 from plateaulab.harness import (
     CellResult,
@@ -24,7 +24,7 @@ from plateaulab.harness import (
     trajectory_capture,
     write_csv,
 )
-from plateaulab.fitness import MajorityFitness, NeutralityFitness, OneMax
+from plateaulab.fitness import MajorityFitness, NeutralityFitness, OneMax, make_fitness
 
 
 def small_spec(**overrides):
@@ -114,6 +114,24 @@ class TestSweep:
             if abs(row.stats.mean - exact) <= 3 * row.stats.stderr:
                 hits += 1
         assert hits >= 9
+
+
+    @pytest.mark.parametrize("function,r,ell", [("plateau", 3, 1), ("majority", 2, 3)])
+    def test_nonoptimal_start_cell_matches_oracle(self, function, r, ell):
+        # the sweep's rejection-sampled starts against the binomial weights
+        # renormalised over the non-optimal levels
+        n = 20
+        fit = make_fitness(function, n, r=r)
+        if ell == 1:
+            levels = (oracle.plateau_hitting_by_level if function == "plateau"
+                      else oracle.majority_hitting_by_level)(n, r)
+        else:
+            levels = oracle.kernel_hitting_times(oracle.rlsl_kernel(n, ell, fit.level_value))
+        exact = oracle.expected_under_init(levels, n, UniformNonOptimal(fit))
+        (row,) = sweep(small_spec(function=function, r=r, ell_values=(ell,), runs=2000,
+                                  init="uniform-nonopt", master_seed=17))
+        assert row.stats.censored == 0
+        assert abs(row.stats.mean - exact) <= 3 * row.stats.stderr
 
 
 class TestRestartExperiment:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plateaulab import oracle, theory
-from plateaulab.core import FixedOnes, Uniform
+from plateaulab.core import FixedOnes, Point, Uniform, UniformNonOptimal
 from plateaulab.fitness import MajorityFitness, OneMax, PlateauFitness, make_fitness
 from plateaulab.oracle import (
     BAND_LIMIT,
@@ -439,6 +439,31 @@ class TestBandedKernel:
             tracemalloc.stop()
         assert peak <= 2.5 * chain.band.nbytes
 
+    @pytest.mark.parametrize("n,ell", [(64, 3), (256, 10), (300, 2)])
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    def test_kernel_blocks_bit_identical_to_one_block(self, n, ell, rows, monkeypatch):
+        rng = random.Random(n)
+        bumpy = [rng.choice((-1, 0, 1, 2, 2.5)) for _ in range(n + 1)]
+        fits = [MajorityFitness(n, 4).level_value, PlateauFitness(n, 6).level_value,
+                bumpy.__getitem__]
+        monkeypatch.setattr(oracle, "_SETUP_ROWS", n + 1)
+        whole = [rlsl_kernel(n, ell, fit).band for fit in fits]
+        monkeypatch.setattr(oracle, "_SETUP_ROWS", rows)
+        for fit, band in zip(fits, whole):
+            assert rlsl_kernel(n, ell, fit).band.tobytes() == band.tobytes()
+
+    def test_kernel_build_peak_is_near_its_band(self):
+        # the build's transients are _SETUP_ROWS rows each; set up over
+        # every level at once, the peak was 2.3 times the band
+        fit = MajorityFitness(4096, 40).level_value
+        tracemalloc.start()
+        try:
+            kernel = rlsl_kernel(4096, 20, fit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * kernel.band.nbytes
+
     def test_band_validation_rules(self):
         with pytest.raises(ValueError, match="sum to 1"):
             KernelChain.from_band(np.array([[0.0, 0.5, 0.4], [0.0, 1.0, 0.0]]), frozenset())
@@ -623,6 +648,39 @@ class TestExpectedUnderInit:
         mask = weights > 0.0
         expected = float(np.dot(weights[mask], levels[mask]))
         assert expected_under_init(levels, n, Uniform()) == expected
+
+    def test_point_takes_its_ones_count(self):
+        levels = majority_hitting_by_level(10, 2)
+        assert expected_under_init(levels, 10, Point("0110100001")) == levels[4]
+        with pytest.raises(ValueError, match="length 9"):
+            expected_under_init(levels, 10, Point("011010000"))
+
+    @pytest.mark.parametrize("fit", [MajorityFitness(20, 2), PlateauFitness(30, 4)])
+    def test_nonoptimal_renormalises_over_nonoptimal_levels(self, fit):
+        n = fit.n
+        levels = np.sqrt(np.arange(n + 1, dtype=float)) + 1.0
+        weights = np.array(
+            [0.0 if opt else math.comb(n, j) for j, opt in enumerate(fit.optimal_levels)]
+        )
+        expected = float(np.dot(weights / weights.sum(), levels))
+        got = expected_under_init(levels, n, UniformNonOptimal(fit))
+        assert got == pytest.approx(expected, rel=1e-13)
+
+    def test_nonoptimal_averages_the_uniform_value_over_nonoptimal_mass(self):
+        # optimal levels take 0 steps, so the uniform expectation is the
+        # non-optimal one times the non-optimal mass
+        fit = MajorityFitness(40, 3)
+        levels = majority_hitting_by_level(40, 3)
+        mass = sum(math.comb(40, j) for j in range(40 + 1) if not fit.optimal_levels[j]) / 2**40
+        nonopt = expected_under_init(levels, 40, UniformNonOptimal(fit))
+        uniform = expected_under_init(levels, 40, Uniform())
+        assert nonopt * mass == pytest.approx(uniform, rel=1e-12)
+
+    def test_nonoptimal_needs_a_nonoptimal_level_of_the_same_length(self):
+        with pytest.raises(ValueError, match="every level is optimal"):
+            expected_under_init(np.zeros(9), 8, UniformNonOptimal(PlateauFitness(8, 0)))
+        with pytest.raises(ValueError, match="length 10"):
+            expected_under_init(np.ones(13), 12, UniformNonOptimal(MajorityFitness(10, 2)))
 
     def test_binomial_weights_normalized(self):
         for n in (10, 100, 300):
