@@ -11,10 +11,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 _U64_MASK = (1 << 64) - 1
-# the Philox counter every stream starts from; Philox copies it, so one
-# read-only array serves them all
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
-_ZERO_COUNTER.flags.writeable = False
 # a zero counter or buffer as RngStream.reset hands it to the Philox state
 # setter, which reads each entry: a tuple of ints costs it about 1 us less
 # than an array
@@ -141,20 +137,21 @@ class RngStream:
             )
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-        # an explicit zero counter is the default one without numpy's
-        # Python-level conversion of counter=None (about 2 us a stream)
-        return np.random.Generator(
-            np.random.Philox(_key_seed_type()(key), counter=_ZERO_COUNTER)
-        )
+        """A new generator at the start of this stream."""
+        # the seed is a placeholder, since reset sets the whole state; unlike
+        # Philox(key=...), Philox(0) first reads no OS entropy
+        rng = np.random.Generator(np.random.Philox(0))
+        self.reset(rng)
+        return rng
 
     def reset(self, rng: np.random.Generator) -> None:
-        """Put ``rng``, a generator some ``generator()`` call made, at the
-        start of this stream: it then draws what ``generator()`` would.
+        """Put ``rng``, a Philox generator, at the start of this stream: it
+        then draws what ``Generator(Philox(key=[master_seed,
+        stream_index]))`` draws.
 
         This sets the whole Philox state as a new one holds it: a zero
         counter, this stream's key, an empty buffer and no buffered half
-        word.  That costs about a quarter of building a new generator.
+        word.  That costs about a tenth of building a new generator.
         """
         rng.bit_generator.state = {
             "bit_generator": "Philox",
@@ -166,46 +163,17 @@ class RngStream:
         }
 
 
-@functools.cache
-def _key_seed_type() -> type:
-    """A seed-sequence type whose state is a given Philox key.
-
-    ``Philox(key=k)`` first builds a ``SeedSequence`` from OS entropy,
-    which the key then overrides; seeded with an instance of this type,
-    Philox reads ``k`` from ``generate_state(2, uint64)`` and returns the
-    same stream as ``Philox(key=k)`` without touching the entropy source.
-    The type is built on first use: its base class imports
-    ``numpy.random``, which commands that draw nothing need not load.
-    """
-
-    class PhiloxKey(np.random.bit_generator.ISeedSequence):
-        __slots__ = ("key",)
-
-        def __init__(self, key: np.ndarray):
-            self.key = key
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != len(self.key) or np.dtype(dtype) != self.key.dtype:
-                raise ValueError(
-                    f"a Philox key holds {len(self.key)} {self.key.dtype} words, "
-                    f"not {n_words} {np.dtype(dtype)} words"
-                )
-            return self.key
-
-    return PhiloxKey
-
-
 class Draws:
     """A generator whose bounded draws are read from raw Philox words.
 
     ``Generator.integers(lo, n)`` below 2**32 makes each value from 32-bit
     draws by Lemire's rule, and ``rows`` returns what it returns, and
     leaves the stream as it leaves it, but reads whole words with
-    ``random_raw`` (see ``_next_u32``) and applies the rule to them in
-    numpy.  For that it must know whether a half word is buffered;
-    ``buffered`` records it (None while unknown), so once this object is
-    made every draw from ``rng`` goes through it.  Any other bit
-    generator, or a big-endian host, draws through ``integers``.
+    ``random_raw`` (see ``u32``) and applies the rule to them in numpy.
+    For that it must know whether a half word is buffered; ``buffered``
+    records it (None while unknown), so once this object is made every
+    draw from ``rng`` goes through it, or sets ``buffered`` to None.  Any
+    other bit generator, or a big-endian host, draws through ``integers``.
     """
 
     __slots__ = ("rng", "buffered", "_raw")
@@ -264,8 +232,39 @@ class Draws:
             spare = pool[stop + 1 :]
 
     def u32(self, count: int) -> np.ndarray:
-        """The next ``count`` 32-bit draws, as ``_next_u32`` reads them."""
-        u, self.buffered = _next_u32(self.rng, self._raw, self.buffered, count)
+        """The next ``count`` 32-bit draws ``next_uint32`` would return.
+
+        Philox serves a 32-bit draw from the low half of a 64-bit stream
+        word first and keeps the high half buffered in its state for the
+        next one.  Whole words come from ``random_raw``.  A buffered half
+        word comes first, and an odd last draw leaves the high half of its
+        word buffered; both are drawn through numpy, which keeps the
+        buffer.  While ``buffered`` is None it is learnt from a read of
+        ``state`` (about 3.5 us: a dict of three new arrays).  Without a
+        raw reader every draw goes through numpy.
+        """
+        rng, raw = self.rng, self._raw
+        if raw is None:
+            self.buffered = None
+            return rng.integers(0, 2**32, size=count, dtype=np.uint32)
+        buffered = self.buffered
+        if buffered is None:
+            buffered = bool(rng.bit_generator.state["has_uint32"])
+        if not buffered and not count & 1:
+            self.buffered = False
+            return raw(count >> 1).view(_U32)
+        u = np.empty(count, dtype=_U32)
+        head = 0
+        if buffered and count:
+            # integers(2**32) is one 32-bit draw
+            u[0] = rng.integers(2**32)
+            head, buffered = 1, False
+        words = (count - head) >> 1
+        u[head : head + 2 * words] = raw(words).view(_U32)
+        if (count - head) & 1:
+            u[-1] = rng.integers(2**32)
+            buffered = True
+        self.buffered = buffered
         return u
 
 
@@ -278,41 +277,6 @@ def _raw_reader(rng: np.random.Generator):
     if isinstance(bit_gen, np.random.Philox) and sys.byteorder == "little":
         return bit_gen.random_raw
     return None
-
-
-def _next_u32(
-    rng, raw, buffered: Optional[bool], count: int
-) -> tuple[np.ndarray, Optional[bool]]:
-    """The next ``count`` 32-bit draws ``next_uint32`` would return from
-    ``rng``, and whether a half word is buffered after them.
-
-    Philox serves a 32-bit draw from the low half of a 64-bit stream word
-    first and keeps the high half buffered in its state for the next one.
-    Whole words come from ``raw``, ``rng``'s ``_raw_reader``.  A buffered
-    half word comes first, and an odd last draw leaves the high half of
-    its word buffered; both are drawn through numpy, which keeps the
-    buffer.  ``buffered`` is None while unknown, and is then learnt from a
-    read of ``state`` (about 3.5 us: a dict of three new arrays).  Without
-    ``raw`` every draw goes through numpy.
-    """
-    if raw is None:
-        return rng.integers(0, 2**32, size=count, dtype=np.uint32), None
-    if buffered is None:
-        buffered = bool(rng.bit_generator.state["has_uint32"])
-    if not buffered and not count & 1:
-        return raw(count >> 1).view(_U32), False
-    u = np.empty(count, dtype=_U32)
-    head = 0
-    if buffered and count:
-        # integers(2**32) is one 32-bit draw
-        u[0] = rng.integers(2**32)
-        head, buffered = 1, False
-    words = (count - head) >> 1
-    u[head : head + 2 * words] = raw(words).view(_U32)
-    if (count - head) & 1:
-        u[-1] = rng.integers(2**32)
-        buffered = True
-    return u, buffered
 
 
 @functools.lru_cache(maxsize=64)
@@ -496,19 +460,11 @@ class UniformNonOptimal(InitDistribution):
 
 
 def sample_bitstring(
-    n: int, dist: InitDistribution, rng: np.random.Generator | Draws, *, fresh: bool = False
+    n: int, dist: InitDistribution, rng: np.random.Generator | Draws
 ) -> BitString:
-    """Draw one bitstring of length ``n`` from the given distribution.
-
-    ``fresh=True`` vouches that a bare generator ``rng`` holds no buffered
-    32-bit half word (see ``_next_u32``), as one nothing has drawn from
-    does; a uniform draw then need not read the bit generator's state to
-    learn it.  A ``Draws`` records that itself and takes no flag.
-    """
-    if fresh and isinstance(rng, Draws):
-        raise ValueError("a Draws records its buffered half word; fresh= is for a generator")
+    """Draw one bitstring of length ``n`` from the given distribution."""
     if isinstance(dist, Uniform):
-        return _sample_uniform(n, rng, fresh)
+        return _sample_uniform(n, rng)
     if isinstance(dist, FixedOnes):
         j = dist.checked(n)
         if j in (0, n):
@@ -525,7 +481,7 @@ def sample_bitstring(
         fit = dist.fitness
         for _ in range(_NONOPT_ATTEMPTS):
             # an even count of 32-bit draws leaves the half word as it was
-            x = _sample_uniform(n, rng, fresh)
+            x = _sample_uniform(n, rng)
             if fit.value(x) < fit.max_value:
                 return x
         raise RuntimeError(
@@ -535,19 +491,19 @@ def sample_bitstring(
     raise ValueError(f"unknown initialization distribution {dist!r}")
 
 
-def _sample_uniform(n: int, rng, fresh: bool) -> BitString:
+def _sample_uniform(n: int, rng) -> BitString:
     # the words ``rng.bytes(8 * n_words)`` draws, without its byte copies:
     # 2 * n_words 32-bit draws
     n_words = (n + 63) // 64
-    if isinstance(rng, Draws):
-        u = rng.u32(2 * n_words)
-    elif fresh and isinstance(rng.bit_generator, np.random.Philox):
-        # with no half word buffered they are the next n_words words, as
-        # _next_u32 reads them; reading them here saves a single-flip
-        # run's start about 0.5 us of calls and a view
-        u = rng.bit_generator.random_raw(n_words)
+    if not isinstance(rng, Draws):
+        rng = Draws(rng, buffered=None)
+    if rng.buffered is False and rng._raw is not None:
+        # with no half word buffered they are the next n_words raw words,
+        # as u32 reads them; reading them here saves a run's start the
+        # call and the view
+        u = rng._raw(n_words)
     else:
-        u, _ = _next_u32(rng, _raw_reader(rng), None, 2 * n_words)
+        u = rng.u32(2 * n_words)
     return BitString(n, int.from_bytes(u.tobytes(), "little") & ((1 << n) - 1))
 
 

@@ -39,11 +39,12 @@ _REJECTION_ROWS_FIRST = 16
 _SHUFFLE_ROWS_FIRST = 64
 _SUBSET_BUDGET = 8192
 _SHUFFLE_POSITIONS = _SHUFFLE_ROWS_FIRST * _SUBSET_BUDGET
-# generators no run holds, each left where its last run stopped.  A run
-# pops one and resets it to its own stream, for about a quarter of what
-# building one costs; list.pop and list.append are atomic, so concurrent
-# runs never share a generator, and each process has its own list
-_SPARE_GENERATORS: list[np.random.Generator] = []
+# generators no run holds, as Draws, each left where its last run
+# stopped.  A run pops one and resets it to its own stream, for about a
+# tenth of what building one costs; list.pop and list.append are atomic,
+# so concurrent runs never share a generator, and each process has its
+# own list
+_SPARE_GENERATORS: list[Draws] = []
 
 
 @dataclass(frozen=True)
@@ -149,32 +150,26 @@ def run(cfg: RunConfig, run_index: int) -> RunResult:
     fit, init, ell = cfg.fitness, cfg.init, cfg.mutation.ell
     stream = RngStream(cfg.cell_seed, run_index)
     try:
-        bare = _SPARE_GENERATORS.pop()
+        draws = _SPARE_GENERATORS.pop()
     except IndexError:
-        bare = stream.generator()
+        draws = Draws(stream.generator(), buffered=False)
     else:
-        stream.reset(bare)
-    # nothing has drawn from the stream, so no half word is buffered.
-    # Flip sets are read from raw words, which needs to know that from here
-    # on; single flips are drawn 256 or more at a time, where raw words
-    # gain nothing, so only the start draw is told
-    if ell > 1:
-        rng, fresh = Draws(bare, buffered=False), False
-    else:
-        rng, fresh = bare, True
+        stream.reset(draws.rng)
+        # a reset leaves no half word buffered
+        draws.buffered = False
     if fit.level_symmetric:
         # the level engine's state is the ones count: a fixed count draws nothing
         fixed = isinstance(init, FixedOnes)
-        state = init.ones if fixed else sample_bitstring(fit.n, init, rng, fresh=fresh).ones
+        state = init.ones if fixed else sample_bitstring(fit.n, init, draws).ones
         init_ones, engine = state, _run_level
     else:
-        state = sample_bitstring(fit.n, init, rng, fresh=fresh)
+        state = sample_bitstring(fit.n, init, draws)
         init_ones, engine = state.ones, _run_blocked
     record = cfg.record_trajectory or cfg.record_restart_stats
     traj: Optional[list[int]] = [init_ones] if record else None
-    runtime = engine(fit, ell, state, rng, cfg.max_iters, traj)
+    runtime = engine(fit, ell, state, draws, cfg.max_iters, traj)
     # only a run that returns puts its generator back; one that raised drops it
-    _SPARE_GENERATORS.append(bare)
+    _SPARE_GENERATORS.append(draws)
     return RunResult(
         runtime=runtime,
         init_ones=init_ones,
@@ -214,19 +209,22 @@ def _subset_batches(n, ell, rng, cap):
         yield sample_uniform_subset(n, ell, rng, size=k)
 
 
-def _index_batches(n, rng, cap):
+def _index_batches(n, draws, cap):
     """Single-flip positions for up to ``cap`` proposals, as lists.
 
     ``integers(0, n)`` consumes the stream draw by draw (below 2**32
     through a 32-bit buffer kept in the bit generator's state), so the
     batches replay exactly the indices one call of their total size
-    would return.
+    would return.  Drawn 256 or more at a time, raw words gain nothing
+    over it, and numpy keeps the half word in the state from here on.
     """
+    draws.buffered = None
+    integers = draws.rng.integers
     for k in _batch_sizes(_BATCH_FIRST, _BATCH, cap):
-        yield rng.integers(0, n, size=k).tolist()
+        yield integers(0, n, size=k).tolist()
 
 
-def _run_level(fit, ell, ones, rng, cap, traj):
+def _run_level(fit, ell, ones, draws, cap, traj):
     """Engine for objectives of the ones count: the state is the ones count.
 
     The positions of a flip set are uniform and independent of the
@@ -249,7 +247,7 @@ def _run_level(fit, ell, ones, rng, cap, traj):
         # no proposal counts itself: a hit at index p of a batch leaves
         # len(batch) - p - 1 entries in its list iterator, and each batch
         # run through adds its length to the count once
-        for batch in _index_batches(n, rng, cap):
+        for batch in _index_batches(n, draws, cap):
             it = iter(batch)
             if append is None:
                 for i in it:
@@ -272,7 +270,7 @@ def _run_level(fit, ell, ones, rng, cap, traj):
     m = min(ell, n - ell)
     sign = 1 if m == ell else -1
     batches = (
-        (np.sort(b, axis=1).tolist() for b in _subset_batches(n, m, rng, cap))
+        (np.sort(b, axis=1).tolist() for b in _subset_batches(n, m, draws, cap))
         if m
         else [repeat((), cap)]
     )
@@ -291,7 +289,7 @@ def _run_level(fit, ell, ones, rng, cap, traj):
     return None
 
 
-def _run_blocked(fit, ell, x0, rng, cap, traj):
+def _run_blocked(fit, ell, x0, draws, cap, traj):
     """Engine for blocked objectives: the state is the bits, the ones
     counts of the scored blocks and their vote mask.
 
@@ -326,7 +324,7 @@ def _run_blocked(fit, ell, x0, rng, cap, traj):
         # only a vote change can reach the maximum.  As in the level engine,
         # a hit's index is read off its batch's list iterator
         crossing = 2 * thr - 1
-        for batch in _index_batches(n, rng, cap):
+        for batch in _index_batches(n, draws, cap):
             it = iter(batch)
             if append is None:
                 for i in it:
@@ -371,7 +369,7 @@ def _run_blocked(fit, ell, x0, rng, cap, traj):
                     append(ones)
             t += len(batch)
         return None
-    for batch in _subset_batches(n, ell, rng, cap):
+    for batch in _subset_batches(n, ell, draws, cap):
         for row in batch.tolist():
             t += 1
             new: dict[int, int] = {}

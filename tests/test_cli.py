@@ -493,6 +493,24 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
 
+    def test_cli_import_loads_numpy_random_only_as_numpy_does(self):
+        # numpy.random loads on a command's first draw, not on import: a
+        # command that draws nothing does not pay for it.  The reference is
+        # what importing numpy alone loads, which differs across releases
+        code = (
+            "import sys; import {}; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+        )
+        loaded = []
+        for module in ("numpy", "plateaulab.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code.format(module)],
+                capture_output=True, text=True, timeout=60, env=child_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            loaded.append(proc.stdout.strip())
+        assert loaded[1] == loaded[0]
+
 
 class TestHelpGolden:
     @pytest.fixture(autouse=True)

@@ -248,9 +248,9 @@ class TestRngStreamReset:
         # the used generator had another key, or (123, 5) this one
         used = rng_for(123, 5)
         DIRTY[dirty](used)
-        target = RngStream(seed, stream)
-        target.reset(used)
-        fresh = target.generator()
+        RngStream(seed, stream).reset(used)
+        # generator() is itself a reset, so the reference is built by numpy
+        fresh = np.random.Generator(np.random.Philox(key=[seed, stream]))
         assert philox_state(used) == philox_state(fresh)
         # raw 32-bit draws first: Lemire's rule would reject a stale zero
         # half word at most bounds, and hide it
@@ -497,11 +497,6 @@ class TestRawDraws:
             assert u.tolist() == ref.integers(0, 2**32, size=count, dtype=np.uint32).tolist()
             check_draws_leave(draws, ref)
 
-    def test_a_draws_takes_no_fresh_flag(self):
-        # a Draws records the half word itself; a second word on it is refused
-        with pytest.raises(ValueError, match="fresh"):
-            sample_bitstring(70, Uniform(), Draws(rng_for(1), buffered=False), fresh=True)
-
     @pytest.mark.parametrize("bit_gen", [np.random.MT19937, np.random.PCG64, np.random.SFC64])
     def test_other_bit_generators_keep_integers(self, bit_gen):
         rng, ref = np.random.Generator(bit_gen(3)), np.random.Generator(bit_gen(3))
@@ -590,16 +585,18 @@ class TestSampleBitstring:
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
     def test_fresh_start_draws_the_32_bit_words(self, n):
-        # a stream nothing has drawn from holds no half word: the fresh
-        # flag skips the state read and must draw, and leave the stream,
-        # as the 32-bit draw does
+        # a stream nothing has drawn from holds no half word: a Draws that
+        # records so skips the state read and must draw, and leave the
+        # stream, as the 32-bit draw does
         ref_rng, rng = rng_for(22, n), rng_for(22, n)
         n_words = (n + 63) // 64
         words = ref_rng.integers(0, 2**32, size=2 * n_words, dtype=np.uint32).view(np.uint64)
         if n % 64:
             words[-1] &= np.uint64((1 << (n % 64)) - 1)
-        x = sample_bitstring(n, Uniform(), rng, fresh=True)
+        draws = Draws(rng, buffered=False)
+        x = sample_bitstring(n, Uniform(), draws)
         assert x.bits == int.from_bytes(words.tobytes(), "little")
+        assert draws.buffered is False
         assert philox_state(rng) == philox_state(ref_rng)
         assert rng.integers(2**63) == ref_rng.integers(2**63)
 
@@ -609,15 +606,19 @@ class TestSampleBitstring:
         for stream in range(20):
             ref_rng, rng = rng_for(23, stream), rng_for(23, stream)
             expected = sample_bitstring(4, UniformNonOptimal(fit), ref_rng)
-            assert sample_bitstring(4, UniformNonOptimal(fit), rng, fresh=True) == expected
+            draws = Draws(rng, buffered=False)
+            assert sample_bitstring(4, UniformNonOptimal(fit), draws) == expected
+            assert draws.buffered is False
             assert philox_state(rng) == philox_state(ref_rng)
 
     @pytest.mark.parametrize("bit_gen", [np.random.MT19937, np.random.PCG64, np.random.SFC64])
     def test_fresh_flag_keeps_the_32_bit_draw_off_philox(self, bit_gen):
+        # a Draws that records no buffered half word reads raw words only
+        # from Philox
         ref_rng, rng = np.random.Generator(bit_gen(24)), np.random.Generator(bit_gen(24))
         words = ref_rng.integers(0, 2**32, size=4, dtype=np.uint32).view(np.uint64)
         words[-1] &= np.uint64((1 << 2) - 1)
-        x = sample_bitstring(66, Uniform(), rng, fresh=True)
+        x = sample_bitstring(66, Uniform(), Draws(rng, buffered=False))
         assert x.bits == int.from_bytes(words.tobytes(), "little")
         assert rng.integers(2**63) == ref_rng.integers(2**63)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from plateaulab import ea
 from plateaulab.core import (
     BitString,
+    Draws,
     FixedOnes,
     Point,
     RngStream,
@@ -313,13 +314,18 @@ class TestIndexBatches:
         "cap", [1, 63, 64, 65, 191, 192, 193, 255, 256, 257, 767, 768, 769, 20_000]
     )
     def test_batches_double_up_to_cap(self, cap):
-        batches = list(_index_batches(100, RngStream(8).generator(), cap))
+        draws = Draws(RngStream(8).generator(), buffered=False)
+        batches = list(_index_batches(100, draws, cap))
         sizes = [len(b) for b in batches]
         assert sum(sizes) == cap
         full = [min(_BATCH_FIRST << i, _BATCH) for i in range(len(sizes))]
         assert sizes[:-1] == full[:-1] and sizes[-1] <= full[-1]
-        expected = RngStream(8).generator().integers(0, 100, size=cap).tolist()
+        ref = RngStream(8).generator()
+        expected = ref.integers(0, 100, size=cap).tolist()
         assert [i for b in batches for i in b] == expected
+        # an odd cap leaves a half word buffered, which the Draws must not
+        # take for a whole word
+        assert draws.u32(3).tolist() == ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
 
 
 LEVEL = {
@@ -568,7 +574,7 @@ class TestGeneratorReuse:
         for cfg, want in ((a, want_a), (b, want_b), (a, want_a)):
             assert [outcome(run(cfg, i)) for i in range(REUSE_RUNS)] == want
             # every run after the first reset the one generator
-            assert len(spare) == 1
+            assert len(spare) == 1 and isinstance(spare[0], Draws)
         # runs in reverse order, one per cell in turn
         for i in reversed(range(REUSE_RUNS)):
             assert outcome(run(b, i)) == want_b[i]
@@ -587,7 +593,11 @@ class TestGeneratorReuse:
             raise RuntimeError("engine failed")
 
         assert outcome(run(cfg, 0)) == want[0]
-        spare.append(RngStream(1, 1).generator())  # a second spare generator
+        # a second spare, left with a half word buffered
+        second = Draws(RngStream(1, 1).generator(), buffered=False)
+        second.u32(3)
+        assert second.buffered
+        spare.append(second)
         monkeypatch.setattr(ea, engine, raising)
         with pytest.raises(RuntimeError, match="engine failed"):
             run(cfg, 1)
