@@ -27,6 +27,13 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
 
 
+def _surplus(text: str) -> int | str:
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _emit(lines: Sequence[str], out: Optional[str]) -> None:
     text = "\n".join(lines) + "\n"
     if out:
@@ -155,16 +162,15 @@ def _merge_config(args) -> ExperimentSpec:
         if key in conf:
             try:
                 return convert(conf[key])
-            except argparse.ArgumentTypeError as exc:
+            except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise ValueError(f"config key {key}: {exc}") from exc
         return default_value
 
-    r = pick(args.r, "r", default.r, str)
     return ExperimentSpec(
         function=pick(args.function, "function", default.function, str),
         n_values=tuple(pick(args.n, "n", default.n_values, _int_list)),
         ell_values=tuple(pick(args.ell, "ell", default.ell_values, _int_list)),
-        r=r if r == "sqrt" else int(r),
+        r=pick(args.r, "r", default.r, _surplus),
         k=pick(args.k, "k", default.k),
         runs=pick(args.runs, "runs", default.runs),
         master_seed=pick(args.seed, "seed", default.master_seed),
@@ -254,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", choices=FUNCTION_NAMES)
     p.add_argument("--n", type=_int_list, help="comma-separated problem sizes")
     p.add_argument("--ell", type=_int_list, help="comma-separated flip counts")
-    p.add_argument("--r", help="majority surplus, or 'sqrt' for floor(sqrt(n))")
+    p.add_argument("--r", type=_surplus, help="majority surplus, or 'sqrt' for floor(sqrt(n))")
     p.add_argument("--k", type=int)
     p.add_argument("--runs", type=int)
     p.add_argument("--seed", type=int)

@@ -96,6 +96,8 @@ class RunConfig:
             raise ValueError(
                 "restart statistics are defined for the one-sided majority objective"
             )
+        if self.record_restart_stats and self.fitness.r < 1:
+            raise ValueError(f"restart statistics need a surplus r >= 1, got r={self.fitness.r}")
         if isinstance(self.init, FixedOnes):
             self.init.checked(self.fitness.n)
         import hashlib  # loaded by numpy.random, which every run needs anyway
@@ -319,58 +321,39 @@ def _run_blocked(fit, ell, x0, draws, cap, traj):
     ones = x0.ones
     append = traj.append if traj is not None else None
     t = 0
-    if ell == 1:
+    if ell == 1 and append is None:
         # a +-1 step crosses the threshold iff the two counts are thr-1, thr;
         # only a vote change can reach the maximum.  As in the level engine,
         # a hit's index is read off its batch's list iterator
         crossing = 2 * thr - 1
         for batch in _index_batches(n, draws, cap):
             it = iter(batch)
-            if append is None:
-                for i in it:
-                    # outside the scored blocks nothing reads the bit again
-                    if lo <= i < hi:
-                        b = i // k
-                        old = counts[b]
-                        on = bits[i]
-                        c = old - 1 if on else old + 1
-                        if c + old == crossing:
-                            v = votes ^ (1 << b)
-                            fy = score(v, v.bit_count())
-                            if fy < fx:
-                                continue
-                            if fy == fmax:
-                                return t + len(batch) - length_hint(it)
-                            votes = v
-                            fx = fy
-                        counts[b] = c
-                        bits[i] = on ^ 1
-            else:
-                for i in it:
+            for i in it:
+                if lo <= i < hi:
+                    b = i // k
+                    old = counts[b]
                     on = bits[i]
-                    if lo <= i < hi:
-                        b = i // k
-                        old = counts[b]
-                        c = old - 1 if on else old + 1
-                        if c + old == crossing:
-                            v = votes ^ (1 << b)
-                            fy = score(v, v.bit_count())
-                            if fy < fx:
-                                append(ones)
-                                continue
-                            if fy == fmax:
-                                append(ones - 1 if on else ones + 1)
-                                return t + len(batch) - length_hint(it)
-                            votes = v
-                            fx = fy
-                        counts[b] = c
+                    c = old - 1 if on else old + 1
+                    if c + old == crossing:
+                        v = votes ^ (1 << b)
+                        fy = score(v, v.bit_count())
+                        if fy < fx:
+                            continue
+                        if fy == fmax:
+                            return t + len(batch) - length_hint(it)
+                        votes = v
+                        fx = fy
+                    counts[b] = c
                     bits[i] = on ^ 1
-                    ones += -1 if on else 1
-                    append(ones)
             t += len(batch)
         return None
-    for batch in _subset_batches(n, ell, draws, cap):
-        for row in batch.tolist():
+    if ell == 1:
+        # a recorded run draws the indices an unrecorded one does, as rows
+        batches = ([[i] for i in batch] for batch in _index_batches(n, draws, cap))
+    else:
+        batches = (batch.tolist() for batch in _subset_batches(n, ell, draws, cap))
+    for rows in batches:
+        for row in rows:
             t += 1
             new: dict[int, int] = {}
             for i in row:

@@ -294,15 +294,12 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
     max|(I - Q) E - 1| <= 1e-9 (1 + max E) on the kernel's own band.
 
     A pivot of zero means absorption is unreachable from its level, or
-    that its leaving mass underflowed.  The band's positive entries tell
-    which: the first raises ValueError.  The second, like an expectation
-    that overflows, makes the expectation of every level that can reach
-    the level +inf, and only of those: the other levels are solved again
+    that its leaving mass underflowed.  Either, like an expectation that
+    overflows, makes the expectation of every level that can reach the
+    level +inf, and only of those: the other levels are solved again
     without them.
     """
     size, w = kernel.size, kernel.width
-    if not kernel.absorbing:
-        raise ValueError("no absorbing state reachable")
     trans = np.array([s for s in range(size) if s not in kernel.absorbing], dtype=np.intp)
     out = np.zeros(size)
     m = len(trans)
@@ -335,34 +332,22 @@ def kernel_hitting_times(kernel: KernelChain) -> np.ndarray:
     # where a level's window holds one it cannot reach; see below
     with np.errstate(over="ignore", invalid="ignore"):
         if w <= _LIST_WIDTH:
-            zero, overflow = _eliminate_lists(band, rhs, w)
+            unfolded = _eliminate_lists(band, rhs, w)
         else:
-            zero, overflow = _eliminate_views(Q, rhs, w)
-        if rhs[0, 1] <= 0.0:
-            zero.append(0)
-            E[0] = 0.0
-        else:
-            E[0] = rhs[0, 0] / rhs[0, 1]
+            unfolded = _eliminate_views(Q, rhs, w)
         visits = rhs[:, 0].tolist()
-        _back_substitute(Q, visits, E, w, range(1, m))
+        _back_substitute(Q, visits, E, w, range(m))
     infinite = np.zeros(m, dtype=bool)
-    if zero or overflow or not np.all(np.isfinite(E)):
-        absorbs = _reaching(kernel, index[:-1] < 0)
-        for level in trans[zero]:
-            if not absorbs[level]:
-                raise ValueError(
-                    f"absorption unreachable from level {level} (singular system)"
-                )
+    if unfolded or not np.all(np.isfinite(E)):
         start = np.zeros(size, dtype=bool)
-        start[trans[zero]] = True
-        start[trans[overflow]] = True
+        start[trans[unfolded]] = True
         start[trans[np.isposinf(E)]] = True
         infinite = _reaching(kernel, start)[trans]
         # no other level has a band entry into these: with E = 0 there, a
         # second pass gives a nan its finite value and every finite value
         # its bits again
         E[infinite] = 0.0
-        _back_substitute(Q, visits, E, w, np.flatnonzero(~infinite[1:]) + 1)
+        _back_substitute(Q, visits, E, w, np.flatnonzero(~infinite))
     out[trans] = E
     # (Q E)[s] over the kernel rows from the first transient level to the
     # last, read through a strided view of E padded with w zeros at either
@@ -416,39 +401,40 @@ def _reaching(kernel: KernelChain, start: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _eliminate_views(Q: np.ndarray, rhs: np.ndarray, w: int) -> tuple[list[int], list[int]]:
-    """Eliminate levels m-1..1 of ``kernel_hitting_times`` through numpy views.
+def _eliminate_views(Q: np.ndarray, rhs: np.ndarray, w: int) -> list[int]:
+    """Eliminate levels m-1..0 of ``kernel_hitting_times`` through numpy views.
 
     Row z of ``Q`` and of ``rhs`` end up divided by the pivot, as the
-    back-substitution reads them; every update writes in place.  A level
+    back-substitution reads them; every update writes in place.  Level 0
+    has no row below it, so its pivot is its leaving mass.  A level
     whose pivot is zero, or whose expected visits overflow, is not folded
-    into the levels below it; the lists of either kind are returned.
+    into the levels below it; the list of those levels is returned.
     """
-    zero, overflow = [], []
-    for z in range(len(rhs) - 1, 0, -1):
+    unfolded = []
+    for z in range(len(rhs) - 1, -1, -1):
         lo = z - w if z > w else 0
         row = Q[z, lo:z]
         ends = rhs[z]
         leave = np.add.reduce(row) + ends[1]
         if leave <= 0.0:
-            zero.append(z)
+            unfolded.append(z)
             continue
         row /= leave
         ends /= leave
         if ends[0] == math.inf:
             # folding it would give a level below that cannot reach it
             # 0 * inf visits
-            overflow.append(z)
+            unfolded.append(z)
             continue
         col = Q[lo:z, z, None]
         block = Q[lo:z, lo:z]
         block += col * row
         below = rhs[lo:z]
         below += col * ends
-    return zero, overflow
+    return unfolded
 
 
-def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int) -> tuple[list[int], list[int]]:
+def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int) -> list[int]:
     """``_eliminate_views`` on Python floats, with the same operations in the same order.
 
     ``band`` holds Q[i, k] at column w + k - i.  A pivot row's entries are
@@ -457,9 +443,9 @@ def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int) -> tuple[list[in
     levels go to lists _LIST_BLOCK at a time, with the w below them that
     they update, so the lists stay small at any m.
     """
-    zero, overflow = [], []
-    for stop in range(len(band), 1, -_LIST_BLOCK):
-        start = max(1, stop - _LIST_BLOCK)
+    unfolded = []
+    for stop in range(len(band), 0, -_LIST_BLOCK):
+        start = max(0, stop - _LIST_BLOCK)
         base = max(0, start - w)
         rows, ends = band[base:stop].tolist(), rhs[base:stop].tolist()
         # z and i count from base; lo follows the same rule as in _eliminate_views
@@ -474,13 +460,13 @@ def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int) -> tuple[list[in
                 leave += row[c]
             leave += leaving
             if leave <= 0.0:
-                zero.append(base + z)
+                unfolded.append(base + z)
                 continue
             for c in range(first, w):
                 row[c] /= leave
             visit /= leave
             if visit == math.inf:
-                overflow.append(base + z)
+                unfolded.append(base + z)
                 continue
             leaving /= leave
             ends[z] = [visit, leaving]
@@ -494,7 +480,7 @@ def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int) -> tuple[list[in
                 below[1] += f * leaving
         band[base:stop] = rows
         rhs[base:stop] = ends
-    return zero, overflow
+    return unfolded
 
 
 def majority_hitting_by_level(n: int, r: int) -> np.ndarray:

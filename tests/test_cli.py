@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import plateaulab
+from plateaulab import harness
 from plateaulab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -133,11 +134,21 @@ class TestExact:
         assert code == EXIT_OK, err
         assert out.splitlines()[1].endswith(",inf,inf") and err == ""
 
-    def test_unreachable_absorption_exits_2(self, capsys):
-        # four flips take level 2 of 4 to itself, and 1 and 3 to each other
-        code, out, err = run_cli(capsys, "exact", "--n", "4", "--r", "2", "--ell", "4")
-        assert code == EXIT_USAGE and out == ""
-        assert "absorption unreachable from level 2 (singular system)" in err
+    def test_unreachable_absorption_prints_inf(self, capsys):
+        # four flips take level 2 of 4 to itself, and 1 and 3 to each other;
+        # two flips take level 1 of 2 to itself.  From level 0 both flip to
+        # the optimum in one step
+        for argv, row in (
+            (["--n", "4", "--r", "2", "--ell", "4"], "4,2,4,uniform,inf,inf"),
+            (["--n", "4", "--r", "2", "--ell", "4", "--init", "ones=0"],
+             "4,2,4,ones=0,1.0,inf"),
+            (["--n", "2", "--r", "1", "--ell", "2", "--init", "ones=0"],
+             "2,1,2,ones=0,1.0,inf"),
+        ):
+            code, out, err = run_cli(capsys, "exact", *argv)
+            assert code == EXIT_OK and err == ""
+            assert out.splitlines()[1] == row
+
 
 class TestDriftCheck:
     def test_pass_and_tight_state(self, capsys):
@@ -301,6 +312,27 @@ class TestSweep:
             f"error: config key {key}: expected comma-separated integers: '10,x'"
         )
 
+    @pytest.mark.parametrize(
+        "config,argv,message",
+        [
+            (None, ["--r", "sqrtx", "--runs", "2"],
+             "r must be an integer or 'sqrt', got 'sqrtx'"),
+            ("r = sqrtx\nruns = 2", [], "r must be an integer or 'sqrt', got 'sqrtx'"),
+            ("runs = abc", [],
+             "config key runs: invalid literal for int() with base 10: 'abc'"),
+        ],
+        ids=["r-flag", "r-key", "runs-key"],
+    )
+    def test_bad_setting_names_itself(self, capsys, tmp_path, config, argv, message):
+        if config is not None:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"[sweep]\n{config}\n")
+            argv = [*argv, "--config", str(cfg)]
+        code, out, err = run_cli(capsys, "sweep", "--n", "10", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_config_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(
@@ -380,6 +412,16 @@ class TestRestartsAndWmodel:
         assert code == EXIT_USAGE
         what = "workers" if "--workers" in argv else "runs"
         assert f"{what} must be at least 1" in err
+
+    def test_restarts_without_surplus_rejected_before_any_run(self, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_cell", no_run)
+        code, out, err = run_cli(capsys, "restarts", "--n", "10", "--r", "0", "--runs", "5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: restart statistics need a surplus r >= 1, got r=0\n"
 
     def test_wmodel_odd_k_rejected(self, capsys):
         code, _, err = run_cli(

@@ -109,6 +109,13 @@ class TestRunConfigValidation:
                 OneMax(4), RlsMutation(1), Uniform(), 1, record_restart_stats=True
             )
 
+    def test_restart_stats_need_a_surplus(self):
+        # with r=0 there is no plateau to cross: rejected before any run draws
+        with pytest.raises(ValueError, match="r >= 1, got r=0"):
+            RunConfig(
+                MajorityFitness(10, 0), RlsMutation(1), Uniform(), 1, record_restart_stats=True
+            )
+
 
 class TestRun:
     def test_optimal_start_is_zero(self):

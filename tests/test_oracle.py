@@ -236,12 +236,16 @@ class TestKernelSolver:
             scale = np.maximum(folded, 1.0)
             assert np.max(np.abs(dense - folded) / scale) < 1e-10
 
-    def test_singular_system_rejected(self):
+    def test_singular_system_is_inf(self):
         # levels 0 and 1 swap for ever; level 2 absorbs
         band = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         kernel = KernelChain.from_band(band, frozenset({2}))
-        with pytest.raises(ValueError):
-            kernel_hitting_times(kernel)
+        assert kernel_hitting_times(kernel).tolist() == [math.inf, math.inf, 0.0]
+
+    @pytest.mark.parametrize("ell", [1, 2, 9])
+    def test_no_absorbing_level_is_inf_everywhere(self, ell):
+        kernel = rlsl_kernel(9, ell, lambda j: 0, absorbing=())
+        assert np.all(np.isposinf(kernel_hitting_times(kernel)))
 
     def test_underflowed_absorption_is_inf_not_singular(self):
         # 0 -> 1 -> 2 -> 3 (absorbing) reaches absorption, but leaving 2 for
@@ -346,10 +350,11 @@ def dense_reference_build(n, ell, fitness_by_level, absorbing=None):
     return P
 
 
-def dense_reference_times(kernel):
-    """numpy.linalg.solve on I - Q of the dense matrix; zero on absorbing levels."""
+def dense_reference_times(kernel, skip=frozenset()):
+    """numpy.linalg.solve on I - Q of the dense matrix over the transient
+    levels not in ``skip``; zero on the other levels."""
     P = kernel.matrix
-    trans = [s for s in range(kernel.size) if s not in kernel.absorbing]
+    trans = [s for s in range(kernel.size) if s not in kernel.absorbing and s not in skip]
     out = np.zeros(kernel.size)
     if trans:
         A = np.eye(len(trans)) - P[np.ix_(trans, trans)]
@@ -357,10 +362,13 @@ def dense_reference_times(kernel):
     return out
 
 
-def assert_matches_reference(kernel):
+def assert_matches_reference(kernel, infinite=frozenset()):
+    """The solver reads +inf on exactly the ``infinite`` levels, and on the
+    other transient levels agrees with the dense solve of their block."""
     times = kernel_hitting_times(kernel)
-    ref = dense_reference_times(kernel)
-    trans = [s for s in range(kernel.size) if s not in kernel.absorbing]
+    assert np.isposinf(times).tolist() == [s in infinite for s in range(kernel.size)]
+    ref = dense_reference_times(kernel, infinite)
+    trans = [s for s in range(kernel.size) if s not in kernel.absorbing and s not in infinite]
     assert np.all(times[sorted(kernel.absorbing)] == 0.0)
     assert np.max(np.abs(times[trans] - ref[trans]) / ref[trans], initial=0.0) <= 1e-12
 
@@ -506,11 +514,16 @@ class TestBandedSolver:
     def test_matches_dense_reference(self, function, n, ell):
         by_level = make_fitness(function, n, r=min(4, n // 2)).level_value
         kernel = rlsl_kernel(n, ell, by_level)
-        if trapped_level(n, ell, by_level, range(n + 1)) is not None:
-            with pytest.raises(ValueError, match="singular"):
-                kernel_hitting_times(kernel)
-            return
-        assert_matches_reference(kernel)
+        # a level expects +inf exactly when a trap is reachable from it; no
+        # other level has a band entry into those, so the rest is a system
+        # of its own
+        if trapped_level(n, ell, by_level, range(n + 1)) is None:
+            infinite = frozenset()
+        else:
+            infinite = frozenset(
+                j for j in range(n + 1) if trapped_level(n, ell, by_level, [j]) is not None
+            )
+        assert_matches_reference(kernel, infinite)
 
     @pytest.mark.parametrize("width", [1, 2, 11])
     def test_hand_built_non_contiguous_absorbing(self, width):
@@ -607,13 +620,12 @@ class TestTrappedLevel:
             for fit in fits:
                 by_level = fit.level_value
                 for ell in range(1, n + 1):
-                    trapped = trapped_level(n, ell, by_level, range(n + 1))
-                    try:
-                        kernel_hitting_times(rlsl_kernel(n, ell, by_level))
-                        singular = False
-                    except ValueError:
-                        singular = True
-                    assert (trapped is not None) == singular, (fit, ell)
+                    # a level expects +inf exactly when it can reach a trap
+                    times = kernel_hitting_times(rlsl_kernel(n, ell, by_level))
+                    trapped = [
+                        trapped_level(n, ell, by_level, [j]) is not None for j in range(n + 1)
+                    ]
+                    assert np.isposinf(times).tolist() == trapped, (fit, ell)
 
 
 class TestHittingByLevel:
