@@ -11,7 +11,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 _U64_MASK = (1 << 64) - 1
-# a zero counter or buffer as RngStream.reset hands it to the Philox state
+# a zero counter or buffer as reset_stream hands it to the Philox state
 # setter, which reads each entry: a tuple of ints costs it about 1 us less
 # than an array
 _ZERO_WORDS = (0, 0, 0, 0)
@@ -129,12 +129,7 @@ class RngStream:
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.master_seed <= _U64_MASK:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.master_seed}")
-        if not 0 <= self.stream_index <= _U64_MASK:
-            raise ValueError(
-                f"stream_index must lie in [0, 2**64), got {self.stream_index}"
-            )
+        _check_key(self.master_seed, self.stream_index)
 
     def generator(self) -> np.random.Generator:
         """A new generator at the start of this stream."""
@@ -145,22 +140,37 @@ class RngStream:
         return rng
 
     def reset(self, rng: np.random.Generator) -> None:
-        """Put ``rng``, a Philox generator, at the start of this stream: it
-        then draws what ``Generator(Philox(key=[master_seed,
-        stream_index]))`` draws.
+        """Put ``rng``, a Philox generator, at the start of this stream
+        (see ``reset_stream``)."""
+        reset_stream(rng, self.master_seed, self.stream_index)
 
-        This sets the whole Philox state as a new one holds it: a zero
-        counter, this stream's key, an empty buffer and no buffered half
-        word.  That costs about a tenth of building a new generator.
-        """
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": _ZERO_WORDS, "key": (self.master_seed, self.stream_index)},
-            "buffer": _ZERO_WORDS,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+
+def _check_key(master_seed: int, stream_index: int) -> None:
+    if not 0 <= master_seed <= _U64_MASK:
+        raise ValueError(f"seed must lie in [0, 2**64), got {master_seed}")
+    if not 0 <= stream_index <= _U64_MASK:
+        raise ValueError(f"stream_index must lie in [0, 2**64), got {stream_index}")
+
+
+def reset_stream(rng: np.random.Generator, master_seed: int, stream_index: int) -> None:
+    """Put ``rng``, a Philox generator, at the start of stream
+    (``master_seed``, ``stream_index``): it then draws what
+    ``Generator(Philox(key=[master_seed, stream_index]))`` draws.
+
+    This checks the key as ``RngStream`` does and sets the whole Philox
+    state as a new one holds it: a zero counter, the key, an empty buffer
+    and no buffered half word.  That costs about a tenth of building a
+    new generator, and builds no ``RngStream``.
+    """
+    _check_key(master_seed, stream_index)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS, "key": (master_seed, stream_index)},
+        "buffer": _ZERO_WORDS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 class Draws:

@@ -11,11 +11,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    BitString,
     Draws,
     FixedOnes,
     InitDistribution,
     RngStream,
+    UniformNonOptimal,
     rejection_regime,
+    reset_stream,
     sample_bitstring,
     sample_uniform_subset,
 )
@@ -100,6 +103,11 @@ class RunConfig:
             raise ValueError(f"restart statistics need a surplus r >= 1, got r={self.fitness.r}")
         if isinstance(self.init, FixedOnes):
             self.init.checked(self.fitness.n)
+        if isinstance(self.init, UniformNonOptimal):
+            target = self.init.fitness
+            if target.level_symmetric and all(target.optimal_levels):
+                # the rejection sampler would draw in vain until it gives up
+                raise ValueError("every level is optimal: no non-optimal start exists")
         import hashlib  # loaded by numpy.random, which every run needs anyway
 
         cell = f"{self.master_seed}|{self.fitness!r}|ell={self.mutation.ell}|{self.init!r}"
@@ -150,13 +158,13 @@ def run(cfg: RunConfig, run_index: int) -> RunResult:
     proposals were exhausted.
     """
     fit, init, ell = cfg.fitness, cfg.init, cfg.mutation.ell
-    stream = RngStream(cfg.cell_seed, run_index)
     try:
         draws = _SPARE_GENERATORS.pop()
     except IndexError:
-        draws = Draws(stream.generator(), buffered=False)
+        draws = Draws(RngStream(cfg.cell_seed, run_index).generator(), buffered=False)
     else:
-        stream.reset(draws.rng)
+        # rejects an index outside [0, 2**64), as RngStream does
+        reset_stream(draws.rng, cfg.cell_seed, run_index)
         # a reset leaves no half word buffered
         draws.buffered = False
     if fit.level_symmetric:
@@ -212,7 +220,7 @@ def _subset_batches(n, ell, rng, cap):
 
 
 def _index_batches(n, draws, cap):
-    """Single-flip positions for up to ``cap`` proposals, as lists.
+    """Single-flip positions for up to ``cap`` proposals, as int64 arrays.
 
     ``integers(0, n)`` consumes the stream draw by draw (below 2**32
     through a 32-bit buffer kept in the bit generator's state), so the
@@ -223,7 +231,7 @@ def _index_batches(n, draws, cap):
     draws.buffered = None
     integers = draws.rng.integers
     for k in _batch_sizes(_BATCH_FIRST, _BATCH, cap):
-        yield integers(0, n, size=k).tolist()
+        yield integers(0, n, size=k)
 
 
 def _run_level(fit, ell, ones, draws, cap, traj):
@@ -249,13 +257,22 @@ def _run_level(fit, ell, ones, draws, cap, traj):
         # no proposal counts itself: a hit at index p of a batch leaves
         # len(batch) - p - 1 entries in its list iterator, and each batch
         # run through adds its length to the count once
-        for batch in _index_batches(n, draws, cap):
+        if append is None:
+            # on the stop tables a hit moves to n + 1: the next lookup
+            # raises IndexError after taking index p + 1, and a batch whose
+            # last index hit ends at n + 1
+            lower, higher = fit.stop_tables
+        for drawn in _index_batches(n, draws, cap):
+            batch = drawn.tolist()
             it = iter(batch)
             if append is None:
-                for i in it:
-                    ones = lower[ones] if i < ones else higher[ones]
-                    if optimal[ones]:
-                        return t + len(batch) - length_hint(it)
+                try:
+                    for i in it:
+                        ones = lower[ones] if i < ones else higher[ones]
+                except IndexError:
+                    return t + len(batch) - length_hint(it) - 1
+                if ones > n:
+                    return t + len(batch)
             else:
                 for i in it:
                     ones = lower[ones] if i < ones else higher[ones]
@@ -299,8 +316,8 @@ def _run_blocked(fit, ell, x0, draws, cap, traj):
     is scored only when it flips a vote; any other proposal keeps every
     vote, so its fitness equals the incumbent's and it is accepted.  A flip
     outside the scored blocks never moves a vote: at ell=1, unless a
-    trajectory is recorded, nothing reads its bit again, and it is not
-    applied.
+    trajectory is recorded, nothing reads its bit again, so only the
+    scored bits are kept and the other flips are dropped in numpy.
     """
     n, k = fit.n, fit.k
     thr = fit.block_threshold
@@ -317,39 +334,49 @@ def _run_blocked(fit, ell, x0, draws, cap, traj):
     fx = score(votes, votes.bit_count())
     if fx == fmax:
         return 0
-    bits = x0.unpacked().tolist()
-    ones = x0.ones
     append = traj.append if traj is not None else None
     t = 0
     if ell == 1 and append is None:
-        # a +-1 step crosses the threshold iff the two counts are thr-1, thr;
-        # only a vote change can reach the maximum.  As in the level engine,
-        # a hit's index is read off its batch's list iterator
+        # positions, blocks and bits count from lo.  A +-1 step crosses the
+        # threshold iff the two counts are thr-1, thr; only a vote change
+        # can reach the maximum.  A hit at entry p of a batch's scored
+        # flips, read off their list iterator as in the level engine, is
+        # the batch's proposal pos[p] + 1
+        span = hi - lo
+        bits = BitString(span, x0.bits >> lo & ((1 << span) - 1)).unpacked().tolist()
+        counts = counts[scored.start : scored.stop]
+        flags = [1 << b for b in scored]
         crossing = 2 * thr - 1
         for batch in _index_batches(n, draws, cap):
-            it = iter(batch)
+            # viewed as unsigned a flip below lo is huge, so one comparison
+            # keeps the scored ones; nonzero is flatnonzero without its ravel
+            batch -= lo
+            pos = (batch.view(np.uint64) < span).nonzero()[0]
+            flips = batch[pos].tolist()
+            it = iter(flips)
             for i in it:
-                if lo <= i < hi:
-                    b = i // k
-                    old = counts[b]
-                    on = bits[i]
-                    c = old - 1 if on else old + 1
-                    if c + old == crossing:
-                        v = votes ^ (1 << b)
-                        fy = score(v, v.bit_count())
-                        if fy < fx:
-                            continue
-                        if fy == fmax:
-                            return t + len(batch) - length_hint(it)
-                        votes = v
-                        fx = fy
-                    counts[b] = c
-                    bits[i] = on ^ 1
+                b = i // k
+                old = counts[b]
+                on = bits[i]
+                c = old - 1 if on else old + 1
+                if c + old == crossing:
+                    v = votes ^ flags[b]
+                    fy = score(v, v.bit_count())
+                    if fy < fx:
+                        continue
+                    if fy == fmax:
+                        return t + int(pos[len(flips) - length_hint(it) - 1]) + 1
+                    votes = v
+                    fx = fy
+                counts[b] = c
+                bits[i] = on ^ 1
             t += len(batch)
         return None
+    bits = x0.unpacked().tolist()
+    ones = x0.ones
     if ell == 1:
         # a recorded run draws the indices an unrecorded one does, as rows
-        batches = ([[i] for i in batch] for batch in _index_batches(n, draws, cap))
+        batches = ([[i] for i in batch.tolist()] for batch in _index_batches(n, draws, cap))
     else:
         batches = (batch.tolist() for batch in _subset_batches(n, ell, draws, cap))
     for rows in batches:

@@ -57,6 +57,19 @@ class FitnessFunction:
         top = self.max_value
         return [v == top for v in self.level_tables[0]]
 
+    @functools.cached_property
+    def stop_tables(self) -> tuple[list[int], list[int]]:
+        """``lower`` and ``higher`` of ``level_tables`` with every move onto
+        an optimal count replaced by n + 1, which indexes neither: a
+        single-flip loop reading them stops on the lookup after a hit
+        instead of testing each count it reaches; built once."""
+        _, lower, higher = self.level_tables
+        optimal, stop = self.optimal_levels, self.n + 1
+        return (
+            [stop if optimal[j] else j for j in lower],
+            [stop if optimal[j] else j for j in higher],
+        )
+
 
 class _ThresholdFitness(FitnessFunction):
     """0/1 objective of the ones count with threshold n/2 + r.  Its repr

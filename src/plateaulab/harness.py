@@ -46,12 +46,14 @@ class CellStats:
             if len(finite) > 1
             else 0.0
         )
+        # run times are integers, so every quantile is exact
+        p25, median, p75 = np.percentile(finite, (25, 50, 75)).tolist()
         return cls(
             runs=total,
             mean=float(finite.mean()),
-            median=float(np.median(finite)),
-            p25=float(np.percentile(finite, 25)),
-            p75=float(np.percentile(finite, 75)),
+            median=median,
+            p25=p25,
+            p75=p75,
             stderr=stderr,
             censored=censored,
         )

@@ -259,6 +259,16 @@ class TestSweep:
             "cap; the statistics exclude them"
         ]
 
+    def test_nonoptimal_start_on_an_everywhere_optimal_objective(self, capsys):
+        # rejected when the cell is built, before any run draws a start
+        code, out, err = run_cli(
+            capsys, "sweep", "--function", "plateau", "--n", "10", "--r", "0",
+            "--init", "uniform-nonopt",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: every level is optimal: no non-optimal start exists\n"
+
     def test_row_depends_on_its_cell_alone(self, capsys):
         # a run's stream is keyed by its cell and run index, so listing
         # another cell first or splitting runs over workers changes no row

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -17,6 +18,7 @@ from plateaulab.core import (
     flip_bits,
     hypergeom_pmf,
     overlap_support,
+    reset_stream,
     sample_bitstring,
     sample_uniform_subset,
 )
@@ -264,6 +266,24 @@ class TestRngStreamReset:
         )
         for draw in draws:
             assert np.array_equal(draw(used), draw(fresh))
+
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (2**64 - 1, 2**64 - 1), (123, 5)])
+    def test_reset_stream_is_the_reset_of_its_key(self, seed, stream):
+        used = rng_for(123, 5)
+        DIRTY["all_three"](used)
+        reset_stream(used, seed, stream)
+        assert philox_state(used) == philox_state(rng_for(seed, stream))
+
+    @pytest.mark.parametrize("seed,stream", [(-1, 0), (2**64, 0), (1, -1), (1, 2**64)])
+    def test_reset_stream_rejects_what_rngstream_rejects(self, seed, stream):
+        used = rng_for(123, 5)
+        before = philox_state(used)
+        with pytest.raises(ValueError) as raised:
+            RngStream(seed, stream)
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            reset_stream(used, seed, stream)
+        # rejected before the state is touched
+        assert philox_state(used) == before
 
     def test_generator_is_new_on_every_call(self):
         stream = RngStream(3, 4)

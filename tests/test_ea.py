@@ -109,6 +109,24 @@ class TestRunConfigValidation:
                 OneMax(4), RlsMutation(1), Uniform(), 1, record_restart_stats=True
             )
 
+    def test_nonoptimal_start_needs_a_nonoptimal_level(self):
+        # r=0 makes every plateau level optimal: no start could be drawn
+        fit = PlateauFitness(10, 0)
+        with pytest.raises(ValueError, match="every level is optimal"):
+            RunConfig(fit, RlsMutation(1), UniformNonOptimal(fit), 1)
+        RunConfig(fit, RlsMutation(1), Uniform(), 1)
+
+    @pytest.mark.parametrize("index", [-1, 2**64])
+    @pytest.mark.parametrize("spare", [False, True])
+    def test_run_index_within_key_range(self, index, spare, monkeypatch):
+        # a process's first run builds its stream, a later one resets a spare
+        pool = [Draws(RngStream(1).generator(), buffered=False)] if spare else []
+        monkeypatch.setattr(ea, "_SPARE_GENERATORS", pool)
+        cfg = RunConfig(MajorityFitness(10, 1), RlsMutation(1), Uniform(), 1)
+        with pytest.raises(ValueError, match=r"stream_index must lie in \[0, 2\*\*64\)"):
+            run(cfg, index)
+        assert run(cfg, 2**64 - 1).runtime == reference_run(cfg, 2**64 - 1)[0]
+
     def test_restart_stats_need_a_surplus(self):
         # with r=0 there is no plateau to cross: rejected before any run draws
         with pytest.raises(ValueError, match="r >= 1, got r=0"):
@@ -278,22 +296,22 @@ def reference_run(cfg, run_index):
     return None, traj
 
 
-def check_batch_ends(fit, i, cap):
-    """Run i of the uniform-start single-flip cell on ``fit`` (seed 7) under
-    ``cap``, with and without a recorded trajectory, against the reference
-    loop: the same runtime, and one trajectory entry per proposal."""
-    cfg = RunConfig(fit, RlsMutation(1), Uniform(), 7, max_iters=cap,
-                    record_trajectory=True)
+def check_batch_ends(fit, i, cap, init=Uniform()):
+    """Run i of the single-flip cell on ``fit`` from ``init`` (seed 7)
+    under ``cap``, with and without a recorded trajectory, against the
+    reference loop: the same runtime, and one trajectory entry per
+    proposal."""
+    cfg = RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap, record_trajectory=True)
     runtime, traj = reference_run(cfg, i)
     res = run(cfg, i)
     assert res.runtime == runtime
     assert res.trajectory.tolist() == traj
     assert len(res.trajectory) == (cap if runtime is None else runtime) + 1
-    bare = RunConfig(fit, RlsMutation(1), Uniform(), 7, max_iters=cap)
+    bare = RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap)
     assert run(bare, i).runtime == runtime
     if isinstance(fit, MajorityFitness):
         # restart statistics record the trajectory and return none
-        stats = RunConfig(fit, RlsMutation(1), Uniform(), 7, max_iters=cap,
+        stats = RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap,
                           record_restart_stats=True)
         got = run(stats, i)
         assert got.runtime == runtime and got.trajectory is None
@@ -349,6 +367,9 @@ LEVEL_INITS = {
 }
 
 
+PLATEAU_MIDDLE = PlateauFitness(100, 10)
+
+
 class TestLevelEngine:
     # caps inside the first ell=1 batch, and on both sides of its end (256)
     @pytest.mark.parametrize("name", sorted(LEVEL))
@@ -370,11 +391,13 @@ class TestLevelEngine:
             assert res.trajectory.tolist() == traj
 
     # (objective, run index, hitting time) of uniform-start single-flip runs
-    # whose hit is the last index of the first batch or the first of the next
+    # whose hit is the last index of the first batch, the first of the
+    # next, or the last of the 512 batch after it; unrecorded, a hit on a
+    # batch's last index ends the batch on the stop tables' n + 1
     @pytest.mark.parametrize(
         "name,i,hit",
-        [("majority", 348, 256), ("majority", 439, 257), ("plateau", 148, 256),
-         ("plateau", 1065, 257)],
+        [("majority", 348, 256), ("majority", 439, 257), ("majority", 1869, 768),
+         ("plateau", 148, 256), ("plateau", 1065, 257), ("onemax", 422, 256)],
     )
     @pytest.mark.parametrize("cap", [1, 255, 256, 257, 768])
     def test_batch_ends_match_reference_loop(self, name, i, hit, cap):
@@ -382,6 +405,28 @@ class TestLevelEngine:
         pinned = RunConfig(fit, RlsMutation(1), Uniform(), 7)
         assert reference_run(pinned, i)[0] == hit
         check_batch_ends(fit, i, cap)
+
+    # the plateau from its middle, between optima on both sides: unrecorded
+    # runs exit through the stop tables below or above, or at the cap.  The
+    # pinned runs hit on the last index of the 256 batch and of the 512
+    # batch after it; a cap equal to the hit ends the last batch on it
+    @pytest.mark.parametrize("i,hit", [(11, 256), (2362, 768)])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_two_sided_batch_ends_match_reference_loop(self, i, hit, offset):
+        pinned = RunConfig(PLATEAU_MIDDLE, RlsMutation(1), FixedOnes(50), 7)
+        assert reference_run(pinned, i)[0] == hit
+        check_batch_ends(PLATEAU_MIDDLE, i, hit + offset, FixedOnes(50))
+
+    @pytest.mark.parametrize("cap", [50, 256, 257, 2000])
+    def test_two_sided_exits_match_reference_loop(self, cap):
+        cfg = RunConfig(PLATEAU_MIDDLE, RlsMutation(1), FixedOnes(50), 7, max_iters=cap)
+        sides = set()
+        for i in range(40):
+            runtime, traj = reference_run(cfg, i)
+            assert run(cfg, i).runtime == runtime
+            if runtime is not None:
+                sides.add(traj[-1] > 50)
+        assert cap < 256 or sides == {False, True}
 
     # n=1000: rejection rows (ell <= 15) and lockstep shuffles of 8, 16,
     # 32, then 64 rows (ell >= 16); n=8200: rejection rows and lockstep
@@ -439,6 +484,10 @@ BLOCKED = {
     "block-base-k3": BlockMajorityFitness(70, 70, 3),
     "first-block-k6": BlockMajorityFitness(1, 11, 6),
     "last-block-k7": BlockMajorityFitness(20, 20, 7),
+    # wmodel's block votes: first, middle and last of 20 blocks of 10 bits
+    "wmodel-1": BlockMajorityFitness(1, 20, 10),
+    "wmodel-10": BlockMajorityFitness(10, 20, 10),
+    "wmodel-20": BlockMajorityFitness(20, 20, 10),
 }
 
 
@@ -460,12 +509,15 @@ class TestBlockedEngine:
             assert res.trajectory.tolist() == traj
             assert run(bare, i).runtime == runtime
 
-    # as in the level engine; first-block-k6 and last-block-k7 score one
-    # block, so most of their flips fall outside the scored blocks
+    # as in the level engine; the block votes score one block, so most of
+    # their flips fall outside the scored blocks, and an unrecorded run
+    # maps a hit back from the scored flips to its batch
     @pytest.mark.parametrize(
         "name,i,hit",
         [("onemax-k7-20", 164, 256), ("onemax-k7-20", 33, 257), ("majority-k5", 3018, 256),
-         ("first-block-k6", 627, 257), ("last-block-k7", 9810, 256)],
+         ("first-block-k6", 627, 257), ("last-block-k7", 9810, 256), ("wmodel-1", 2219, 256),
+         ("wmodel-1", 1330, 768), ("wmodel-10", 537, 256), ("wmodel-10", 31019, 768),
+         ("wmodel-20", 1538, 256), ("wmodel-20", 5774, 768)],
     )
     @pytest.mark.parametrize("cap", [1, 255, 256, 257, 768])
     def test_batch_ends_match_reference_loop(self, name, i, hit, cap):

@@ -255,6 +255,10 @@ class TestLevelTables:
         assert lower == [j - 1 if j > 0 and fit.level_value(j - 1) >= fit.level_value(j)
                          else j for j in range(n + 1)]
         assert fit.level_tables is fit.level_tables
+        # the stop tables mark every move onto an optimal count with n + 1
+        for table, stop in zip((lower, higher), fit.stop_tables):
+            assert stop == [n + 1 if fit.level_value(j) == fit.max_value else j for j in table]
+        assert fit.stop_tables is fit.stop_tables
 
 
 class TestRegistry:
