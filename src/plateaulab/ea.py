@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import KW_ONLY, dataclass, field
 from itertools import repeat
-from operator import length_hint
+from operator import length_hint, lt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -177,7 +177,13 @@ def run(cfg: RunConfig, run_index: int) -> RunResult:
         init_ones, engine = state.ones, _run_blocked
     record = cfg.record_trajectory or cfg.record_restart_stats
     traj: Optional[list[int]] = [init_ones] if record else None
-    runtime = engine(fit, ell, state, draws, cfg.max_iters, traj)
+    times: Optional[list[int]] = None
+    if cfg.record_restart_stats and not cfg.record_trajectory and ell == 1:
+        # the record holds the start and each phase exit, at these times
+        times = [0]
+        runtime = _run_phases(fit, state, draws, cfg.max_iters, times, traj)
+    else:
+        runtime = engine(fit, ell, state, draws, cfg.max_iters, traj)
     # only a run that returns puts its generator back; one that raised drops it
     _SPARE_GENERATORS.append(draws)
     return RunResult(
@@ -185,7 +191,9 @@ def run(cfg: RunConfig, run_index: int) -> RunResult:
         init_ones=init_ones,
         trajectory=np.asarray(traj, dtype=np.int64) if cfg.record_trajectory else None,
         restart=(
-            extract_restart_stats(traj, fit.n, fit.r) if cfg.record_restart_stats else None
+            extract_restart_stats(traj, fit.n, fit.r, times=times)
+            if cfg.record_restart_stats
+            else None
         ),
     )
 
@@ -308,6 +316,53 @@ def _run_level(fit, ell, ones, draws, cap, traj):
     return None
 
 
+def _run_phases(fit, ones, draws, cap, times, counts):
+    """Single-flip engine of a restart-statistics run: it appends the time
+    and ones count of each phase exit, and nothing per proposal.
+
+    The run seeks a two-sided-plateau optimum and, after one on the zeros
+    side, returns to n/2 ones before it seeks again; each phase walks its
+    own ``phase_tables``.  An exit onto j moves to n + 1 + j, so the next
+    lookup raises IndexError before it applies its index: that index is
+    then applied from j under the next phase's tables.  A batch whose last
+    index exits ends above n.
+    """
+    n, stop, top = fit.n, fit.n + 1, fit.threshold
+    seeking, returning = fit.phase_tables
+    if ones >= top:
+        return 0
+    # seeking exits at low ones or fewer (or at top), returning above low
+    low = n - top
+    lower, higher = returning if ones <= low else seeking
+    t = 0
+    for drawn in _index_batches(n, draws, cap):
+        batch = drawn.tolist()
+        it = iter(batch)
+        while True:
+            try:
+                for i in it:
+                    ones = lower[ones] if i < ones else higher[ones]
+                break
+            except IndexError:
+                ones -= stop
+                at = t + len(batch) - length_hint(it) - 1
+                times.append(at)
+                counts.append(ones)
+                if ones >= top:
+                    return at
+                lower, higher = returning if ones <= low else seeking
+                ones = lower[ones] if i < ones else higher[ones]
+        t += len(batch)
+        if ones > n:
+            ones -= stop
+            times.append(t)
+            counts.append(ones)
+            if ones >= top:
+                return t
+            lower, higher = returning if ones <= low else seeking
+    return None
+
+
 def _run_blocked(fit, ell, x0, draws, cap, traj):
     """Engine for blocked objectives: the state is the bits, the ones
     counts of the scored blocks and their vote mask.
@@ -412,7 +467,7 @@ def _run_blocked(fit, ell, x0, draws, cap, traj):
 
 
 def extract_restart_stats(
-    trajectory: Sequence[int], n: int, r: int
+    trajectory: Sequence[int], n: int, r: int, *, times: Optional[Sequence[int]] = None
 ) -> RestartStats:
     """Recover the crossing/return stopping times from a ones-count trajectory.
 
@@ -422,19 +477,37 @@ def extract_restart_stats(
     time the incumbent is a two-sided-plateau optimum and, after a hit on
     the zeros side, the next time it regains at least n/2 ones; one
     forward pass alternates between seeking the one and the other.
+
+    With ``times``, strictly increasing from 0, ``trajectory[i]`` is the
+    count at iteration ``times[i]`` instead: a sparse record that holds
+    the start and every phase exit gives what the whole trajectory gives.
     """
     if n <= 0 or n % 2 or not 1 <= r <= n // 2:
         raise ValueError(f"invalid parameters n={n}, r={r}")
     bad = "trajectory must be a non-empty sequence of ones counts"
-    # the engines record a list; anything else is read through numpy, and a
-    # nested list (2-D input) fails the integer comparisons below
+    # the engines record lists; anything else is read through numpy (a 0-d
+    # array reads as a scalar), and a nested list (2-D input) fails the
+    # integer comparisons below
     values = (
         trajectory
         if isinstance(trajectory, list)
         else np.asarray(trajectory, dtype=np.int64).tolist()
     )
-    if not values:
+    if not isinstance(values, list) or not values:
         raise ValueError(bad)
+    stamped = enumerate(values)
+    if times is not None:
+        stamps = times if isinstance(times, list) else np.asarray(times, dtype=np.int64).tolist()
+        try:
+            if len(stamps) != len(values):
+                raise ValueError(
+                    f"times has {len(stamps)} entries for {len(values)} ones counts"
+                )
+            if stamps[0] != 0 or not all(map(lt, stamps, stamps[1:])):
+                raise ValueError("times must increase strictly from 0")
+        except TypeError as exc:
+            raise ValueError("times must be a sequence of iterations") from exc
+        stamped = zip(stamps, values)
     half, top = n // 2, n // 2 + r
     # a two-sided-plateau optimum has at least top ones or at most n - top
     low = n - top
@@ -443,7 +516,7 @@ def extract_restart_stats(
     success = False
     seeking_plateau = True
     try:
-        for t, ones in enumerate(values):
+        for t, ones in stamped:
             if seeking_plateau:
                 if ones >= top:
                     hits.append(t)
@@ -466,6 +539,9 @@ def extract_restart_stats(
         half_returns=tuple(returns),
         retries=retries,
         retried=retries >= 1,
-        first_hit_majority=bool(hits) and values[hits[0]] >= top,
+        # a hit on the zeros side is followed by a return before any other
+        # hit, so the first hit is the majority hit iff a run succeeds
+        # without returning
+        first_hit_majority=success and not returns,
         partial=not success,
     )

@@ -101,6 +101,24 @@ class MajorityFitness(_ThresholdFitness):
     def level_value(self, ones: int) -> int:
         return 1 if ones >= self.threshold else 0
 
+    @functools.cached_property
+    def phase_tables(self) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
+        """``stop_tables`` of the two phases of a restart-statistics run: the
+        seeking phase exits at n/2 + r ones or more or at n/2 - r or fewer,
+        the returning phase at n/2 or more.  Each maps a move onto an exit
+        count j to n + 1 + j, which indexes neither table, so a single-flip
+        loop stops on the lookup after an exit and reads j back; built once."""
+        _, lower, higher = self.level_tables
+        n, half, top = self.n, self.n // 2, self.threshold
+
+        def stopped(exits):
+            return tuple([n + 1 + j if exits(j) else j for j in t] for t in (lower, higher))
+
+        return (
+            stopped(lambda j: j >= top or j <= n - top),
+            stopped(lambda j: j >= half),
+        )
+
 
 class OneMax(FitnessFunction):
     """Number of set bits; maximal at the all-ones string."""

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -310,7 +311,7 @@ def check_batch_ends(fit, i, cap, init=Uniform()):
     bare = RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap)
     assert run(bare, i).runtime == runtime
     if isinstance(fit, MajorityFitness):
-        # restart statistics record the trajectory and return none
+        # restart statistics walk the phase tables and return no trajectory
         stats = RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap,
                           record_restart_stats=True)
         got = run(stats, i)
@@ -755,6 +756,73 @@ class TestBitstringLeg:
         assert abs(count_mean - bits_mean) < 3 * math.hypot(count_se, bits_se)
 
 
+def check_phases(fit, init, cap, i):
+    """Run i (seed 7) of the restart-statistics cell on ``fit`` from
+    ``init`` under ``cap``: the phase tables give the runtime and the
+    statistics that the recorded trajectory gives, which are returned."""
+    recorded = run(RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap,
+                             record_trajectory=True), i)
+    expected = extract_restart_stats(recorded.trajectory, fit.n, fit.r)
+    got = run(RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap,
+                        record_restart_stats=True), i)
+    assert got.runtime == recorded.runtime
+    assert got.restart == expected
+    return expected
+
+
+class TestPhaseEngine:
+    # uniform-start runs on MajorityFitness(100, 8) with a phase exit, a hit
+    # on the zeros side or a return to n/2, on the last index of the 256
+    # batch or of the 512 batch after it; unrecorded, that batch ends above
+    # n.  Caps end the run one before, on and one after the exit
+    @pytest.mark.parametrize(
+        "kind,i,exit",
+        [("hit", 477, 256), ("hit", 2566, 768), ("return", 708, 256), ("return", 4440, 768)],
+    )
+    def test_exits_on_batch_ends(self, kind, i, exit):
+        fit = MajorityFitness(100, 8)
+        pinned = check_phases(fit, Uniform(), ea.DEFAULT_CAP, i)
+        assert not pinned.partial
+        assert exit in (pinned.plateau_hits[:-1] if kind == "hit" else pinned.half_returns)
+        for cap in (exit - 1, exit, exit + 1):
+            stats = check_phases(fit, Uniform(), cap, i)
+            assert stats.partial
+            # a run cut on the exit ends in the phase it entered there
+            returning = len(stats.plateau_hits) > len(stats.half_returns)
+            assert returning == ((kind == "hit") == (cap >= exit))
+
+    def test_caps_cut_both_phases(self):
+        # r=1: every step from n/2 exits; r=n/2: the plateau is the ends
+        cut = {True: 0, False: 0}
+        for n, r in ((20, 1), (20, 2), (40, 4), (20, 10)):
+            for cap in (1, 50, 256, 257, 768, 2000):
+                for i in range(40):
+                    stats = check_phases(MajorityFitness(n, r), Uniform(), cap, i)
+                    if stats.partial:
+                        cut[len(stats.plateau_hits) > len(stats.half_returns)] += 1
+        assert cut[True] and cut[False], cut
+
+    # n=20, r=2: a start at 8 ones or fewer is a hit on the zeros side, one
+    # at 12 or more is optimal
+    @pytest.mark.parametrize("ones", [0, 4, 8, 9, 10, 11, 12, 15, 20])
+    @pytest.mark.parametrize("cap", [1, 256, ea.DEFAULT_CAP])
+    def test_fixed_starts(self, ones, cap):
+        fit = MajorityFitness(20, 2)
+        for i in range(20):
+            stats = check_phases(fit, FixedOnes(ones), cap, i)
+            if ones >= 12:
+                assert stats == RestartStats((0,), (), 0, False, True, False)
+            elif ones <= 8:
+                assert stats.plateau_hits[0] == 0 and not stats.first_hit_majority
+
+    def test_tables_are_built_once(self):
+        fit = MajorityFitness(20, 2)
+        run(RunConfig(fit, RlsMutation(1), Uniform(), 1, record_restart_stats=True), 0)
+        tables = fit.phase_tables
+        run(RunConfig(fit, RlsMutation(1), Uniform(), 1, record_restart_stats=True), 1)
+        assert fit.phase_tables is tables
+
+
 def searchsorted_restart_stats(trajectory, n, r):
     """The index-search form of ``extract_restart_stats`` it replaced, as the
     reference: each phase end is the next index of a precomputed index array."""
@@ -834,6 +902,46 @@ class TestRestartStats:
         assert stats.partial
         assert stats.plateau_hits == (2,)
         assert stats.retries == 1
+
+    def test_times_validation(self):
+        faults = [
+            ([0, 1], "times has 2 entries for 3 ones counts"),
+            ([0, 1, 2, 3], "times has 4 entries for 3 ones counts"),
+            ([1, 2, 3], "times must increase strictly from 0"),
+            ([0, 2, 2], "times must increase strictly from 0"),
+            ([0, 3, 1], "times must increase strictly from 0"),
+            (np.array([0, 5, 4]), "times must increase strictly from 0"),
+            ([0, None, 2], "times must be a sequence of iterations"),
+        ]
+        for times, message in faults:
+            with pytest.raises(ValueError, match=message):
+                extract_restart_stats([2, 1, 0], 4, 2, times=times)
+
+    @given(restart_case())
+    @settings(max_examples=200, deadline=None)
+    def test_times_range_is_the_trajectory_form(self, case):
+        trajectory, n, r = case
+        assert extract_restart_stats(
+            trajectory, n, r, times=range(len(trajectory))
+        ) == extract_restart_stats(trajectory, n, r)
+
+    @given(restart_case(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_times_relabel_the_iterations(self, case, data):
+        # a sparse record reads as the dense one whose entry i is at times[i]
+        trajectory, n, r = case
+        gaps = data.draw(st.lists(st.integers(1, 10**6), min_size=len(trajectory) - 1,
+                                  max_size=len(trajectory) - 1))
+        times = [0]
+        for gap in gaps:
+            times.append(times[-1] + gap)
+        dense = extract_restart_stats(trajectory, n, r)
+        sparse = extract_restart_stats(trajectory, n, r, times=times)
+        assert sparse == dataclasses.replace(
+            dense,
+            plateau_hits=tuple(times[t] for t in dense.plateau_hits),
+            half_returns=tuple(times[t] for t in dense.half_returns),
+        )
 
     def test_validation(self):
         for n, r in [(4, 0), (4, 3), (5, 1), (0, 1), (-2, 1)]:
