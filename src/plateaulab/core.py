@@ -177,9 +177,9 @@ class Draws:
     """A generator whose bounded draws are read from raw Philox words.
 
     ``Generator.integers(lo, n)`` below 2**32 makes each value from 32-bit
-    draws by Lemire's rule, and ``rows`` returns what it returns, and
-    leaves the stream as it leaves it, but reads whole words with
-    ``random_raw`` (see ``u32``) and applies the rule to them in numpy.
+    draws by Lemire's rule, and ``below`` and ``rows`` return what it
+    returns, and leave the stream as it leaves it, but read whole words
+    with ``random_raw`` (see ``u32``) and apply the rule to them in numpy.
     For that it must know whether a half word is buffered; ``buffered``
     records it (None while unknown), so once this object is made every
     draw from ``rng`` goes through it, or sets ``buffered`` to None.  Any
@@ -193,15 +193,46 @@ class Draws:
         self.buffered = buffered
         self._raw = _raw_reader(rng)
 
+    def below(self, n: int, k: int) -> np.ndarray:
+        """``rng.integers(0, n, size=k)`` as uint32 (uint64 above 2**32):
+        k values uniform on [0, n), from the stream's next draws.
+
+        This is ``rows`` at one bound, kept 1-D and free of column offsets:
+        one product and one reduction over its low halves, which find a
+        draw to redraw in about (2**32 % n) / 2**32 of the draws.
+        """
+        if self._raw is None or n > 2**32:
+            # numpy draws, by another rule above 2**32, and leaves the half
+            # word to be read from the state when a raw draw next needs it
+            self.buffered = None
+            return self.rng.integers(0, n, size=k, dtype=_U32 if n <= 2**32 else np.uint64)
+        if n == 1 or not k:
+            # numpy draws nothing for a range of one value or an empty size
+            return np.zeros(k, dtype=_U32)
+        span, floor = _lemire_bound(n)
+        # Lemire, as in rows: the high half of u * n, redrawn while the low
+        # half falls below (2**32 - n) % n
+        u = self.u32(k)
+        halves = (u * span).view(_U32)
+        out = halves[1::2]
+        if floor and np.minimum.reduce(halves[::2]) < floor:
+            at = int((halves[::2] < floor).argmax())
+            return self._redraw(n, 1, out, at, u[at + 1 :])
+        return out
+
     def rows(self, n: int, m: int, k: int) -> np.ndarray:
         """``rng.integers(np.arange(k * m) % m, n).reshape(k, m)``: row r's
         column i is uniform on [i, n), from the stream's next draws."""
-        if self._raw is None or m == 1 or n > 2**32:
-            # numpy fills one bound about as fast as the raw rule, and above
-            # 2**32 it draws by another rule; its redraws leave the half
+        if m == 1:
+            # at one bound the per-column path below costs more than below
+            # does (256 values, listed: 8.7 us against 5.9 us, and 7.1 us
+            # through integers)
+            return self.below(n, k).astype(np.int64).reshape(k, 1)
+        if self._raw is None or n > 2**32:
+            # above 2**32 numpy draws by another rule; it leaves the half
             # word to be read from the state when a raw draw next needs it
             self.buffered = None
-            return _integer_rows(self.rng, n, m, k)
+            return self.rng.integers(np.arange(k * m) % m, n).reshape(k, m)
         if m == n:
             # the last column's range holds the one value n - 1, and numpy
             # draws nothing for it
@@ -270,7 +301,8 @@ class Draws:
             u[0] = rng.integers(2**32)
             head, buffered = 1, False
         words = (count - head) >> 1
-        u[head : head + 2 * words] = raw(words).view(_U32)
+        if words:
+            u[head : head + 2 * words] = raw(words).view(_U32)
         if (count - head) & 1:
             u[-1] = rng.integers(2**32)
             buffered = True
@@ -290,6 +322,14 @@ def _raw_reader(rng: np.random.Generator):
 
 
 @functools.lru_cache(maxsize=64)
+def _lemire_bound(n: int) -> tuple[np.uint64, int]:
+    """``_lemire_bounds`` at one bound: the span n, as a uint64 scalar
+    (building one costs more than the product it enters), and its
+    threshold."""
+    return np.uint64(n), (2**32 - n) % n
+
+
+@functools.lru_cache(maxsize=64)
 def _lemire_bounds(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per column i < m of ``Draws.rows``: the offset i, the span n - i,
     and the threshold (2**32 - span) % span below which a draw is redrawn."""
@@ -299,20 +339,6 @@ def _lemire_bounds(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a in (lo, span, floor):
         a.flags.writeable = False
     return lo, span, floor
-
-
-def _integer_rows(rng, n: int, m: int, k: int) -> np.ndarray:
-    """``Draws.rows`` drawn through ``rng.integers``."""
-    if m == 1:
-        return rng.integers(0, n, size=(k, 1))
-    return rng.integers(np.arange(k * m) % m, n).reshape(k, m)
-
-
-def _draw_rows(rng, n: int, m: int, k: int) -> np.ndarray:
-    """``Draws.rows`` from a ``Draws`` or a bare generator."""
-    if isinstance(rng, Draws):
-        return rng.rows(n, m, k)
-    return _integer_rows(rng, n, m, k)
 
 
 def rejection_regime(n: int, ell: int) -> bool:
@@ -332,17 +358,19 @@ def sample_uniform_subset(
 
     With ``size=k`` the result is a ``(k, ell)`` array whose row i is the
     i-th of k consecutive single draws, and ``rng`` is left in the same
-    state those k draws leave it in.  ``rng`` may be a ``Draws``, which
-    reads the same values from raw stream words.
+    state those k draws leave it in.  A bare generator is drawn from
+    through a ``Draws`` that learns its half word from the state; one
+    passed in reads the same values from raw stream words.
     """
     if not 1 <= ell <= n:
         raise ValueError(f"subset size must lie in [1..n]; got ell={ell}, n={n}")
+    draws = rng if isinstance(rng, Draws) else Draws(rng, buffered=None)
     if size is None:
-        return _sample_subsets(n, ell, rng, 1)[0]
-    return _sample_subsets(n, ell, rng, size)
+        return _sample_subsets(n, ell, draws, 1)[0]
+    return _sample_subsets(n, ell, draws, size)
 
 
-def _rejection_rows(n: int, ell: int, rng, k: int) -> list[list[int]]:
+def _rejection_rows(n: int, ell: int, draws: Draws, k: int) -> list[list[int]]:
     """k consecutive rejection draws of ``ell`` distinct indices from [0..n-1].
 
     One draw reads ``integers(0, n, size=2 * need)`` per attempt and keeps
@@ -354,7 +382,7 @@ def _rejection_rows(n: int, ell: int, rng, k: int) -> list[list[int]]:
     by what the draws still due read at least.
     """
     width = 2 * ell
-    buf = _draw_rows(rng, n, 1, width * k).ravel().tolist()
+    buf = draws.below(n, width * k).tolist()
     rows = []
     pos = 0
     for left in range(k - 1, -1, -1):
@@ -372,7 +400,7 @@ def _rejection_rows(n: int, ell: int, rng, k: int) -> list[list[int]]:
             end = pos + 2 * need
             if end > len(buf):
                 top_up = end - len(buf) + width * left
-                buf += _draw_rows(rng, n, 1, top_up).ravel().tolist()
+                buf += draws.below(n, top_up).tolist()
             for i in buf[pos:end]:
                 if i not in chosen:
                     chosen.add(i)
@@ -404,14 +432,14 @@ def _shuffle_prefix(n: int, js: list[int]) -> list[int]:
     return idx[: len(js)]
 
 
-def _sample_subsets(n: int, ell: int, rng, k: int) -> np.ndarray:
+def _sample_subsets(n: int, ell: int, draws: Draws, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError(f"batch size must be at least 1, got {k}")
     if rejection_regime(n, ell):
-        return np.array(_rejection_rows(n, ell, rng, k), dtype=np.int64)
+        return np.array(_rejection_rows(n, ell, draws, k), dtype=np.int64)
     # one draw of k rows of targets consumes the stream exactly as k
     # single draws of one row do
-    js = _draw_rows(rng, n, ell, k)
+    js = draws.rows(n, ell, k)
     if k <= 2:
         # a lockstep shuffle of one or two rows is slower than scalar ones
         return np.array([_shuffle_prefix(n, row) for row in js.tolist()], dtype=np.int64)
@@ -472,16 +500,20 @@ class UniformNonOptimal(InitDistribution):
 def sample_bitstring(
     n: int, dist: InitDistribution, rng: np.random.Generator | Draws
 ) -> BitString:
-    """Draw one bitstring of length ``n`` from the given distribution."""
+    """Draw one bitstring of length ``n`` from the given distribution.
+
+    A bare generator is drawn from through a ``Draws``, as in
+    ``sample_uniform_subset``."""
+    draws = rng if isinstance(rng, Draws) else Draws(rng, buffered=None)
     if isinstance(dist, Uniform):
-        return _sample_uniform(n, rng)
+        return _sample_uniform(n, draws)
     if isinstance(dist, FixedOnes):
         j = dist.checked(n)
         if j in (0, n):
             # the only string with j ones: nothing is drawn from the stream
             return BitString.from_indices(n, range(j))
         # the subset is distinct and in range, so it needs no re-check
-        return BitString(n, _bits_at(n, sample_uniform_subset(n, j, rng)))
+        return BitString(n, _bits_at(n, sample_uniform_subset(n, j, draws)))
     if isinstance(dist, Point):
         x = BitString.from01(dist.bits)
         if x.n != n:
@@ -491,7 +523,7 @@ def sample_bitstring(
         fit = dist.fitness
         for _ in range(_NONOPT_ATTEMPTS):
             # an even count of 32-bit draws leaves the half word as it was
-            x = _sample_uniform(n, rng)
+            x = _sample_uniform(n, draws)
             if fit.value(x) < fit.max_value:
                 return x
         raise RuntimeError(
@@ -501,19 +533,17 @@ def sample_bitstring(
     raise ValueError(f"unknown initialization distribution {dist!r}")
 
 
-def _sample_uniform(n: int, rng) -> BitString:
+def _sample_uniform(n: int, draws: Draws) -> BitString:
     # the words ``rng.bytes(8 * n_words)`` draws, without its byte copies:
     # 2 * n_words 32-bit draws
     n_words = (n + 63) // 64
-    if not isinstance(rng, Draws):
-        rng = Draws(rng, buffered=None)
-    if rng.buffered is False and rng._raw is not None:
+    if draws.buffered is False and draws._raw is not None:
         # with no half word buffered they are the next n_words raw words,
         # as u32 reads them; reading them here saves a run's start the
         # call and the view
-        u = rng._raw(n_words)
+        u = draws._raw(n_words)
     else:
-        u = rng.u32(2 * n_words)
+        u = draws.u32(2 * n_words)
     return BitString(n, int.from_bytes(u.tobytes(), "little") & ((1 << n) - 1))
 
 

@@ -81,20 +81,16 @@ def reference_subset(n, ell, rng):
     return list_shuffle_prefix(n, rng.integers(np.arange(ell), n).tolist())
 
 
-def same_state(a, b):
-    return repr(a.bit_generator.state) == repr(b.bit_generator.state)
-
-
-class CountingRng:
-    """A generator that counts its integers() calls."""
+class CountingDraws(Draws):
+    """A ``Draws`` that counts its one-bound draws."""
 
     def __init__(self, rng):
-        self.rng = rng
+        super().__init__(rng, buffered=None)
         self.calls = 0
 
-    def integers(self, *args, **kwargs):
+    def below(self, n, k):
         self.calls += 1
-        return self.rng.integers(*args, **kwargs)
+        return super().below(n, k)
 
 
 @st.composite
@@ -339,7 +335,9 @@ class TestSubsetSampling:
         assert rows.shape == (k, ell) and rows.dtype == np.int64
         assert rows.tolist() == expected
         assert [sample_uniform_subset(n, ell, single).tolist() for _ in range(k)] == expected
-        assert same_state(batched, ref) and same_state(single, ref)
+        # the samplers read raw words, which leave the spent half word
+        # (uinteger while has_uint32 is 0) as it was; no draw reads it
+        assert philox_state(batched) == philox_state(ref) == philox_state(single)
 
     @pytest.mark.parametrize("n,ell", [(1, 1), (2, 2), (3, 2), (3, 3), (5, 3), (8, 8)])
     @pytest.mark.parametrize("k", [1, 2, 7, 40])
@@ -348,10 +346,10 @@ class TestSubsetSampling:
         # ell distinct ones, so the reader must top its buffer up mid-batch
         top_ups = 0
         for seed in range(20):
-            got, ref = CountingRng(rng_for(seed, n)), rng_for(seed, n)
+            got, ref = CountingDraws(rng_for(seed, n)), rng_for(seed, n)
             rows = _rejection_rows(n, ell, got, k)
             assert rows == [rejection_subset(n, ell, ref) for _ in range(k)]
-            assert same_state(got.rng, ref)
+            check_draws_leave(got, ref)
             top_ups += got.calls - 1
         if ell > 1 and k >= 7:
             assert top_ups > 0
@@ -447,7 +445,7 @@ def tiled_integers(rng, n, m, k):
 
 class TestRawDraws:
     # n from 2 to 20000; m = n (the last range holds one value), m = 1
-    # (drawn through numpy) and odd and even counts k * m
+    # (the one-bound draw) and odd and even counts k * m
     @pytest.mark.parametrize(
         "n,m,k",
         [(2, 2, 3), (3, 2, 5), (5, 3, 1), (7, 7, 4), (100, 1, 9), (100, 2, 64), (100, 25, 81),
@@ -465,6 +463,44 @@ class TestRawDraws:
             rows = draws.rows(n, m, k)
             assert rows.dtype == np.int64 and rows.shape == (k, m)
             assert np.array_equal(rows, tiled_integers(ref, n, m, k))
+            check_draws_leave(draws, ref)
+
+    # 2**31 + 12345 and 3 * 2**30 + 7 redraw about half and a quarter of
+    # all draws; k covers odd and even counts on both sides of a batch
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 200, 2**31 + 12345, 3 * 2**30 + 7])
+    @pytest.mark.parametrize("k", [1, 2, 3, 256, 257, 4096])
+    @pytest.mark.parametrize("start", [False, True, None])
+    def test_below_replays_integers(self, n, k, start):
+        redraws = 0
+        seeds = range(4 if k > 200 else 40)
+        for seed in seeds:
+            rng, ref, lemire = rng_for(seed, n), rng_for(seed, n), rng_for(seed, n)
+            if start is not False:
+                # one 32-bit draw leaves a half word buffered, which a Draws
+                # is told of (True) or learns from the state (None)
+                for g in (rng, ref, lemire):
+                    g.integers(0, 9)
+            draws = Draws(rng, buffered=start)
+            got = draws.below(n, k)
+            assert got.dtype == np.uint32 and got.shape == (k,)
+            assert got.tolist() == ref.integers(0, n, size=k).tolist()
+            if n > 2**31:
+                redraws += lemire_reference(lemire, np.zeros(k, dtype=np.int64), n)[1]
+            check_draws_leave(draws, ref)
+            assert rng.integers(0, 2**32) == ref.integers(0, 2**32)
+        if n > 2**31:
+            # the redraws must have run: at least one in eight draws
+            assert redraws >= len(seeds) * k / 8
+
+    def test_below_past_the_32_bit_range_keeps_integers(self):
+        # at 2**32 the rule keeps every draw as it is; above it numpy draws
+        # by another rule, and below draws through numpy
+        for n in (2**32, 2**32 + 1, 3 * 2**40):
+            rng, ref = rng_for(5, 1), rng_for(5, 1)
+            draws = Draws(rng, buffered=False)
+            for k in (1, 3, 64):
+                got = draws.below(n, k)
+                assert got.tolist() == ref.integers(0, n, size=k).tolist()
             check_draws_leave(draws, ref)
 
     @pytest.mark.parametrize("m,k", [(2, 7), (3, 50), (5, 41), (8, 64)])
@@ -491,7 +527,7 @@ class TestRawDraws:
 
     def test_buffered_flag_follows_a_sequence_of_draws(self):
         # what a run draws: its start, then batches of rows of several
-        # sizes; one-bound draws go through numpy and leave the flag unknown
+        # sizes; every draw, one-bound ones included, keeps the flag known
         calls = [(100, 25, 81), (100, 25, 64), (100, 1, 33), (100, 3, 5), (100, 3, 7),
                  (3 * 2**30 + 3, 3, 41), (100, 100, 3), (1, 1, 5), (2, 2, 1), (64, 7, 9)]
         for seed in range(20):
@@ -500,7 +536,7 @@ class TestRawDraws:
             for n, m, k in calls:
                 assert np.array_equal(draws.rows(n, m, k), tiled_integers(ref, n, m, k))
                 assert philox_state(rng) == philox_state(ref)
-                assert draws.buffered in (None, bool(ref.bit_generator.state["has_uint32"]))
+                assert draws.buffered is bool(ref.bit_generator.state["has_uint32"])
             check_draws_leave(draws, ref)
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 8, 11])
@@ -523,6 +559,7 @@ class TestRawDraws:
         draws = Draws(rng, buffered=False)
         for n, m, k in [(100, 25, 81), (100, 1, 9), (7, 7, 3), (3 * 2**30 + 2, 2, 51)]:
             assert np.array_equal(draws.rows(n, m, k), tiled_integers(ref, n, m, k))
+            assert draws.below(n, k).tolist() == ref.integers(0, n, size=k).tolist()
         assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
 
     @pytest.mark.parametrize("n", [70, 130, 1000])

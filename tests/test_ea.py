@@ -349,8 +349,9 @@ class TestIndexBatches:
         ref = RngStream(8).generator()
         expected = ref.integers(0, 100, size=cap).tolist()
         assert [i for b in batches for i in b] == expected
-        # an odd cap leaves a half word buffered, which the Draws must not
-        # take for a whole word
+        # an odd cap leaves a half word buffered, which the Draws records
+        # and must not take for a whole word
+        assert draws.buffered is bool(cap & 1)
         assert draws.u32(3).tolist() == ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
 
 

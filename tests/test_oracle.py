@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -588,6 +589,96 @@ class TestBandedSolver:
         kernel = dense_kernel(matrix, frozenset({1, 4}))
         assert kernel.width == 3
         assert_matches_reference(kernel)
+
+
+def exact_hitting_times(kernel):
+    """E of (I - Q) E = 1 in rational arithmetic on the exact values of the
+    kernel's float band: each entry the rational it stores, and each
+    diagonal entry of I - Q the exact leaving mass of its row, as the GTH
+    pivot takes it.  A level that can reach one with no path to absorption
+    gets None."""
+    size, w = kernel.size, kernel.width
+    band = kernel.band.tolist()
+    moves = {
+        s: [s + d - w for d, p in enumerate(row) if p and d != w] for s, row in enumerate(band)
+    }
+    # backward searches: the levels that can reach absorption, then the
+    # levels that can reach one that cannot
+    into = {s: [] for s in range(size)}
+    for s, targets in moves.items():
+        for t in targets:
+            into[t].append(s)
+
+    def reaching(start):
+        found, todo = set(start), list(start)
+        while todo:
+            for s in into[todo.pop()]:
+                if s not in found and s not in kernel.absorbing:
+                    found.add(s)
+                    todo.append(s)
+        return found
+
+    doomed = reaching(set(range(size)) - reaching(kernel.absorbing))
+    levels = [s for s in range(size) if s not in kernel.absorbing and s not in doomed]
+    rows, rhs = {}, {}
+    for s in levels:
+        rows[s] = {s: sum(Fraction(p) for d, p in enumerate(band[s]) if d != w)}
+        for t in moves[s]:
+            if t not in kernel.absorbing:
+                rows[s][t] = -Fraction(band[s][t - s + w])
+        rhs[s] = Fraction(1)
+    # Gaussian elimination in level order, within the band, then back
+    # substitution
+    for k in levels:
+        pivot = rows[k]
+        for i in range(k + 1, min(size, k + w + 1)):
+            f = rows[i].pop(k, 0) if i in rows else 0
+            if f:
+                f /= pivot[k]
+                for j, v in pivot.items():
+                    if j > k:
+                        rows[i][j] = rows[i].get(j, 0) - f * v
+                rhs[i] -= f * rhs[k]
+    E = {}
+    for k in reversed(levels):
+        E[k] = (rhs[k] - sum(v * E[j] for j, v in rows[k].items() if j > k)) / rows[k][k]
+    return [0 if s in kernel.absorbing else E.get(s) for s in range(size)]
+
+
+def assert_exact(E, exact, tol):
+    for got, want in zip(E.tolist(), exact):
+        if want is None:
+            assert got == math.inf
+        elif want == 0:
+            assert got == 0.0
+        else:
+            assert abs(Fraction(got) - want) / want <= tol
+
+
+class TestExactReference:
+    """The float solvers against exact rational solves of the same bands:
+    the residual contract bounds (I - Q) E - 1, this the error in E."""
+
+    @pytest.mark.parametrize("n", [8, 13, 20, 31, 40])
+    def test_kernel_solver_matches_exact_elimination(self, n):
+        # plateau n=40, r=19, ell=3 (E = 1.3e10) was the worst at 1.8e-15
+        fits = [OneMax(n)]
+        if n % 2 == 0:
+            for r in sorted({1, 2, n // 4, n // 2 - 1, n // 2}):
+                fits += [MajorityFitness(n, r), PlateauFitness(n, r)]
+        for fit in fits:
+            for ell in sorted({1, 2, 3, 5, n // 2, n - 1, n}):
+                kernel = rlsl_kernel(n, ell, fit.level_value)
+                assert_exact(kernel_hitting_times(kernel), exact_hitting_times(kernel), 1e-13)
+
+    @pytest.mark.parametrize("chain", [majority_chain, plateau_chain])
+    def test_width_one_solvers_match_exact_elimination(self, chain):
+        for n in range(2, 81, 2):
+            for r in sorted({1, 2, n // 4, n // 2} & set(range(1, n // 2 + 1))):
+                kernel = chain(n, r)
+                exact = exact_hitting_times(kernel)
+                assert_exact(bd_hitting_times(kernel), exact, 1e-13)
+                assert_exact(kernel_hitting_times(kernel), exact, 1e-13)
 
 
 class TestTrappedLevel:
