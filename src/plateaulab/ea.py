@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import KW_ONLY, dataclass, field
-from itertools import repeat
 from operator import length_hint, lt
 from typing import Optional, Sequence
 
@@ -236,11 +235,25 @@ def _index_batches(n, draws, cap):
     batches replay exactly the indices one call of their total size
     would return.  ``Draws.below`` returns them from raw words (256
     indices, listed: 5.9 us against 7.1 us through ``integers``, 2-vCPU
-    Xeon) and keeps the run's record of the half word.
+    Xeon) and keeps the run's record of the half word.  The level and
+    phase loops walk each batch through ``_listed``, the unrecorded
+    blocked loop its scored flips, and the recorded blocked loop lists
+    it as one-index rows.
     """
     below = draws.below
     for k in _batch_sizes(_BATCH_FIRST, _BATCH, cap):
         yield below(n, k)
+
+
+def _listed(a, bound):
+    """The values of the integer array ``a``, all below ``bound``,
+    flattened into the container the engine loops read: ``bytes`` when
+    each fits in a byte, else a list.  Both index and iterate as ints,
+    and both iterators report what they have left to ``length_hint``.
+    """
+    if bound <= 256:
+        return a.astype(np.uint8).tobytes()
+    return a.ravel().tolist()
 
 
 def _run_level(fit, ell, ones, draws, cap, traj):
@@ -264,7 +277,7 @@ def _run_level(fit, ell, ones, draws, cap, traj):
     t = 0
     if ell == 1:
         # no proposal counts itself: a hit at index p of a batch leaves
-        # len(batch) - p - 1 entries in its list iterator, and each batch
+        # len(batch) - p - 1 entries in its iterator, and each batch
         # run through adds its length to the count once
         if append is None:
             # on the stop tables a hit moves to n + 1: the next lookup
@@ -272,7 +285,7 @@ def _run_level(fit, ell, ones, draws, cap, traj):
             # last index hit ends at n + 1
             lower, higher = fit.stop_tables
         for drawn in _index_batches(n, draws, cap):
-            batch = drawn.tolist()
+            batch = _listed(drawn, n)
             it = iter(batch)
             if append is None:
                 try:
@@ -297,15 +310,18 @@ def _run_level(fit, ell, ones, draws, cap, traj):
     # ones + ell - 2a as the flip set, and to ell - ones + 2a as the kept set
     m = min(ell, n - ell)
     sign = 1 if m == ell else -1
+    # a batch's sorted rows lie end to end, proposal j's in lo..lo+m-1 for
+    # lo = j * m, so its a is their bisect less lo.  At ell=n each proposal
+    # has one entry and an empty row, which bisects to lo
+    step = m or 1
     batches = (
-        (np.sort(b, axis=1).tolist() for b in _subset_batches(n, m, draws, cap))
+        (_listed(np.sort(b, axis=1), n) for b in _subset_batches(n, m, draws, cap))
         if m
-        else [repeat((), cap)]
+        else [range(cap)]
     )
-    for rows in batches:
-        for row in rows:
-            t += 1
-            cand = ell + sign * (ones - 2 * bisect_left(row, ones))
+    for flat in batches:
+        for lo in range(0, len(flat), step):
+            cand = ell + sign * (ones - 2 * (bisect_left(flat, ones, lo, lo + m) - lo))
             fy = vals[cand]
             if fy >= fx:
                 ones = cand
@@ -313,7 +329,8 @@ def _run_level(fit, ell, ones, draws, cap, traj):
             if append is not None:
                 append(ones)
             if fx == fmax:
-                return t
+                return t + lo // step + 1
+        t += len(flat) // step
     return None
 
 
@@ -337,7 +354,7 @@ def _run_phases(fit, ones, draws, cap, times, counts):
     lower, higher = returning if ones <= low else seeking
     t = 0
     for drawn in _index_batches(n, draws, cap):
-        batch = drawn.tolist()
+        batch = _listed(drawn, n)
         it = iter(batch)
         while True:
             try:
@@ -396,7 +413,7 @@ def _run_blocked(fit, ell, x0, draws, cap, traj):
         # positions, blocks and bits count from lo.  A +-1 step crosses the
         # threshold iff the two counts are thr-1, thr; only a vote change
         # can reach the maximum.  A hit at entry p of a batch's scored
-        # flips, read off their list iterator as in the level engine, is
+        # flips, read off their iterator as in the level engine, is
         # the batch's proposal pos[p] + 1
         span = hi - lo
         bits = BitString(span, x0.bits >> lo & ((1 << span) - 1)).unpacked().tolist()
@@ -409,7 +426,7 @@ def _run_blocked(fit, ell, x0, draws, cap, traj):
             # flatnonzero without its ravel
             batch -= lo
             pos = (batch < span).nonzero()[0]
-            flips = batch[pos].tolist()
+            flips = _listed(batch[pos], span)
             it = iter(flips)
             for i in it:
                 b = i // k

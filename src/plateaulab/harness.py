@@ -106,7 +106,10 @@ def parse_init(text: str, fitness: FitnessFunction) -> InitDistribution:
     if text == "uniform-nonopt":
         return UniformNonOptimal(fitness)
     if text.startswith("ones="):
-        return FixedOnes(int(text[5:]))
+        try:
+            return FixedOnes(int(text[5:]))
+        except ValueError as exc:
+            raise ValueError(f"init {text}: J must be an integer from 0 to n: {exc}") from exc
     if text.startswith("point="):
         return Point(text[6:])
     raise ValueError(

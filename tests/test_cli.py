@@ -343,6 +343,24 @@ class TestSweep:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("value", ["abc", "5.0", ""])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_init_count_names_the_init(self, capsys, tmp_path, value, source):
+        argv = ["--n", "100", "--r", "10", "--ell", "1", "--runs", "3"]
+        if source == "flag":
+            argv += ["--init", f"ones={value}"]
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"[sweep]\ninit = ones={value}\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, "sweep", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            f"error: init ones={value}: J must be an integer from 0 to n: "
+            f"invalid literal for int() with base 10: {value!r}\n"
+        )
+
     def test_config_unknown_key(self, capsys, tmp_path):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text(

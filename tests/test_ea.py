@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from operator import length_hint
 
 import numpy as np
 import pytest
@@ -562,6 +563,114 @@ class TestBlockedEngine:
         cfg = RunConfig(BLOCKED["onemax-k7-20"], RlsMutation(2), Uniform(), 7,
                         max_iters=37, record_trajectory=True)
         assert run(cfg, 0).censored and reference_run(cfg, 0)[0] is None
+
+
+def check_both_sides(cfgs, runs, bound, monkeypatch):
+    """Runs ``runs`` of each cell in ``cfgs`` give the same outcomes whether
+    the engine loops read their drawn positions through ``ea._listed`` or
+    as ``tolist()`` lists.  Every container ``_listed`` returned must be
+    ``bytes`` up to ``bound`` = 256 and a list past it; the largest value
+    they held is returned."""
+    real, seen = ea._listed, []
+
+    def spy(a, limit):
+        out = real(a, limit)
+        seen.append((limit, out))
+        return out
+
+    monkeypatch.setattr(ea, "_listed", spy)
+    got = [outcome(run(cfg, i)) for cfg in cfgs for i in runs]
+    monkeypatch.setattr(ea, "_listed", lambda a, bound: a.ravel().tolist())
+    want = [outcome(run(cfg, i)) for cfg in cfgs for i in runs]
+    monkeypatch.setattr(ea, "_listed", real)
+    assert got == want
+    assert seen and {b for b, _ in seen} == {bound}
+    assert {type(out) for _, out in seen} == {bytes if bound <= 256 else list}
+    return max(max(out, default=-1) for _, out in seen)
+
+
+def single_flip_cells(fit, init, cap):
+    """The recorded, unrecorded and, on majority, restart cells at ell=1."""
+    cells = [RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap, record_trajectory=True),
+             RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap)]
+    if isinstance(fit, MajorityFitness):
+        cells.append(RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap,
+                               record_restart_stats=True))
+    return cells
+
+
+class TestByteCut:
+    """Up to 256 positions the engine loops read a batch's drawn positions
+    as ``bytes``, past it as a list: either way a run gives what the
+    reference loop gives and what the loop gives reading lists."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 255, 256, 257, 258, 1000])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_listed_flattens_on_both_sides_of_the_cut(self, bound, rows):
+        a = (np.arange(rows * bound, dtype=np.uint32) * 7 % bound).reshape(rows, bound)
+        out = ea._listed(a if rows > 1 else a[0], bound)
+        assert type(out) is (bytes if bound <= 256 else list)
+        assert list(out) == a.ravel().tolist()
+        it = iter(out)
+        next(it)
+        assert length_hint(it) == rows * bound - 1
+
+    # uniform-start runs on MajorityFitness(n, 4) that hit on the last
+    # index of the first batch (256); at n = 256 that batch draws 255
+    @pytest.mark.parametrize("n,i", [(254, 298), (256, 357), (258, 3347)])
+    @pytest.mark.parametrize("cap", [255, 256, 257, 768])
+    def test_level_single_flips(self, n, i, cap, monkeypatch):
+        fit = MajorityFitness(n, 4)
+        assert reference_run(RunConfig(fit, RlsMutation(1), Uniform(), 7), i)[0] == 256
+        check_batch_ends(fit, i, cap)
+        top = check_both_sides(single_flip_cells(fit, Uniform(), cap), [i, i + 1], n,
+                               monkeypatch)
+        assert top == n - 1
+
+    # from n/2 ones some runs at each n return to n/2 after a hit on the
+    # zeros side and seek again
+    @pytest.mark.parametrize("n", [254, 256, 258])
+    def test_restart_runs(self, n, monkeypatch):
+        fit = MajorityFitness(n, 2)
+        stats = [check_phases(fit, FixedOnes(n // 2), 3000, i) for i in range(6)]
+        assert any(s.half_returns for s in stats)
+        assert check_both_sides(single_flip_cells(fit, FixedOnes(n // 2), 3000), range(6),
+                                n, monkeypatch) == n - 1
+
+    # m = 2 (rejection rows), a flip set past n/64 (lockstep shuffles), a
+    # kept set of n - 200 positions, and ell = n, which draws nothing.
+    # The caps cross the batch ends of each kind.  At n = 257 (OneMax, as
+    # majority needs an even n) 256 is the one position past a byte
+    @pytest.mark.parametrize("n", [256, 257, 258])
+    @pytest.mark.parametrize("ell", [2, 10, 200, "n"])
+    @pytest.mark.parametrize("cap", [1, 16, 17, 33, 97, 400])
+    def test_level_subset_flips(self, n, ell, cap, monkeypatch):
+        ell = n if ell == "n" else ell
+        fit = MajorityFitness(n, 4) if n % 2 == 0 else OneMax(n)
+        cfg = RunConfig(fit, RlsMutation(ell), Uniform(), 7, max_iters=cap,
+                        record_trajectory=True)
+        bare = RunConfig(fit, RlsMutation(ell), Uniform(), 7, max_iters=cap)
+        for i in range(3):
+            res = run(cfg, i)
+            runtime, traj = reference_run(cfg, i)
+            assert res.runtime == runtime
+            assert res.trajectory.tolist() == traj
+            assert run(bare, i).runtime == runtime
+        if ell == n:
+            return
+        top = check_both_sides([cfg, bare], range(3), n, monkeypatch)
+        assert cap < 97 or top == n - 1
+
+    # block 1 of 2 scores positions 0..k-1; the runs hit on the last index
+    # of the first batch
+    @pytest.mark.parametrize("k,i", [(256, 27), (258, 3357)])
+    @pytest.mark.parametrize("cap", [255, 256, 257, 768])
+    def test_blocked_single_flips(self, k, i, cap, monkeypatch):
+        fit = BlockMajorityFitness(1, 2, k)
+        assert reference_run(RunConfig(fit, RlsMutation(1), Uniform(), 7), i)[0] == 256
+        check_batch_ends(fit, i, cap)
+        bare = RunConfig(fit, RlsMutation(1), Uniform(), 7, max_iters=cap)
+        assert check_both_sides([bare], [i, *range(20)], k, monkeypatch) == k - 1
 
 
 def outcome(res):
