@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--ell", type=int, default=1)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_trajectory)
 

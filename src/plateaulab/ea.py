@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from dataclasses import KW_ONLY, dataclass, field
 from operator import length_hint, lt
@@ -24,13 +25,17 @@ from .core import (
 from .fitness import BlockedFitness, FitnessFunction, MajorityFitness
 
 DEFAULT_CAP = 10**9
-# ell=1 proposal batches: the first has this many indices, each later one
-# twice as many, up to _BATCH.  One Draws.below call costs about as much
-# as some 500 more indices in the call before it (3.9 us, and 7.6 ns an
-# index, listed), and most plateau and majority runs outlast 64 proposals;
-# first batches of 192, 384 and 512 ran within noise of 256
+# ell=1 proposal batches: the first reads this many bytes of the stream up
+# to n = 256 (a position each, less those the byte rule drops) and draws
+# this many indices past it, each later one twice as many, up to _BATCH.
+# A byte batch costs about 1 us plus 3.6 ns a byte, a Draws.below batch
+# 3.9 us plus about 3.5 ns an index, listed; most plateau and majority runs
+# outlast 64 proposals, and first batches of 128, 384 and 512 bytes ran
+# within noise of 256
 _BATCH_FIRST = 256
 _BATCH = 4096
+# the largest n whose positions the byte rule draws, one byte each
+_BYTE_LIMIT = 256
 # ell>1 proposal batches: the first has this many rejection rows or this
 # many shuffled rows (a lockstep shuffle's fixed cost per batch outweighs
 # its cost per row), each later one twice as many, capped so that a batch
@@ -228,21 +233,64 @@ def _subset_batches(n, ell, rng, cap):
 
 
 def _index_batches(n, draws, cap):
-    """Single-flip positions for up to ``cap`` proposals, as uint32 arrays.
+    """Single-flip positions for up to ``cap`` proposals: ``bytes`` up to
+    n = 256 (see ``_byte_batches``), uint32 arrays past it.
 
-    ``integers(0, n)`` consumes the stream draw by draw (below 2**32
-    through a 32-bit buffer kept in the bit generator's state), so the
-    batches replay exactly the indices one call of their total size
-    would return.  ``Draws.below`` returns them from raw words (256
-    indices, listed: 5.9 us against 7.1 us through ``integers``, 2-vCPU
-    Xeon) and keeps the run's record of the half word.  The level and
-    phase loops walk each batch through ``_listed``, the unrecorded
-    blocked loop its scored flips, and the recorded blocked loop lists
-    it as one-index rows.
+    Past n = 256 a batch is ``Draws.below(n, k)``, what ``integers(0, n,
+    size=k)`` returns.  ``integers(0, n)`` consumes the stream draw by draw
+    (below 2**32 through a 32-bit buffer kept in the bit generator's
+    state), so the batches replay exactly the indices one call of their
+    total size would return, and ``Draws`` keeps the run's record of the
+    half word.  The level and phase loops walk each batch as ``bytes`` or
+    as a list (``_flip_lists``), the unrecorded blocked loop its scored
+    flips, and the recorded blocked loop lists it as one-index rows.
     """
+    if n <= _BYTE_LIMIT:
+        return _byte_batches(n, draws, cap)
     below = draws.below
-    for k in _batch_sizes(_BATCH_FIRST, _BATCH, cap):
-        yield below(n, k)
+    return (below(n, k) for k in _batch_sizes(_BATCH_FIRST, _BATCH, cap))
+
+
+def _flip_lists(n, draws, cap):
+    """``_index_batches`` as the engine loops walk them: ``bytes`` as they
+    are, arrays as lists.  Both index and iterate as ints, and both
+    iterators report what they have left to ``length_hint``."""
+    batches = _index_batches(n, draws, cap)
+    return batches if n <= _BYTE_LIMIT else (a.tolist() for a in batches)
+
+
+def _byte_batches(n, draws, cap):
+    """Single-flip positions at n <= 256 for up to ``cap`` proposals, as
+    ``bytes``, by the byte rule: each byte b of the stream below
+    256 - 256 % n is the position b % n, and every other byte is dropped,
+    so each position is exactly uniform on [0, n).
+
+    A batch reads the bytes of the stream's next 32-bit draws,
+    ``Draws.u32(...).tobytes()``, which are what ``Generator.bytes``
+    returns, and keeps the run's record of the half word.  It reads
+    ``_BATCH_FIRST`` bytes first and twice as many each time after, up to
+    ``_BATCH``, whatever the cap; one ``bytes.translate`` call keeps and
+    maps a batch's bytes, and the last batch is cut to the cap.
+    """
+    table, rejected = _byte_rule(n)
+    u32 = draws.u32
+    size, left = _BATCH_FIRST, cap
+    while True:
+        batch = u32(size >> 2).tobytes().translate(table, rejected)
+        if len(batch) >= left:
+            yield batch[:left]
+            return
+        yield batch
+        left -= len(batch)
+        size = min(2 * size, _BATCH)
+
+
+@functools.lru_cache(maxsize=_BYTE_LIMIT)
+def _byte_rule(n):
+    """``bytes.translate``'s table and deleted bytes for the byte rule at
+    n <= 256: byte b maps to b % n, and the bytes from 256 - 256 % n up
+    are deleted."""
+    return bytes(b % n for b in range(256)), bytes(range(256 - 256 % n, 256))
 
 
 def _listed(a, bound):
@@ -284,8 +332,7 @@ def _run_level(fit, ell, ones, draws, cap, traj):
             # raises IndexError after taking index p + 1, and a batch whose
             # last index hit ends at n + 1
             lower, higher = fit.stop_tables
-        for drawn in _index_batches(n, draws, cap):
-            batch = _listed(drawn, n)
+        for batch in _flip_lists(n, draws, cap):
             it = iter(batch)
             if append is None:
                 try:
@@ -353,8 +400,7 @@ def _run_phases(fit, ones, draws, cap, times, counts):
     low = n - top
     lower, higher = returning if ones <= low else seeking
     t = 0
-    for drawn in _index_batches(n, draws, cap):
-        batch = _listed(drawn, n)
+    for batch in _flip_lists(n, draws, cap):
         it = iter(batch)
         while True:
             try:
@@ -421,11 +467,15 @@ def _run_blocked(fit, ell, x0, draws, cap, traj):
         flags = [1 << b for b in scored]
         crossing = 2 * thr - 1
         for batch in _index_batches(n, draws, cap):
-            # the batch is unsigned, so a flip below lo wraps to a huge
-            # value and one comparison keeps the scored ones; nonzero is
-            # flatnonzero without its ravel
-            batch -= lo
-            pos = (batch < span).nonzero()[0]
+            # the batch is unsigned, so a flip below lo wraps to a value
+            # past the span (modulo 256 for bytes, read as uint8) and one
+            # comparison keeps the scored ones; nonzero is flatnonzero
+            # without its ravel
+            if n <= _BYTE_LIMIT:
+                batch = np.frombuffer(batch, np.uint8) - lo
+            else:
+                batch -= lo
+            pos = (batch <= span - 1).nonzero()[0]
             flips = _listed(batch[pos], span)
             it = iter(flips)
             for i in it:
@@ -450,7 +500,7 @@ def _run_blocked(fit, ell, x0, draws, cap, traj):
     ones = x0.ones
     if ell == 1:
         # a recorded run draws the indices an unrecorded one does, as rows
-        batches = ([[i] for i in batch.tolist()] for batch in _index_batches(n, draws, cap))
+        batches = ([[i] for i in batch] for batch in _flip_lists(n, draws, cap))
     else:
         batches = (batch.tolist() for batch in _subset_batches(n, ell, draws, cap))
     for rows in batches:

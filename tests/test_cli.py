@@ -469,6 +469,19 @@ class TestTrajectoryAndPlot:
         assert rows[0]["t"] == "0"
         assert int(rows[-1]["ones"]) >= 6
 
+    def test_trajectory_default_cap_is_bounded(self, capsys, tmp_path):
+        # the only optimum is all ones: the run records 10**6 proposals,
+        # not 10**9, and says it was censored
+        path = tmp_path / "t.csv"
+        code, out, err = run_cli(
+            capsys, "trajectory", "--n", "100", "--r", "50", "--out", str(path)
+        )
+        assert code == EXIT_OK and out == ""
+        assert err == "run censored by the iteration cap\n"
+        lines = path.read_text().splitlines()
+        assert lines[0] == "t,ones" and len(lines) == 1 + harness.TRAJECTORY_CAP + 1
+        assert lines[-1].startswith(f"{harness.TRAJECTORY_CAP},")
+
     def test_plot_from_sweep_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "s.csv"
         run_cli(

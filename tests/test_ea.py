@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -252,11 +253,35 @@ class TestRun:
         assert res.runtime is not None
 
 
+def kept_positions(data, n):
+    """The byte rule over ``data`` in plain Python: each byte b below
+    256 - 256 % n is the position b % n, and the others are dropped."""
+    return bytes(b % n for b in data if b < 256 - 256 % n)
+
+
+def byte_rule(rng, n):
+    """Single-flip positions at n <= 256: the byte rule over
+    ``Generator.bytes`` batches of 256 bytes, then twice as many each
+    time up to 4096."""
+    size = 256
+    while True:
+        yield from kept_positions(rng.bytes(size), n)
+        size = min(2 * size, 4096)
+
+
+def reference_flips(rng, n):
+    """The single-flip positions of a run drawing from ``rng``: the byte
+    rule up to n = 256, past it ``integers(0, n)``, in blocks of
+    ``_BATCH``, which the engines' growing batches replay exactly."""
+    if n <= 256:
+        return byte_rule(rng, n)
+    return (i for _ in itertools.count() for i in rng.integers(0, n, size=_BATCH).tolist())
+
+
 def reference_run(cfg, run_index):
     """The elitist loop spelled out: every proposal is a new BitString scored
-    by ``fit.value``.  It draws single flips in blocks of ``_BATCH``
-    integers, which the engines' growing batches replay exactly, and for
-    ell > 1 one subset per proposal.
+    by ``fit.value``.  It draws single flips from ``reference_flips``, and
+    for ell > 1 one subset per proposal.
 
     A level objective's proposal flips an incumbent whose ones sit at
     positions 0..ones-1, as the count engine reads it: a fixed ones count
@@ -275,9 +300,10 @@ def reference_run(cfg, run_index):
     if fx == fit.max_value:
         return 0, traj
     t = 0
+    singles = reference_flips(rng, n)
     while t < cap:
         if ell == 1:
-            flips = [[i] for i in rng.integers(0, n, size=min(_BATCH, cap - t))]
+            flips = [[next(singles)]]
         elif level and 2 * ell > n:
             kept = sample_uniform_subset(n, n - ell, rng).tolist() if ell < n else []
             flips = [sorted(set(range(n)) - set(kept))]
@@ -298,26 +324,67 @@ def reference_run(cfg, run_index):
     return None, traj
 
 
-def check_batch_ends(fit, i, cap, init=Uniform()):
-    """Run i of the single-flip cell on ``fit`` from ``init`` (seed 7)
-    under ``cap``, with and without a recorded trajectory, against the
-    reference loop: the same runtime, and one trajectory entry per
-    proposal."""
-    cfg = RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap, record_trajectory=True)
+def check_batch_ends(fit, i, cap, init=Uniform(), seed=7):
+    """Run i of the single-flip cell on ``fit`` from ``init`` (master seed
+    ``seed``) under ``cap``, with and without a recorded trajectory,
+    against the reference loop: the same runtime, and one trajectory
+    entry per proposal."""
+    cfg = RunConfig(fit, RlsMutation(1), init, seed, max_iters=cap, record_trajectory=True)
     runtime, traj = reference_run(cfg, i)
     res = run(cfg, i)
     assert res.runtime == runtime
     assert res.trajectory.tolist() == traj
     assert len(res.trajectory) == (cap if runtime is None else runtime) + 1
-    bare = RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap)
+    bare = RunConfig(fit, RlsMutation(1), init, seed, max_iters=cap)
     assert run(bare, i).runtime == runtime
     if isinstance(fit, MajorityFitness):
         # restart statistics walk the phase tables and return no trajectory
-        stats = RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap,
+        stats = RunConfig(fit, RlsMutation(1), init, seed, max_iters=cap,
                           record_restart_stats=True)
         got = run(stats, i)
         assert got.runtime == runtime and got.trajectory is None
         assert got.restart == extract_restart_stats(traj, fit.n, fit.r)
+
+
+def batch_ends(cfg, i):
+    """The proposal counts at which the first two single-flip batches of
+    run i of ``cfg`` end, replayed from the run's stream."""
+    fit = cfg.fitness
+    draws = Draws(RngStream(cfg.cell_seed, i).generator(), buffered=False)
+    if not (fit.level_symmetric and isinstance(cfg.init, FixedOnes)):
+        sample_bitstring(fit.n, cfg.init, draws)
+    batches = _index_batches(fit.n, draws, ea.DEFAULT_CAP)
+    first = len(next(batches))
+    return first, first + len(next(batches))
+
+
+def proposal_at(ends, label):
+    """The proposal a pinned case names by its batch boundary: 256 is the
+    last of a run's first batch, which reads 256 bytes of the stream up
+    to n = 256 and draws 256 indices past it, and 768 the last of its
+    second (768 bytes or indices in all); 255 and 257 are the proposals
+    either side of 256, and 1 the first.  Up to n = 256 the byte rule
+    drops some bytes, so there the ends (``batch_ends``) vary by run."""
+    first, second = ends
+    return {1: 1, 255: first - 1, 256: first, 257: first + 1, 768: second}[label]
+
+
+# master seeds of the pinned single-flip runs, by case and run index: the
+# first seed whose run hits, or exits a phase, on the batch boundary its
+# case names (at n = 256, also one whose first batch, or the next run's,
+# holds position 255 within its first 255 positions); every other run has
+# seed 7
+PINNED_SEEDS = {
+    ("majority", 348): 885, ("majority", 439): 311, ("majority", 1869): 281,
+    ("plateau", 148): 969, ("plateau", 1065): 238, ("onemax", 422): 160,
+    ("plateau-middle", 11): 653, ("plateau-middle", 2362): 2392,
+    ("onemax-k7-20", 164): 396, ("onemax-k7-20", 33): 416, ("majority-k5", 3018): 7272,
+    ("first-block-k6", 627): 1148, ("last-block-k7", 9810): 468,
+    ("wmodel-1", 2219): 651, ("wmodel-1", 1330): 3551, ("wmodel-10", 537): 28,
+    ("wmodel-10", 31019): 44409, ("wmodel-20", 1538): 415, ("wmodel-20", 5774): 4980,
+    ("majority-254", 298): 64, ("majority-256", 357): 1450,
+    ("hit", 477): 421, ("hit", 2566): 3293, ("return", 708): 251, ("return", 4440): 1774,
+}
 
 
 class TestIndexBatches:
@@ -335,8 +402,8 @@ class TestIndexBatches:
             "batches and assume it does"
         )
 
-    # caps inside the first batch, and on both sides of the first two
-    # batch ends (256 and 768)
+    # caps inside the first batch (about 200 positions at n = 100, from 256
+    # bytes), inside the second (from 512 bytes) and the third
     @pytest.mark.parametrize(
         "cap", [1, 63, 64, 65, 191, 192, 193, 255, 256, 257, 767, 768, 769, 20_000]
     )
@@ -345,15 +412,77 @@ class TestIndexBatches:
         batches = list(_index_batches(100, draws, cap))
         sizes = [len(b) for b in batches]
         assert sum(sizes) == cap
-        full = [min(_BATCH_FIRST << i, _BATCH) for i in range(len(sizes))]
-        assert sizes[:-1] == full[:-1] and sizes[-1] <= full[-1]
         ref = RngStream(8).generator()
-        expected = ref.integers(0, 100, size=cap).tolist()
-        assert [i for b in batches for i in b] == expected
-        # an odd cap leaves a half word buffered, which the Draws records
-        # and must not take for a whole word
-        assert draws.buffered is bool(cap & 1)
+        full = [kept_positions(ref.bytes(min(_BATCH_FIRST << i, _BATCH)), 100)
+                for i in range(len(sizes))]
+        assert sizes[:-1] == [len(b) for b in full[:-1]] and sizes[-1] <= len(full[-1])
+        assert b"".join(batches) == b"".join(full)[:cap]
+        # each batch reads whole words' worth of 32-bit draws, so the run's
+        # record of the half word holds, and the stream stops where the
+        # reference's last batch stops
+        assert draws.buffered is False
         assert draws.u32(3).tolist() == ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+
+    # n divides 256 (no byte dropped) at 1, 2 and 256; at 130 nearly half
+    # the bytes are dropped.  A blocked ``ones=J`` start can leave a half
+    # word buffered, which the first batch's bytes then begin with
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 130, 200, 255, 256])
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("cut", ["1", "first-1", "first", "first+1", "second", "second+1"])
+    def test_byte_rule_replays_reference(self, n, buffered, cut):
+        rng, ref, probe = (RngStream(12, n).generator() for _ in range(3))
+        draws = Draws(rng, buffered=False)
+        if buffered:
+            draws.u32(1)
+            assert draws.buffered
+            for g in (ref, probe):
+                g.integers(0, 2**32, dtype=np.uint32)
+        first = len(kept_positions(probe.bytes(256), n))
+        second = len(kept_positions(probe.bytes(512), n))
+        cap, sizes = {
+            "1": (1, [1]),
+            "first-1": (first - 1, [first - 1]),
+            "first": (first, [first]),
+            "first+1": (first + 1, [first, 1]),
+            "second": (first + second, [first, second]),
+            "second+1": (first + second + 1, [first, second, 1]),
+        }[cut]
+        batches = list(ea._byte_batches(n, draws, cap))
+        assert all(type(b) is bytes for b in batches)
+        assert [len(b) for b in batches] == sizes
+        assert b"".join(batches) == bytes(itertools.islice(byte_rule(ref, n), cap))
+        # byte_rule read its batch only as its last position was taken,
+        # and so did the generator: both streams stop after the same bytes
+        assert draws.buffered is buffered
+        assert draws.u32(3).tolist() == ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+
+    # Pearson's chi-square over a million positions against the uniform law
+    # on [0, n), n - 1 degrees of freedom, at size 1e-4: a uniform rule
+    # fails it for one stream in 10,000.  A rule that kept byte
+    # 256 - 256 % n would give position 0 half as much mass again at
+    # n = 100 and twice as much at n = 130
+    @pytest.mark.parametrize("n", [100, 130])
+    def test_byte_rule_is_uniform(self, n):
+        from scipy.stats import chi2
+
+        size = 1_000_000
+        draws = Draws(RngStream(2026, n).generator(), buffered=False)
+        got = b"".join(ea._byte_batches(n, draws, size))
+        counts = np.bincount(np.frombuffer(got, np.uint8), minlength=n)
+        assert len(got) == size and len(counts) == n
+        expected = size / n
+        stat = float(((counts - expected) ** 2).sum() / expected)
+        assert stat < chi2.isf(1e-4, df=n - 1)
+
+    # past n = 256 a batch is what integers(0, n) draws, 256 indices first
+    @pytest.mark.parametrize("n", [257, 258, 1000])
+    def test_past_a_byte_batches_replay_integers(self, n):
+        draws = Draws(RngStream(8, n).generator(), buffered=False)
+        batches = _index_batches(n, draws, 1000)
+        first = next(batches)
+        assert isinstance(first, np.ndarray) and len(first) == _BATCH_FIRST
+        got = np.concatenate([first, *batches]).tolist()
+        assert got == RngStream(8, n).generator().integers(0, n, size=1000).tolist()
 
 
 LEVEL = {
@@ -374,7 +503,8 @@ PLATEAU_MIDDLE = PlateauFitness(100, 10)
 
 
 class TestLevelEngine:
-    # caps inside the first ell=1 batch, and on both sides of its end (256)
+    # caps inside the first ell=1 batch (256 bytes: about 225 positions at
+    # n = 60) and inside the second
     @pytest.mark.parametrize("name", sorted(LEVEL))
     @pytest.mark.parametrize("init", sorted(LEVEL_INITS))
     # above n/2 a proposal draws the n-ell positions it keeps; at ell=n none
@@ -393,10 +523,11 @@ class TestLevelEngine:
             assert res.runtime == runtime
             assert res.trajectory.tolist() == traj
 
-    # (objective, run index, hitting time) of uniform-start single-flip runs
-    # whose hit is the last index of the first batch, the first of the
-    # next, or the last of the 512 batch after it; unrecorded, a hit on a
-    # batch's last index ends the batch on the stop tables' n + 1
+    # (objective, run index, hit) of uniform-start single-flip runs (seeds
+    # in PINNED_SEEDS) whose hit is the last position of the first batch,
+    # the first of the next, or the last of the second, named as in
+    # proposal_at, as are the caps; unrecorded, a hit on a batch's last
+    # position ends the batch on the stop tables' n + 1
     @pytest.mark.parametrize(
         "name,i,hit",
         [("majority", 348, 256), ("majority", 439, 257), ("majority", 1869, 768),
@@ -405,20 +536,25 @@ class TestLevelEngine:
     @pytest.mark.parametrize("cap", [1, 255, 256, 257, 768])
     def test_batch_ends_match_reference_loop(self, name, i, hit, cap):
         fit = LEVEL[name]
-        pinned = RunConfig(fit, RlsMutation(1), Uniform(), 7)
-        assert reference_run(pinned, i)[0] == hit
-        check_batch_ends(fit, i, cap)
+        seed = PINNED_SEEDS[name, i]
+        pinned = RunConfig(fit, RlsMutation(1), Uniform(), seed)
+        ends = batch_ends(pinned, i)
+        assert reference_run(pinned, i)[0] == proposal_at(ends, hit)
+        check_batch_ends(fit, i, proposal_at(ends, cap), seed=seed)
 
     # the plateau from its middle, between optima on both sides: unrecorded
     # runs exit through the stop tables below or above, or at the cap.  The
-    # pinned runs hit on the last index of the 256 batch and of the 512
-    # batch after it; a cap equal to the hit ends the last batch on it
+    # pinned runs hit on the last position of the first batch and of the
+    # second (as in proposal_at); a cap equal to the hit ends the last
+    # batch on it
     @pytest.mark.parametrize("i,hit", [(11, 256), (2362, 768)])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_two_sided_batch_ends_match_reference_loop(self, i, hit, offset):
-        pinned = RunConfig(PLATEAU_MIDDLE, RlsMutation(1), FixedOnes(50), 7)
+        seed = PINNED_SEEDS["plateau-middle", i]
+        pinned = RunConfig(PLATEAU_MIDDLE, RlsMutation(1), FixedOnes(50), seed)
+        hit = proposal_at(batch_ends(pinned, i), hit)
         assert reference_run(pinned, i)[0] == hit
-        check_batch_ends(PLATEAU_MIDDLE, i, hit + offset, FixedOnes(50))
+        check_batch_ends(PLATEAU_MIDDLE, i, hit + offset, FixedOnes(50), seed=seed)
 
     @pytest.mark.parametrize("cap", [50, 256, 257, 2000])
     def test_two_sided_exits_match_reference_loop(self, cap):
@@ -512,9 +648,9 @@ class TestBlockedEngine:
             assert res.trajectory.tolist() == traj
             assert run(bare, i).runtime == runtime
 
-    # as in the level engine; the block votes score one block, so most of
-    # their flips fall outside the scored blocks, and an unrecorded run
-    # maps a hit back from the scored flips to its batch
+    # as in the level engine (seeds in PINNED_SEEDS); the block votes score
+    # one block, so most of their flips fall outside the scored blocks, and
+    # an unrecorded run maps a hit back from the scored flips to its batch
     @pytest.mark.parametrize(
         "name,i,hit",
         [("onemax-k7-20", 164, 256), ("onemax-k7-20", 33, 257), ("majority-k5", 3018, 256),
@@ -525,9 +661,11 @@ class TestBlockedEngine:
     @pytest.mark.parametrize("cap", [1, 255, 256, 257, 768])
     def test_batch_ends_match_reference_loop(self, name, i, hit, cap):
         fit = BLOCKED[name]
-        pinned = RunConfig(fit, RlsMutation(1), Uniform(), 7)
-        assert reference_run(pinned, i)[0] == hit
-        check_batch_ends(fit, i, cap)
+        seed = PINNED_SEEDS[name, i]
+        pinned = RunConfig(fit, RlsMutation(1), Uniform(), seed)
+        ends = batch_ends(pinned, i)
+        assert reference_run(pinned, i)[0] == proposal_at(ends, hit)
+        check_batch_ends(fit, i, proposal_at(ends, cap), seed=seed)
 
     # 1000 bits: rejection rows at ell=15, lockstep shuffles of 8, 16, 32,
     # then 64 rows above
@@ -567,42 +705,52 @@ class TestBlockedEngine:
 
 def check_both_sides(cfgs, runs, bound, monkeypatch):
     """Runs ``runs`` of each cell in ``cfgs`` give the same outcomes whether
-    the engine loops read their drawn positions through ``ea._listed`` or
-    as ``tolist()`` lists.  Every container ``_listed`` returned must be
-    ``bytes`` up to ``bound`` = 256 and a list past it; the largest value
-    they held is returned."""
-    real, seen = ea._listed, []
+    the engine loops read their positions as ``ea._flip_lists`` (single
+    flips) and ``ea._listed`` (flip sets, scored flips) hand them over, or
+    as lists.  Every container either returned must be ``bytes`` up to
+    ``bound`` = 256 and a list past it; the largest value they held is
+    returned."""
+    real_flips, real_listed, seen = ea._flip_lists, ea._listed, []
 
-    def spy(a, limit):
-        out = real(a, limit)
+    def flips(n, draws, cap):
+        for out in real_flips(n, draws, cap):
+            seen.append((n, out))
+            yield out
+
+    def listed(a, limit):
+        out = real_listed(a, limit)
         seen.append((limit, out))
         return out
 
-    monkeypatch.setattr(ea, "_listed", spy)
+    monkeypatch.setattr(ea, "_flip_lists", flips)
+    monkeypatch.setattr(ea, "_listed", listed)
     got = [outcome(run(cfg, i)) for cfg in cfgs for i in runs]
+    monkeypatch.setattr(ea, "_flip_lists", lambda *a: map(list, real_flips(*a)))
     monkeypatch.setattr(ea, "_listed", lambda a, bound: a.ravel().tolist())
     want = [outcome(run(cfg, i)) for cfg in cfgs for i in runs]
-    monkeypatch.setattr(ea, "_listed", real)
+    monkeypatch.setattr(ea, "_flip_lists", real_flips)
+    monkeypatch.setattr(ea, "_listed", real_listed)
     assert got == want
     assert seen and {b for b, _ in seen} == {bound}
     assert {type(out) for _, out in seen} == {bytes if bound <= 256 else list}
     return max(max(out, default=-1) for _, out in seen)
 
 
-def single_flip_cells(fit, init, cap):
+def single_flip_cells(fit, init, cap, seed=7):
     """The recorded, unrecorded and, on majority, restart cells at ell=1."""
-    cells = [RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap, record_trajectory=True),
-             RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap)]
+    cells = [RunConfig(fit, RlsMutation(1), init, seed, max_iters=cap, record_trajectory=True),
+             RunConfig(fit, RlsMutation(1), init, seed, max_iters=cap)]
     if isinstance(fit, MajorityFitness):
-        cells.append(RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap,
+        cells.append(RunConfig(fit, RlsMutation(1), init, seed, max_iters=cap,
                                record_restart_stats=True))
     return cells
 
 
 class TestByteCut:
-    """Up to 256 positions the engine loops read a batch's drawn positions
-    as ``bytes``, past it as a list: either way a run gives what the
-    reference loop gives and what the loop gives reading lists."""
+    """Up to 256 positions the engine loops read a batch's positions as
+    ``bytes`` (single flips by the byte rule), past it as a list: either
+    way a run gives what the reference loop gives and what the loop gives
+    reading lists."""
 
     @pytest.mark.parametrize("bound", [1, 2, 255, 256, 257, 258, 1000])
     @pytest.mark.parametrize("rows", [1, 3])
@@ -615,15 +763,22 @@ class TestByteCut:
         next(it)
         assert length_hint(it) == rows * bound - 1
 
-    # uniform-start runs on MajorityFitness(n, 4) that hit on the last
-    # index of the first batch (256); at n = 256 that batch draws 255
+    # uniform-start runs on MajorityFitness(n, 4) (seeds in PINNED_SEEDS
+    # below n = 258) that hit on the last position of the first batch: 256
+    # bytes at n = 256, which keeps every byte, less the bytes 254 and 255
+    # at n = 254, and 256 indices at n = 258.  Caps as in proposal_at
     @pytest.mark.parametrize("n,i", [(254, 298), (256, 357), (258, 3347)])
     @pytest.mark.parametrize("cap", [255, 256, 257, 768])
     def test_level_single_flips(self, n, i, cap, monkeypatch):
         fit = MajorityFitness(n, 4)
-        assert reference_run(RunConfig(fit, RlsMutation(1), Uniform(), 7), i)[0] == 256
-        check_batch_ends(fit, i, cap)
-        top = check_both_sides(single_flip_cells(fit, Uniform(), cap), [i, i + 1], n,
+        seed = PINNED_SEEDS.get((f"majority-{n}", i), 7)
+        pinned = RunConfig(fit, RlsMutation(1), Uniform(), seed)
+        ends = batch_ends(pinned, i)
+        assert reference_run(pinned, i)[0] == ends[0]
+        assert n < 256 or ends == (256, 768)
+        cap = proposal_at(ends, cap)
+        check_batch_ends(fit, i, cap, seed=seed)
+        top = check_both_sides(single_flip_cells(fit, Uniform(), cap, seed), [i, i + 1], n,
                                monkeypatch)
         assert top == n - 1
 
@@ -661,13 +816,15 @@ class TestByteCut:
         top = check_both_sides([cfg, bare], range(3), n, monkeypatch)
         assert cap < 97 or top == n - 1
 
-    # block 1 of 2 scores positions 0..k-1; the runs hit on the last index
-    # of the first batch
+    # block 1 of 2 scores positions 0..k-1 of 2k, past the byte rule; the
+    # runs hit on the last index of the first batch (256 indices)
     @pytest.mark.parametrize("k,i", [(256, 27), (258, 3357)])
     @pytest.mark.parametrize("cap", [255, 256, 257, 768])
     def test_blocked_single_flips(self, k, i, cap, monkeypatch):
         fit = BlockMajorityFitness(1, 2, k)
-        assert reference_run(RunConfig(fit, RlsMutation(1), Uniform(), 7), i)[0] == 256
+        pinned = RunConfig(fit, RlsMutation(1), Uniform(), 7)
+        assert batch_ends(pinned, i) == (256, 768)
+        assert reference_run(pinned, i)[0] == 256
         check_batch_ends(fit, i, cap)
         bare = RunConfig(fit, RlsMutation(1), Uniform(), 7, max_iters=cap)
         assert check_both_sides([bare], [i, *range(20)], k, monkeypatch) == k - 1
@@ -685,9 +842,11 @@ REUSE_CELLS = {
     # an odd ones=11 start leaves a half word buffered before the flips
     "level-ell5-ones": RunConfig(MajorityFitness(40, 4), RlsMutation(5), FixedOnes(11), 3),
     "level-ell30": RunConfig(MajorityFitness(40, 4), RlsMutation(30), Uniform(), 3),
-    # runs cut at an odd count of 32-bit draws, which leave a half word
-    # buffered for the next run on their generator.  n is a power of two,
-    # so Lemire's rule rejects no draw, not even a stale zero half word
+    # capped runs at n = 128: the ell=1 run reads whole 256-byte batches,
+    # an even count of 32-bit draws, and keeps every byte; the ell=3 run is
+    # cut at an odd count of 32-bit draws, which leaves a half word
+    # buffered for the next run on its generator.  n is a power of two, so
+    # Lemire's rule rejects no draw, not even a stale zero half word
     "level-ell1-cap37": RunConfig(
         MajorityFitness(128, 10), RlsMutation(1), Uniform(), 3, max_iters=37,
         record_trajectory=True,
@@ -866,14 +1025,15 @@ class TestBitstringLeg:
         assert abs(count_mean - bits_mean) < 3 * math.hypot(count_se, bits_se)
 
 
-def check_phases(fit, init, cap, i):
-    """Run i (seed 7) of the restart-statistics cell on ``fit`` from
-    ``init`` under ``cap``: the phase tables give the runtime and the
-    statistics that the recorded trajectory gives, which are returned."""
-    recorded = run(RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap,
+def check_phases(fit, init, cap, i, seed=7):
+    """Run i (master seed ``seed``) of the restart-statistics cell on
+    ``fit`` from ``init`` under ``cap``: the phase tables give the runtime
+    and the statistics that the recorded trajectory gives, which are
+    returned."""
+    recorded = run(RunConfig(fit, RlsMutation(1), init, seed, max_iters=cap,
                              record_trajectory=True), i)
     expected = extract_restart_stats(recorded.trajectory, fit.n, fit.r)
-    got = run(RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap,
+    got = run(RunConfig(fit, RlsMutation(1), init, seed, max_iters=cap,
                         record_restart_stats=True), i)
     assert got.runtime == recorded.runtime
     assert got.restart == expected
@@ -881,21 +1041,24 @@ def check_phases(fit, init, cap, i):
 
 
 class TestPhaseEngine:
-    # uniform-start runs on MajorityFitness(100, 8) with a phase exit, a hit
-    # on the zeros side or a return to n/2, on the last index of the 256
-    # batch or of the 512 batch after it; unrecorded, that batch ends above
-    # n.  Caps end the run one before, on and one after the exit
+    # uniform-start runs on MajorityFitness(100, 8) (seeds in PINNED_SEEDS)
+    # with a phase exit, a hit on the zeros side or a return to n/2, on the
+    # last position of the first batch or of the second (as in
+    # proposal_at); unrecorded, that batch ends above n.  Caps end the run
+    # one before, on and one after the exit
     @pytest.mark.parametrize(
         "kind,i,exit",
         [("hit", 477, 256), ("hit", 2566, 768), ("return", 708, 256), ("return", 4440, 768)],
     )
     def test_exits_on_batch_ends(self, kind, i, exit):
         fit = MajorityFitness(100, 8)
-        pinned = check_phases(fit, Uniform(), ea.DEFAULT_CAP, i)
+        seed = PINNED_SEEDS[kind, i]
+        exit = proposal_at(batch_ends(RunConfig(fit, RlsMutation(1), Uniform(), seed), i), exit)
+        pinned = check_phases(fit, Uniform(), ea.DEFAULT_CAP, i, seed)
         assert not pinned.partial
         assert exit in (pinned.plateau_hits[:-1] if kind == "hit" else pinned.half_returns)
         for cap in (exit - 1, exit, exit + 1):
-            stats = check_phases(fit, Uniform(), cap, i)
+            stats = check_phases(fit, Uniform(), cap, i, seed)
             assert stats.partial
             # a run cut on the exit ends in the phase it entered there
             returning = len(stats.plateau_hits) > len(stats.half_returns)

@@ -65,8 +65,8 @@ COMMANDS = {
     "wmodel_k6": ("wmodel", "--blocks", "13", "--k", "6", "--runs", "40", "--seed", "5"),
     "trajectory_ell7": ("trajectory", "--n", "130", "--r", "5", "--ell", "7", "--seed", "3"),
     "restarts": ("restarts", "--n", "10", "--r", "2", "--runs", "200", "--seed", "4"),
-    # a cap that censors 15 of the 300 runs, some seeking the plateau and
-    # some returning to n/2
+    # a cap that censors 24 of the 300 runs, 15 seeking the plateau and 9
+    # returning to n/2
     "restarts_censored": (
         "restarts", "--n", "100", "--r", "5", "--runs", "300", "--cap", "300", "--seed", "3",
     ),

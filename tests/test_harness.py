@@ -246,6 +246,10 @@ class TestRunsFinish:
         with pytest.raises(ValueError, match="never finish"):
             trajectory_capture(100, 10, 100, master_seed=1)
 
+    def test_trajectory_under_a_cap_censors_instead(self):
+        res = trajectory_capture(100, 10, 100, master_seed=1, cap=50)
+        assert res.censored and len(res.trajectory) == 51
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
