@@ -28,8 +28,9 @@ DEFAULT_CAP = 10**9
 # ell=1 proposal batches: the first reads this many bytes of the stream up
 # to n = 256 (a position each, less those the byte rule drops) and draws
 # this many indices past it, each later one twice as many, up to _BATCH.
-# A byte batch costs about 1 us plus 3.6 ns a byte, a Draws.below batch
-# 3.9 us plus about 3.5 ns an index, listed; most plateau and majority runs
+# A byte batch costs about 0.7 us plus 3.2 ns a byte at n = 100 (1.2 ns
+# where the rule drops no byte, as at n = 256), a Draws.below batch 3.9 us
+# plus about 3.5 ns an index, listed; most plateau and majority runs
 # outlast 64 proposals, and first batches of 128, 384 and 512 bytes ran
 # within noise of 256
 _BATCH_FIRST = 256
@@ -243,7 +244,9 @@ def _index_batches(n, draws, cap):
     total size would return, and ``Draws`` keeps the run's record of the
     half word.  The level and phase loops walk each batch as ``bytes`` or
     as a list (``_flip_lists``), the unrecorded blocked loop its scored
-    flips, and the recorded blocked loop lists it as one-index rows.
+    flips (one ``bytes.translate`` keeps them up to n = 256, a numpy
+    filter past it), and the recorded blocked loop lists it as one-index
+    rows.
     """
     if n <= _BYTE_LIMIT:
         return _byte_batches(n, draws, cap)
@@ -267,22 +270,34 @@ def _byte_batches(n, draws, cap):
 
     A batch reads the bytes of the stream's next 32-bit draws,
     ``Draws.u32(...).tobytes()``, which are what ``Generator.bytes``
-    returns, and keeps the run's record of the half word.  It reads
+    returns, and keeps the run's record of the half word.  With no half
+    word buffered those draws are whole raw words, read without ``u32``'s
+    call and view, and none is buffered after.  A batch reads
     ``_BATCH_FIRST`` bytes first and twice as many each time after, up to
     ``_BATCH``, whatever the cap; one ``bytes.translate`` call keeps and
     maps a batch's bytes, and the last batch is cut to the cap.
     """
     table, rejected = _byte_rule(n)
     u32 = draws.u32
+    raw = draws._raw if draws.buffered is False else None
     size, left = _BATCH_FIRST, cap
     while True:
-        batch = u32(size >> 2).tobytes().translate(table, rejected)
+        words = u32(size >> 2) if raw is None else raw(size >> 3)
+        batch = words.tobytes().translate(table, rejected)
         if len(batch) >= left:
             yield batch[:left]
             return
         yield batch
         left -= len(batch)
         size = min(2 * size, _BATCH)
+
+
+@functools.lru_cache(maxsize=_BYTE_LIMIT)
+def _scored_rule(lo, hi):
+    """``bytes.translate``'s table and deleted bytes that keep the
+    positions lo..hi-1 of a byte batch, numbered from lo, and drop the
+    others (hi <= 256)."""
+    return bytes((b - lo) % 256 for b in range(256)), bytes(range(lo)) + bytes(range(hi, 256))
 
 
 @functools.lru_cache(maxsize=_BYTE_LIMIT)
@@ -313,7 +328,9 @@ def _run_level(fit, ell, ones, draws, cap, traj):
     of its flips lie below ``ones``.  Fitness is read from the objective's
     per-level tables; at ell=1 a proposal moves the incumbent to its level's
     successor one set bit down or up, which is the level itself when the
-    step is rejected.
+    step is rejected.  An unrecorded ell=1 run up to n = 256 reads that
+    successor from the objective's ``stop_rows`` by the position flipped,
+    past it by comparing the position with the count.
     """
     n = fit.n
     fmax = fit.max_value
@@ -327,17 +344,26 @@ def _run_level(fit, ell, ones, draws, cap, traj):
         # no proposal counts itself: a hit at index p of a batch leaves
         # len(batch) - p - 1 entries in its iterator, and each batch
         # run through adds its length to the count once
+        rows = None
         if append is None:
             # on the stop tables a hit moves to n + 1: the next lookup
             # raises IndexError after taking index p + 1, and a batch whose
-            # last index hit ends at n + 1
-            lower, higher = fit.stop_tables
+            # last index hit ends at n + 1.  Up to n = 256 a step is one
+            # lookup in the stop rows; past it the rows would grow as n**2
+            if n <= _BYTE_LIMIT:
+                rows = fit.stop_rows
+            else:
+                lower, higher = fit.stop_tables
         for batch in _flip_lists(n, draws, cap):
             it = iter(batch)
             if append is None:
                 try:
-                    for i in it:
-                        ones = lower[ones] if i < ones else higher[ones]
+                    if rows is None:
+                        for i in it:
+                            ones = lower[ones] if i < ones else higher[ones]
+                    else:
+                        for i in it:
+                            ones = rows[ones][i]
                 except IndexError:
                     return t + len(batch) - length_hint(it) - 1
                 if ones > n:
@@ -387,25 +413,33 @@ def _run_phases(fit, ones, draws, cap, times, counts):
 
     The run seeks a two-sided-plateau optimum and, after one on the zeros
     side, returns to n/2 ones before it seeks again; each phase walks its
-    own ``phase_tables``.  An exit onto j moves to n + 1 + j, so the next
-    lookup raises IndexError before it applies its index: that index is
-    then applied from j under the next phase's tables.  A batch whose last
-    index exits ends above n.
+    own ``phase_tables``, up to n = 256 as ``phase_rows``, one lookup a
+    step.  An exit onto j moves to n + 1 + j, so the next lookup raises
+    IndexError before it applies its index: that index is then applied
+    from j under the next phase's tables.  A batch whose last index exits
+    ends above n.
     """
     n, stop, top = fit.n, fit.n + 1, fit.threshold
-    seeking, returning = fit.phase_tables
     if ones >= top:
         return 0
     # seeking exits at low ones or fewer (or at top), returning above low
     low = n - top
-    lower, higher = returning if ones <= low else seeking
+    # a phase is its rows up to n = 256, past it its (lower, higher) pair
+    rowed = n <= _BYTE_LIMIT
+    seeking, returning = fit.phase_rows if rowed else fit.phase_tables
+    phase = returning if ones <= low else seeking
     t = 0
     for batch in _flip_lists(n, draws, cap):
         it = iter(batch)
         while True:
             try:
-                for i in it:
-                    ones = lower[ones] if i < ones else higher[ones]
+                if rowed:
+                    for i in it:
+                        ones = phase[ones][i]
+                else:
+                    lower, higher = phase
+                    for i in it:
+                        ones = lower[ones] if i < ones else higher[ones]
                 break
             except IndexError:
                 ones -= stop
@@ -414,8 +448,9 @@ def _run_phases(fit, ones, draws, cap, times, counts):
                 counts.append(ones)
                 if ones >= top:
                     return at
-                lower, higher = returning if ones <= low else seeking
-                ones = lower[ones] if i < ones else higher[ones]
+                phase = returning if ones <= low else seeking
+                # a pair's second table is higher, taken when i >= ones
+                ones = phase[ones][i] if rowed else phase[i >= ones][ones]
         t += len(batch)
         if ones > n:
             ones -= stop
@@ -423,7 +458,7 @@ def _run_phases(fit, ones, draws, cap, times, counts):
             counts.append(ones)
             if ones >= top:
                 return t
-            lower, higher = returning if ones <= low else seeking
+            phase = returning if ones <= low else seeking
     return None
 
 
@@ -436,7 +471,8 @@ def _run_blocked(fit, ell, x0, draws, cap, traj):
     vote, so its fitness equals the incumbent's and it is accepted.  A flip
     outside the scored blocks never moves a vote: at ell=1, unless a
     trajectory is recorded, nothing reads its bit again, so only the
-    scored bits are kept and the other flips are dropped in numpy.
+    scored bits are kept and the other flips are dropped: by one
+    ``bytes.translate`` up to n = 256, in numpy past it.
     """
     n, k = fit.n, fit.k
     thr = fit.block_threshold
@@ -466,17 +502,18 @@ def _run_blocked(fit, ell, x0, draws, cap, traj):
         counts = counts[scored.start : scored.stop]
         flags = [1 << b for b in scored]
         crossing = 2 * thr - 1
+        if n <= _BYTE_LIMIT:
+            table, unscored = _scored_rule(lo, hi)
         for batch in _index_batches(n, draws, cap):
-            # the batch is unsigned, so a flip below lo wraps to a value
-            # past the span (modulo 256 for bytes, read as uint8) and one
-            # comparison keeps the scored ones; nonzero is flatnonzero
-            # without its ravel
             if n <= _BYTE_LIMIT:
-                batch = np.frombuffer(batch, np.uint8) - lo
+                flips = batch.translate(table, unscored)
             else:
+                # the batch is unsigned, so a flip below lo wraps to a value
+                # past the span and one comparison keeps the scored ones;
+                # nonzero is flatnonzero without its ravel
                 batch -= lo
-            pos = (batch <= span - 1).nonzero()[0]
-            flips = _listed(batch[pos], span)
+                pos = (batch <= span - 1).nonzero()[0]
+                flips = _listed(batch[pos], span)
             it = iter(flips)
             for i in it:
                 b = i // k
@@ -489,6 +526,10 @@ def _run_blocked(fit, ell, x0, draws, cap, traj):
                     if fy < fx:
                         continue
                     if fy == fmax:
+                        if n <= _BYTE_LIMIT:
+                            # the scored flips' places in the batch, found
+                            # once, at the hit; uint8 wraps as above
+                            pos = (np.frombuffer(batch, np.uint8) - lo <= span - 1).nonzero()[0]
                         return t + int(pos[len(flips) - length_hint(it) - 1]) + 1
                     votes = v
                     fx = fy

@@ -9,6 +9,13 @@ from .core import BitString
 from .theory import _check_params
 
 
+def _position_rows(lower: list[int], higher: list[int]) -> list[list[int]]:
+    """Per count j of 0..n, the count a single flip of each position
+    0..n-1 moves j to: ``lower[j]`` below j, ``higher[j]`` from j up."""
+    n = len(lower) - 1
+    return [[down] * j + [up] * (n - j) for j, (down, up) in enumerate(zip(lower, higher))]
+
+
 class FitnessFunction:
     """Integer-valued objective over bitstrings of a fixed length ``n``.
 
@@ -70,6 +77,15 @@ class FitnessFunction:
             [stop if optimal[j] else j for j in higher],
         )
 
+    @functools.cached_property
+    def stop_rows(self) -> list[list[int]]:
+        """``stop_tables`` as one row per ones count j, indexed by position:
+        row j holds ``lower[j]`` at the positions below j and ``higher[j]``
+        at the others, so a single flip of position i moves j to
+        ``rows[j][i]``.  The n + 1 rows of n entries grow as n**2; the
+        single-flip engine reads them up to n = 256 only.  Built once."""
+        return _position_rows(*self.stop_tables)
+
 
 class _ThresholdFitness(FitnessFunction):
     """0/1 objective of the ones count with threshold n/2 + r.  Its repr
@@ -118,6 +134,14 @@ class MajorityFitness(_ThresholdFitness):
             stopped(lambda j: j >= top or j <= n - top),
             stopped(lambda j: j >= half),
         )
+
+    @functools.cached_property
+    def phase_rows(self) -> tuple[list[list[int]], list[list[int]]]:
+        """``phase_tables`` as rows per ones count, as ``stop_rows`` holds
+        ``stop_tables``: the seeking phase's, then the returning phase's;
+        built once."""
+        seeking, returning = self.phase_tables
+        return _position_rows(*seeking), _position_rows(*returning)
 
 
 class OneMax(FitnessFunction):

@@ -382,6 +382,9 @@ PINNED_SEEDS = {
     ("first-block-k6", 627): 1148, ("last-block-k7", 9810): 468,
     ("wmodel-1", 2219): 651, ("wmodel-1", 1330): 3551, ("wmodel-10", 537): 28,
     ("wmodel-10", 31019): 44409, ("wmodel-20", 1538): 415, ("wmodel-20", 5774): 4980,
+    ("first-block-k128", 5): 86, ("first-block-k128", 6): 4788,
+    ("last-block-k128", 9): 5477, ("last-block-k128", 10): 23828,
+    ("whole-k256", 3): 1135, ("whole-k256", 4): 390397,
     ("majority-254", 298): 64, ("majority-256", 357): 1450,
     ("hit", 477): 421, ("hit", 2566): 3293, ("return", 708): 251, ("return", 4440): 1774,
 }
@@ -627,6 +630,14 @@ BLOCKED = {
     "wmodel-1": BlockMajorityFitness(1, 20, 10),
     "wmodel-10": BlockMajorityFitness(10, 20, 10),
     "wmodel-20": BlockMajorityFitness(20, 20, 10),
+    # at n = 256 one bytes.translate keeps the scored flips: the first
+    # block, the last (up to position 255) and the whole genotype
+    "first-block-k128": BlockMajorityFitness(1, 2, 128),
+    "last-block-k128": BlockMajorityFitness(2, 2, 128),
+    "whole-k256": BlockMajorityFitness(1, 1, 256),
+    # one-bit blocks: one scored position, and every position scored
+    "block-k1": BlockMajorityFitness(7, 40, 1),
+    "onemax-k1": NeutralityFitness(OneMax(40), 1),
 }
 
 
@@ -656,7 +667,9 @@ class TestBlockedEngine:
         [("onemax-k7-20", 164, 256), ("onemax-k7-20", 33, 257), ("majority-k5", 3018, 256),
          ("first-block-k6", 627, 257), ("last-block-k7", 9810, 256), ("wmodel-1", 2219, 256),
          ("wmodel-1", 1330, 768), ("wmodel-10", 537, 256), ("wmodel-10", 31019, 768),
-         ("wmodel-20", 1538, 256), ("wmodel-20", 5774, 768)],
+         ("wmodel-20", 1538, 256), ("wmodel-20", 5774, 768), ("first-block-k128", 5, 256),
+         ("first-block-k128", 6, 768), ("last-block-k128", 9, 256),
+         ("last-block-k128", 10, 768), ("whole-k256", 3, 256), ("whole-k256", 4, 768)],
     )
     @pytest.mark.parametrize("cap", [1, 255, 256, 257, 768])
     def test_batch_ends_match_reference_loop(self, name, i, hit, cap):
@@ -706,10 +719,10 @@ class TestBlockedEngine:
 def check_both_sides(cfgs, runs, bound, monkeypatch):
     """Runs ``runs`` of each cell in ``cfgs`` give the same outcomes whether
     the engine loops read their positions as ``ea._flip_lists`` (single
-    flips) and ``ea._listed`` (flip sets, scored flips) hand them over, or
-    as lists.  Every container either returned must be ``bytes`` up to
-    ``bound`` = 256 and a list past it; the largest value they held is
-    returned."""
+    flips) and ``ea._listed`` (flip sets, and scored flips past n = 256)
+    hand them over, or as lists.  Every container either returned must be
+    ``bytes`` up to ``bound`` = 256 and a list past it; the largest value
+    they held is returned."""
     real_flips, real_listed, seen = ea._flip_lists, ea._listed, []
 
     def flips(n, draws, cap):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plateaulab.core import BitString, RngStream, flip_bits, sample_bitstring, Uniform
+from plateaulab.core import BitString, FixedOnes, RngStream, flip_bits, sample_bitstring, Uniform
+from plateaulab.ea import RlsMutation, RunConfig, run
 from plateaulab.fitness import (
     BlockMajorityFitness,
     MajorityFitness,
@@ -259,6 +260,58 @@ class TestLevelTables:
         for table, stop in zip((lower, higher), fit.stop_tables):
             assert stop == [n + 1 if fit.level_value(j) == fit.max_value else j for j in table]
         assert fit.stop_tables is fit.stop_tables
+
+
+# the byte limit's edges and two n far from it; the threshold objectives
+# need an even n, and r = n/2 leaves the ends as the only optima
+ROW_FITS = (
+    [OneMax(n) for n in (1, 2, 3, 99, 100, 255, 256)]
+    + [cls(n, r) for cls in (PlateauFitness, MajorityFitness)
+       for n, r in ((2, 1), (100, 0), (100, 8), (256, 16), (256, 128))]
+)
+
+
+def compare_rule(lower, higher):
+    """Per count j, the count a flip of position i moves j to, by the
+    comparison the engines make past n = 256."""
+    n = len(lower) - 1
+    return [[lower[j] if i < j else higher[j] for i in range(n)] for j in range(n + 1)]
+
+
+class TestPositionRows:
+    @pytest.mark.parametrize("fit", ROW_FITS, ids=repr)
+    def test_rows_follow_the_compare_rule(self, fit):
+        lower, higher = fit.stop_tables
+        assert fit.stop_rows == compare_rule(lower, higher)
+        assert fit.stop_rows is fit.stop_rows
+        # a move onto an optimum keeps the sentinel n + 1
+        stop = fit.n + 1
+        assert any(stop in row for row in fit.stop_rows) == (stop in lower + higher)
+        if isinstance(fit, MajorityFitness):
+            for rows, tables in zip(fit.phase_rows, fit.phase_tables):
+                assert rows == compare_rule(*tables)
+            assert fit.phase_rows is fit.phase_rows
+
+    # a start at n/2 ones: no run of these cells starts optimal
+    @pytest.mark.parametrize("n", [100, 256, 258])
+    def test_built_once_by_unrecorded_single_flips_up_to_256(self, n):
+        fit = MajorityFitness(n, 4)
+
+        def cell(ell=1, **record):
+            return RunConfig(fit, RlsMutation(ell), FixedOnes(n // 2), 3, max_iters=300,
+                             **record)
+
+        for cfg in (cell(record_trajectory=True), cell(3),
+                    cell(record_trajectory=True, record_restart_stats=True)):
+            run(cfg, 0)
+        assert "stop_rows" not in vars(fit) and "phase_rows" not in vars(fit)
+        built = {}
+        for name, cfg in (("stop_rows", cell()), ("phase_rows", cell(record_restart_stats=True))):
+            run(cfg, 0)
+            assert (name in vars(fit)) == (n <= 256)
+            built[name] = vars(fit).get(name)
+            run(cfg, 1)
+            assert vars(fit).get(name) is built[name]
 
 
 class TestRegistry:

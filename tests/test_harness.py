@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+import weakref
 import xml.etree.ElementTree as ET
 from dataclasses import astuple
 
@@ -24,7 +27,13 @@ from plateaulab.harness import (
     trajectory_capture,
     write_csv,
 )
-from plateaulab.fitness import MajorityFitness, NeutralityFitness, OneMax, make_fitness
+from plateaulab.fitness import (
+    BlockMajorityFitness,
+    MajorityFitness,
+    NeutralityFitness,
+    OneMax,
+    make_fitness,
+)
 
 
 def small_spec(**overrides):
@@ -157,6 +166,43 @@ class TestRestartExperiment:
         a = restart_experiment(12, 2, runs=600, master_seed=3, workers=1)
         b = restart_experiment(12, 2, runs=600, master_seed=3, workers=2)
         assert a == b
+
+
+class TestTableLifetime:
+    def test_no_table_outlives_its_objective(self):
+        """The single-flip tables live on their objective: once the caller
+        drops the cells it ran, each objective is freed, and so is the
+        memory its tables took (about 0.5 MB a table at n = 256)."""
+
+        def cells():
+            return [
+                RunConfig(MajorityFitness(256, 8), RlsMutation(1), Uniform(), 1),
+                RunConfig(MajorityFitness(256, 8), RlsMutation(1), Uniform(), 1,
+                          record_restart_stats=True),
+                RunConfig(BlockMajorityFitness(1, 1, 256), RlsMutation(1), Uniform(), 1),
+            ]
+
+        # a first pass fills what a process keeps for any objective: its
+        # spare generator and the translate tables cached per n and per
+        # scored range
+        for cfg in cells():
+            harness.run_cell(cfg, 5)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cfgs = cells()
+            for cfg in cfgs:
+                harness.run_cell(cfg, 5)
+            assert "stop_rows" in vars(cfgs[0].fitness)
+            assert "phase_rows" in vars(cfgs[1].fitness)
+            refs = [weakref.ref(cfg.fitness) for cfg in cfgs]
+            del cfgs, cfg
+            gc.collect()
+            assert [ref() for ref in refs] == [None] * 3
+            assert tracemalloc.get_traced_memory()[0] - before < 100_000
+        finally:
+            tracemalloc.stop()
 
 
 class TestDilutionExperiment:
