@@ -186,8 +186,12 @@ def run(cfg: RunConfig, run_index: int) -> RunResult:
     times: Optional[list[int]] = None
     if cfg.record_restart_stats and not cfg.record_trajectory and ell == 1:
         # the record holds the start and each phase exit, at these times
+        n, top = fit.n, fit.threshold
         times = [0]
-        runtime = _run_phases(fit, state, draws, cfg.max_iters, times, traj)
+        phases = fit.phase_rows if n <= _BYTE_LIMIT else fit.phase_tables
+        runtime = 0 if state >= top else _walk(
+            n, state, draws, cfg.max_iters, *phases, top, n - top, times, traj
+        )
     else:
         runtime = engine(fit, ell, state, draws, cfg.max_iters, traj)
     # only a run that returns puts its generator back; one that raised drops it
@@ -328,52 +332,33 @@ def _run_level(fit, ell, ones, draws, cap, traj):
     of its flips lie below ``ones``.  Fitness is read from the objective's
     per-level tables; at ell=1 a proposal moves the incumbent to its level's
     successor one set bit down or up, which is the level itself when the
-    step is rejected.  An unrecorded ell=1 run up to n = 256 reads that
-    successor from the objective's ``stop_rows`` by the position flipped,
-    past it by comparing the position with the count.
+    step is rejected.  An unrecorded ell=1 run is a ``_walk`` of one phase,
+    on the objective's ``stop_rows`` up to n = 256 and its ``stop_tables``
+    past it, whose every exit is a hit.
     """
     n = fit.n
-    fmax = fit.max_value
-    vals, lower, higher = fit.level_tables
     optimal = fit.optimal_levels
     if optimal[ones]:
         return 0
+    if ell == 1 and traj is None:
+        # every exit reads back a count j >= 0 = top, so the first ends the
+        # run; low = -1 never picks the second phase
+        stops = fit.stop_rows if n <= _BYTE_LIMIT else fit.stop_tables
+        return _walk(n, ones, draws, cap, stops, stops, 0, -1, None, None)
+    fmax = fit.max_value
+    vals, lower, higher = fit.level_tables
     append = traj.append if traj is not None else None
     t = 0
     if ell == 1:
-        # no proposal counts itself: a hit at index p of a batch leaves
-        # len(batch) - p - 1 entries in its iterator, and each batch
-        # run through adds its length to the count once
-        rows = None
-        if append is None:
-            # on the stop tables a hit moves to n + 1: the next lookup
-            # raises IndexError after taking index p + 1, and a batch whose
-            # last index hit ends at n + 1.  Up to n = 256 a step is one
-            # lookup in the stop rows; past it the rows would grow as n**2
-            if n <= _BYTE_LIMIT:
-                rows = fit.stop_rows
-            else:
-                lower, higher = fit.stop_tables
+        # a hit at index p of a batch leaves len(batch) - p - 1 entries in
+        # its iterator, and each batch run through adds its length once
         for batch in _flip_lists(n, draws, cap):
             it = iter(batch)
-            if append is None:
-                try:
-                    if rows is None:
-                        for i in it:
-                            ones = lower[ones] if i < ones else higher[ones]
-                    else:
-                        for i in it:
-                            ones = rows[ones][i]
-                except IndexError:
-                    return t + len(batch) - length_hint(it) - 1
-                if ones > n:
-                    return t + len(batch)
-            else:
-                for i in it:
-                    ones = lower[ones] if i < ones else higher[ones]
-                    append(ones)
-                    if optimal[ones]:
-                        return t + len(batch) - length_hint(it)
+            for i in it:
+                ones = lower[ones] if i < ones else higher[ones]
+                append(ones)
+                if optimal[ones]:
+                    return t + len(batch) - length_hint(it)
             t += len(batch)
         return None
     fx = vals[ones]
@@ -407,26 +392,20 @@ def _run_level(fit, ell, ones, draws, cap, traj):
     return None
 
 
-def _run_phases(fit, ones, draws, cap, times, counts):
-    """Single-flip engine of a restart-statistics run: it appends the time
-    and ones count of each phase exit, and nothing per proposal.
+def _walk(n, ones, draws, cap, seeking, returning, top, low, times, counts):
+    """Single-flip walk of a level run from ``ones``: the proposal at which
+    it exits onto ``top`` ones or more, or None after ``cap`` proposals.
 
-    The run seeks a two-sided-plateau optimum and, after one on the zeros
-    side, returns to n/2 ones before it seeks again; each phase walks its
-    own ``phase_tables``, up to n = 256 as ``phase_rows``, one lookup a
-    step.  An exit onto j moves to n + 1 + j, so the next lookup raises
-    IndexError before it applies its index: that index is then applied
-    from j under the next phase's tables.  A batch whose last index exits
-    ends above n.
+    A phase is its rows up to n = 256, one lookup a step, and past it its
+    (lower, higher) pair.  An exit onto j moves to n + 1 + j
+    (``FitnessFunction._exit_tables``), so the next lookup, even the next
+    batch's first, raises IndexError before it applies its index; that
+    index is applied from j under ``returning`` at ``low`` ones or fewer,
+    else under ``seeking``.  With ``times``, the time and count of each
+    exit are appended to ``times`` and ``counts``; nothing per proposal.
     """
-    n, stop, top = fit.n, fit.n + 1, fit.threshold
-    if ones >= top:
-        return 0
-    # seeking exits at low ones or fewer (or at top), returning above low
-    low = n - top
-    # a phase is its rows up to n = 256, past it its (lower, higher) pair
+    stop = n + 1
     rowed = n <= _BYTE_LIMIT
-    seeking, returning = fit.phase_rows if rowed else fit.phase_tables
     phase = returning if ones <= low else seeking
     t = 0
     for batch in _flip_lists(n, draws, cap):
@@ -444,21 +423,23 @@ def _run_phases(fit, ones, draws, cap, times, counts):
             except IndexError:
                 ones -= stop
                 at = t + len(batch) - length_hint(it) - 1
-                times.append(at)
-                counts.append(ones)
+                if times is not None:
+                    times.append(at)
+                    counts.append(ones)
                 if ones >= top:
                     return at
                 phase = returning if ones <= low else seeking
                 # a pair's second table is higher, taken when i >= ones
                 ones = phase[ones][i] if rowed else phase[i >= ones][ones]
         t += len(batch)
-        if ones > n:
-            ones -= stop
+    if ones > n:
+        # the cap's proposal exited
+        ones -= stop
+        if times is not None:
             times.append(t)
             counts.append(ones)
-            if ones >= top:
-                return t
-            phase = returning if ones <= low else seeking
+        if ones >= top:
+            return t
     return None
 
 

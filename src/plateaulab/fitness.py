@@ -64,26 +64,27 @@ class FitnessFunction:
         top = self.max_value
         return [v == top for v in self.level_tables[0]]
 
+    def _exit_tables(self, exits) -> tuple[list[int], list[int]]:
+        """``lower`` and ``higher`` of ``level_tables`` with every move onto
+        a count j where ``exits(j)`` holds replaced by n + 1 + j, which
+        indexes neither: a single-flip walk stops on the lookup after an
+        exit, without testing each count it reaches, and reads j back."""
+        _, lower, higher = self.level_tables
+        stop = self.n + 1
+        return tuple([stop + j if exits(j) else j for j in t] for t in (lower, higher))
+
     @functools.cached_property
     def stop_tables(self) -> tuple[list[int], list[int]]:
-        """``lower`` and ``higher`` of ``level_tables`` with every move onto
-        an optimal count replaced by n + 1, which indexes neither: a
-        single-flip loop reading them stops on the lookup after a hit
-        instead of testing each count it reaches; built once."""
-        _, lower, higher = self.level_tables
-        optimal, stop = self.optimal_levels, self.n + 1
-        return (
-            [stop if optimal[j] else j for j in lower],
-            [stop if optimal[j] else j for j in higher],
-        )
+        """``_exit_tables`` that exit at the optimal counts; built once."""
+        return self._exit_tables(self.optimal_levels.__getitem__)
 
     @functools.cached_property
     def stop_rows(self) -> list[list[int]]:
         """``stop_tables`` as one row per ones count j, indexed by position:
         row j holds ``lower[j]`` at the positions below j and ``higher[j]``
-        at the others, so a single flip of position i moves j to
-        ``rows[j][i]``.  The n + 1 rows of n entries grow as n**2; the
-        single-flip engine reads them up to n = 256 only.  Built once."""
+        at the others, exits included, so a single flip of position i moves
+        j to ``rows[j][i]``.  The n + 1 rows of n entries grow as n**2; the
+        single-flip walk reads them up to n = 256 only.  Built once."""
         return _position_rows(*self.stop_tables)
 
 
@@ -119,20 +120,13 @@ class MajorityFitness(_ThresholdFitness):
 
     @functools.cached_property
     def phase_tables(self) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
-        """``stop_tables`` of the two phases of a restart-statistics run: the
+        """``_exit_tables`` of the two phases of a restart-statistics run: the
         seeking phase exits at n/2 + r ones or more or at n/2 - r or fewer,
-        the returning phase at n/2 or more.  Each maps a move onto an exit
-        count j to n + 1 + j, which indexes neither table, so a single-flip
-        loop stops on the lookup after an exit and reads j back; built once."""
-        _, lower, higher = self.level_tables
+        the returning phase at n/2 or more; built once."""
         n, half, top = self.n, self.n // 2, self.threshold
-
-        def stopped(exits):
-            return tuple([n + 1 + j if exits(j) else j for j in t] for t in (lower, higher))
-
         return (
-            stopped(lambda j: j >= top or j <= n - top),
-            stopped(lambda j: j >= half),
+            self._exit_tables(lambda j: j >= top or j <= n - top),
+            self._exit_tables(lambda j: j >= half),
         )
 
     @functools.cached_property

@@ -50,8 +50,13 @@ class CellStats:
             if len(finite) > 1
             else 0.0
         )
+        # np.percentile's linear rule, without its first call's numpy.ma import;
         # run times are integers, so every quantile is exact
-        p25, median, p75 = np.percentile(finite, (25, 50, 75)).tolist()
+        at = np.array((0.25, 0.5, 0.75)) * (len(finite) - 1)
+        lo = at.astype(int)
+        ranked = np.sort(finite)
+        below, above = ranked[lo], ranked[np.minimum(lo + 1, len(finite) - 1)]
+        p25, median, p75 = (below + (above - below) * (at - lo)).tolist()
         return cls(
             runs=total,
             mean=float(finite.mean()),

@@ -576,6 +576,22 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == ""
 
+    def test_first_summary_leaves_numpy_ma_unloaded(self):
+        # np.percentile imports numpy.ma on its first call, about 8 ms that
+        # every one-shot sweep, restarts or wmodel command would pay
+        code = (
+            "import sys, plateaulab.cli; "
+            "from plateaulab.harness import CellStats; "
+            "CellStats.from_runtimes([5, 1, None, 9]); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=60, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_cli_import_loads_numpy_random_only_as_numpy_does(self):
         # numpy.random loads on a command's first draw, not on import: a
         # command that draws nothing does not pay for it.  The reference is

@@ -530,7 +530,7 @@ class TestLevelEngine:
     # in PINNED_SEEDS) whose hit is the last position of the first batch,
     # the first of the next, or the last of the second, named as in
     # proposal_at, as are the caps; unrecorded, a hit on a batch's last
-    # position ends the batch on the stop tables' n + 1
+    # position ends the batch on the stop tables' n + 1 + j, j the optimum
     @pytest.mark.parametrize(
         "name,i,hit",
         [("majority", 348, 256), ("majority", 439, 257), ("majority", 1869, 768),
@@ -559,16 +559,20 @@ class TestLevelEngine:
         assert reference_run(pinned, i)[0] == hit
         check_batch_ends(PLATEAU_MIDDLE, i, hit + offset, FixedOnes(50), seed=seed)
 
+    # from the plateau's middle on the stop rows, and past n = 256 on the
+    # stop tables' (lower, higher) pair
     @pytest.mark.parametrize("cap", [50, 256, 257, 2000])
     def test_two_sided_exits_match_reference_loop(self, cap):
-        cfg = RunConfig(PLATEAU_MIDDLE, RlsMutation(1), FixedOnes(50), 7, max_iters=cap)
-        sides = set()
-        for i in range(40):
-            runtime, traj = reference_run(cfg, i)
-            assert run(cfg, i).runtime == runtime
-            if runtime is not None:
-                sides.add(traj[-1] > 50)
-        assert cap < 256 or sides == {False, True}
+        for fit in (PLATEAU_MIDDLE, PlateauFitness(300, 20)):
+            middle = fit.n // 2
+            cfg = RunConfig(fit, RlsMutation(1), FixedOnes(middle), 7, max_iters=cap)
+            sides = set()
+            for i in range(40):
+                runtime, traj = reference_run(cfg, i)
+                assert run(cfg, i).runtime == runtime
+                if runtime is not None:
+                    sides.add(traj[-1] > middle)
+            assert cap < 256 or sides == {False, True}, fit
 
     # n=1000: rejection rows (ell <= 15) and lockstep shuffles of 8, 16,
     # 32, then 64 rows (ell >= 16); n=8200: rejection rows and lockstep

@@ -256,9 +256,11 @@ class TestLevelTables:
         assert lower == [j - 1 if j > 0 and fit.level_value(j - 1) >= fit.level_value(j)
                          else j for j in range(n + 1)]
         assert fit.level_tables is fit.level_tables
-        # the stop tables mark every move onto an optimal count with n + 1
+        # the stop tables mark every move onto an optimal count j with n + 1 + j
         for table, stop in zip((lower, higher), fit.stop_tables):
-            assert stop == [n + 1 if fit.level_value(j) == fit.max_value else j for j in table]
+            assert stop == [
+                n + 1 + j if fit.level_value(j) == fit.max_value else j for j in table
+            ]
         assert fit.stop_tables is fit.stop_tables
 
 
@@ -284,9 +286,9 @@ class TestPositionRows:
         lower, higher = fit.stop_tables
         assert fit.stop_rows == compare_rule(lower, higher)
         assert fit.stop_rows is fit.stop_rows
-        # a move onto an optimum keeps the sentinel n + 1
-        stop = fit.n + 1
-        assert any(stop in row for row in fit.stop_rows) == (stop in lower + higher)
+        # a move onto an optimum j keeps its exit n + 1 + j
+        exits = {j for j in lower + higher if j > fit.n}
+        assert {j for row in fit.stop_rows for j in row if j > fit.n} == exits
         if isinstance(fit, MajorityFitness):
             for rows, tables in zip(fit.phase_rows, fit.phase_tables):
                 assert rows == compare_rule(*tables)

@@ -66,6 +66,18 @@ class TestCellStats:
         stats = CellStats.from_runtimes([7])
         assert stats.stderr == 0.0
 
+    def test_quartiles_are_numpy_percentiles(self):
+        # np.percentile's default (linear) rule, bit for bit, on integer
+        # run times of every size from 1 to 60; censored runs are left out
+        rng = np.random.default_rng(11)
+        for size in range(1, 61):
+            for _ in range(30):
+                times = rng.integers(0, 10**9, size=size, endpoint=True).tolist()
+                stats = CellStats.from_runtimes(times + [None])
+                quartiles = [stats.p25, stats.median, stats.p75]
+                assert quartiles == np.percentile(times, (25, 50, 75)).tolist()
+                assert all(type(q) is float for q in quartiles)
+
 
 class TestSweep:
     def test_deterministic_repeat(self):
