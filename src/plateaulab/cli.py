@@ -53,6 +53,8 @@ def _warn_censored(what: str, censored: int, runs: int) -> None:
 
 
 def _cmd_bounds(args) -> int:
+    if not args.n or not args.r:
+        raise ValueError("n and r lists must be non-empty")
     lines = ["n,r,lambda,delta,plateau_bound_center,majority_bound"]
     for n in args.n:
         for r in args.r:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,8 +26,17 @@ _RESIDUAL_TOL = 1e-9
 # entries left to right, so both loops give the same bits there
 _LIST_WIDTH = 7
 _LIST_BLOCK = 4096
-# transient rows rlsl_kernel and kernel_hitting_times set up at a time
+# levels whose transient rows rlsl_kernel sets up at a time, and transient
+# rows kernel_hitting_times sets up at a time
 _SETUP_ROWS = 1024
+# significand bits past the leading one of a long double; overlap_rows
+# divides in long double only when it is x87 extended (63), whose division
+# rounds correctly and runs in hardware
+_LONG_MANT = np.finfo(np.longdouble).nmant
+# fewest levels overlap_rows builds from binomial columns: the columns cost
+# about 20 + 3 ell us a call, the per-row loop 1.5-6 us a row, and the two
+# meet at 8-16 rows (n = 32, 256 and 4096, ell 1-10)
+_TABLE_ROWS = 16
 
 
 def _single_flip_chain(n: int, lo: int, hi: int, tie: bool) -> KernelChain:
@@ -194,26 +203,24 @@ def rlsl_kernel(
         top = max(values)
         absorbing = {j for j, v in enumerate(values) if v == top}
     absorbing = frozenset(absorbing)
-    trans = [j for j in range(n + 1) if j not in absorbing]
+    trans = np.array([j for j in range(n + 1) if j not in absorbing], dtype=np.intp)
     band = np.zeros((n + 1, 2 * ell + 1))
     # the absorbing rows' unit self-loops; transient diagonals follow below
     band[:, ell] = 1.0
     levels = np.array(values)
     shifts = np.arange(ell, -ell - 1, -2)
-    # _SETUP_ROWS transient levels at a time, so that no array but the band
-    # grows with n
-    for start in range(0, len(trans), _SETUP_ROWS):
-        block = trans[start : start + _SETUP_ROWS]
-        # overlaps[i, a]: probability that the flip hits a ones of level block[i]
-        overlaps = np.zeros((len(block), ell + 1))
-        for i, j in enumerate(block):
-            lo = overlap_support(n, j, ell).start
-            row = hypergeom_pmf(n, j, ell)
-            overlaps[i, lo : lo + len(row)] = row
+    # the transient levels of _SETUP_ROWS levels at a time, so that no array
+    # but the band grows with n
+    first = 0
+    for end in range(_SETUP_ROWS, n + 1 + _SETUP_ROWS, _SETUP_ROWS):
+        last = int(trans.searchsorted(end))
+        at, first = trans[first:last], last
+        if not at.size:
+            continue
+        overlaps = overlap_rows(n, ell, at)
         # overlap a moves level j to j + ell - 2a, band column 2 (ell - a), so
         # the even columns reversed follow a.  Off the support the probability
         # is 0, and the value read at the level clipped into range does not matter
-        at = np.array(block, dtype=np.intp)
         reached = np.clip(at[:, None] + shifts, 0, n)
         moved = levels[reached] >= levels[at, None]
         if ell % 2 == 0:
@@ -223,6 +230,72 @@ def rlsl_kernel(
         # row-by-row fold does; the zeros in between change no bit
         band[at, ell] = np.add.accumulate(np.where(moved, 0.0, overlaps), axis=1)[:, -1]
     return KernelChain.from_band(band, absorbing)
+
+
+def overlap_rows(n: int, ell: int, levels: Sequence[int]) -> np.ndarray:
+    """Overlap law of an ell-bit flip at each of ``levels``, padded to ell + 1 columns.
+
+    Entry [i, a] is the probability that the flip hits a ones of level
+    levels[i], the correctly rounded quotient C(j, a) C(n - j, ell - a) /
+    C(n, ell) that ``hypergeom_pmf`` gives; overlaps off the support hold 0.
+    When there are at least ``_TABLE_ROWS`` levels, every binomial fits in
+    int64 and the long double is x87 extended, the numerators are exact
+    int64 products and one long-double division per call rounds them to 64
+    bits, then a cast rounds again to float64.  Rounding twice can only go
+    wrong where the long double lands on a float64 midpoint: the midpoints
+    are long doubles, so a quotient stays on its side of every midpoint it
+    does not land on (Figueroa 1995).  Entries on a midpoint are divided
+    again as Python ints.  Every other case builds the rows one at a time
+    with ``hypergeom_pmf``, which is also faster for fewer levels.  The
+    binomial columns span the levels' range,
+    2 (ell + 1) (max - min + 1) int64 entries.
+    """
+    levels = np.asarray(levels, dtype=np.intp)
+    if (
+        levels.size >= _TABLE_ROWS
+        and math.comb(n, min(ell, n // 2)) < 2**63
+        and _LONG_MANT == 63
+    ):
+        lo, hi = int(levels.min()), int(levels.max())
+        # C(x, a) from x = lo for the hits and from x = n - hi for the
+        # misses, where n - j sits at hi - j
+        cols = _binomial_columns((lo, n - hi), hi - lo + 1, ell)
+        # counts[a, i] = C(j, a) C(n - j, ell - a) for j = levels[i]
+        counts = cols[:, 0, levels - lo] * cols[::-1, 1, hi - levels]
+        total = math.comb(n, ell)
+        exact = counts.astype(np.longdouble) / np.int64(total)
+        out = exact.astype(float)
+        # a midpoint lies half an ulp of out from it, a power of two; the
+        # few other entries as far from out as a power of two are divided
+        # again as well, which changes none of them
+        gap, _ = np.frexp((exact - out).astype(float))
+        again = np.flatnonzero(np.abs(gap) == 0.5)
+        out.flat[again] = [c / total for c in counts.flat[again].tolist()]
+        return out.T
+    out = np.zeros((levels.size, ell + 1))
+    for i, j in enumerate(levels.tolist()):
+        start = overlap_support(n, j, ell).start
+        row = hypergeom_pmf(n, j, ell)
+        out[i, start : start + len(row)] = row
+    return out
+
+
+def _binomial_columns(starts: tuple[int, ...], width: int, depth: int) -> np.ndarray:
+    """Exact int64 C(x, a) at [a, k, x - starts[k]] for a in 0..depth and x
+    in starts[k]..starts[k] + width - 1.
+
+    Row a is C(start, a) plus the running sum of row a - 1, by Pascal's
+    rule C(x + 1, a) = C(x, a) + C(x, a - 1); every partial sum is itself
+    a binomial, so nothing overflows when the largest one fits.
+    """
+    cols = np.empty((depth + 1, len(starts), width), dtype=np.int64)
+    cols[:, :, 0] = [[math.comb(x, a) for x in starts] for a in range(depth + 1)]
+    cols[0] = 1
+    for a in range(1, depth + 1):
+        row = cols[a]
+        row[:, 1:] = cols[a - 1, :, :-1]
+        row.cumsum(axis=1, out=row)
+    return cols
 
 
 def _check_flip(n: int, ell: int) -> None:

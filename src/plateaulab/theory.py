@@ -73,11 +73,14 @@ def majority_bound(n: int, r: int) -> float:
 
     Combines twice the worst-case crossing bound with the expected cost of
     walking back from a wrong-sided optimum: 6r(base^r - 1)/(base - 1)
-    + n(1 + ln r)/2.  Returns 0 for r=0 and +inf once base^r overflows.
+    + n(1 + ln r)/2, and +inf once base^r overflows.  At r=0 only the
+    two-sided plateau is flat; the one-sided objective still has to reach
+    n/2 ones, which takes at most the recovery bound from all zeros,
+    n(1 + ln(n/2))/2.
     """
     _check_params(n, r, min_r=0)
     if r == 0:
-        return 0.0
+        return majority_of_ones_bound(n, n // 2)
     lam = potential_base(n, r)
     return 6.0 * r * (_pow(lam, r) - 1.0) / (lam - 1.0) + majority_of_ones_bound(n, r)
 
@@ -102,7 +105,8 @@ def block_bound(k: int) -> float:
 class BoundSet:
     """All closed-form quantities for one (n, r) pair.
 
-    ``lam`` and ``delta`` are NaN for r=0, where every bound is zero.
+    ``lam`` and ``delta`` are NaN for r=0, where the plateau bound is zero
+    and the majority bound is the recovery bound from all zeros.
     """
 
     n: int
@@ -116,7 +120,7 @@ class BoundSet:
     def for_params(cls, n: int, r: int) -> "BoundSet":
         _check_params(n, r, min_r=0)
         if r == 0:
-            return cls(n, 0, math.nan, math.nan, 0.0, 0.0)
+            return cls(n, 0, math.nan, math.nan, 0.0, majority_bound(n, 0))
         return cls(
             n,
             r,

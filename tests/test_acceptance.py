@@ -136,7 +136,7 @@ def test_criterion_05_majority_bound_dominates_uniform_exact():
     violations = []
     checked = 0
     for n in GRID_N:
-        for r in range(1, n // 2 + 1):
+        for r in range(0, n // 2 + 1):
             bound = theory.majority_bound(n, r)
             if not math.isfinite(bound):
                 continue

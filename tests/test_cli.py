@@ -56,6 +56,13 @@ class TestBounds:
         assert code == EXIT_USAGE
         assert "n/2" in err
 
+    @pytest.mark.parametrize("n, r", [(",", "1"), ("4", ",")])
+    def test_empty_list_rejected(self, capsys, n, r):
+        code, out, err = run_cli(capsys, "bounds", "--n", n, "--r", r)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: n and r lists must be non-empty\n"
+
 
 class TestExact:
     def test_uniform_n2_r1(self, capsys):

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plateaulab import oracle, theory
-from plateaulab.core import FixedOnes, Point, Uniform, UniformNonOptimal
+from plateaulab.core import FixedOnes, Point, Uniform, UniformNonOptimal, hypergeom_pmf
 from plateaulab.fitness import MajorityFitness, OneMax, PlateauFitness, make_fitness
 from plateaulab.oracle import (
     BAND_LIMIT,
@@ -20,6 +22,7 @@ from plateaulab.oracle import (
     kernel_hitting_times,
     majority_chain,
     majority_hitting_by_level,
+    overlap_rows,
     plateau_chain,
     plateau_hitting_by_level,
     rlsl_kernel,
@@ -508,6 +511,107 @@ class TestBandedKernel:
             tracemalloc.stop()
         assert np.all(np.isfinite(times)) and times[0] > 0.0
         assert peak < 3 * band_bytes
+
+
+def per_row_overlaps(n, ell, levels):
+    """The padded overlap matrix built one ``hypergeom_pmf`` row at a time."""
+    out = np.zeros((len(levels), ell + 1))
+    for i, j in enumerate(levels):
+        lo = max(0, ell - (n - j))
+        row = hypergeom_pmf(n, j, ell)
+        out[i, lo : lo + len(row)] = row
+    return out
+
+
+@st.composite
+def overlap_cases(draw):
+    n = draw(st.integers(1, 300))
+    ell = draw(st.integers(1, n))
+    # fewer than 16 levels are built row by row, 16 and more from columns
+    levels = draw(st.lists(st.integers(0, n), min_size=1, max_size=60))
+    return n, ell, levels
+
+
+class CountingPmf:
+    """``hypergeom_pmf`` that counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, n, j, ell):
+        self.calls += 1
+        return hypergeom_pmf(n, j, ell)
+
+
+# the midpoints a bare cast misses are those of a 64-bit significand
+x87_long_double = pytest.mark.skipif(
+    oracle._LONG_MANT != 63, reason="needs the x87 80-bit long double"
+)
+
+
+class TestOverlapRows:
+    @settings(max_examples=150, deadline=None)
+    @given(overlap_cases())
+    # both ends, ell > n/2, ell = n, and the int64 edge at n = 256, each
+    # with enough levels for the binomial columns
+    @example((300, 300, [0, 300, 150] * 6))
+    @example((9, 7, [0, 9, 4, 4, 1] * 4))
+    @example((1, 1, [1, 0] * 8))
+    @example((256, 11, [0, 256, 128, 3] * 4))
+    @example((256, 12, [256, 0, 127] * 6))
+    # C(100, 95) fits in int64 but the columns pass C(70, 35), which does not
+    @example((100, 95, list(range(70, 101))))
+    def test_bit_identical_to_per_row_pmf(self, case):
+        n, ell, levels = case
+        rows = overlap_rows(n, ell, levels)
+        assert rows.dtype == np.float64 and rows.shape == (len(levels), ell + 1)
+        assert rows.tobytes() == per_row_overlaps(n, ell, levels).tobytes()
+
+    @x87_long_double
+    @pytest.mark.parametrize("n,ell", [(256, 10), (1024, 7), (100, 17)])
+    def test_midpoint_fixup_fires(self, n, ell):
+        levels = list(range(n + 1))
+        rows = overlap_rows(n, ell, levels)
+        assert rows.tobytes() == per_row_overlaps(n, ell, levels).tobytes()
+        # the same quotients rounded twice, to long double and then to float64
+        counts = np.array(
+            [[math.comb(j, a) * math.comb(n - j, ell - a) for a in range(ell + 1)]
+             for j in levels],
+            dtype=np.int64,
+        )
+        bare = (counts.astype(np.longdouble) / np.int64(math.comb(n, ell))).astype(float)
+        assert np.count_nonzero(bare != rows) > 0
+
+    @x87_long_double
+    def test_int64_guard_edge(self, monkeypatch):
+        assert math.comb(256, 11) < 2**63 <= math.comb(256, 12)
+        levels = list(range(257))
+        for ell, calls in ((11, 0), (12, 257)):
+            pmf = CountingPmf()
+            monkeypatch.setattr(oracle, "hypergeom_pmf", pmf)
+            rows = overlap_rows(256, ell, levels)
+            assert pmf.calls == calls
+            assert rows.tobytes() == per_row_overlaps(256, ell, levels).tobytes()
+
+    @x87_long_double
+    def test_few_levels_are_built_row_by_row(self, monkeypatch):
+        for count, calls in ((15, 15), (16, 0)):
+            levels = list(range(120, 120 + count))
+            pmf = CountingPmf()
+            monkeypatch.setattr(oracle, "hypergeom_pmf", pmf)
+            rows = overlap_rows(256, 10, levels)
+            assert pmf.calls == calls
+            assert rows.tobytes() == per_row_overlaps(256, 10, levels).tobytes()
+
+    @pytest.mark.parametrize("n,ell", [(256, 10), (100, 17), (4096, 3), (37, 30)])
+    def test_forced_fallback_gives_the_same_bits(self, n, ell, monkeypatch):
+        levels = list(range(0, n + 1, max(1, n // 300)))
+        table = overlap_rows(n, ell, levels)
+        pmf = CountingPmf()
+        monkeypatch.setattr(oracle, "hypergeom_pmf", pmf)
+        monkeypatch.setattr(oracle, "_LONG_MANT", 52)
+        assert overlap_rows(n, ell, levels).tobytes() == table.tobytes()
+        assert pmf.calls == len(levels)
 
 
 class TestBandedSolver:

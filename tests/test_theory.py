@@ -3,6 +3,8 @@ import math
 import pytest
 
 from plateaulab import theory
+from plateaulab.core import Uniform
+from plateaulab.oracle import expected_under_init, majority_hitting_by_level
 from plateaulab.theory import (
     BoundSet,
     block_bound,
@@ -88,8 +90,13 @@ class TestMajorityBound:
         # exact uniform-init expectation of the two-bit chain is 2.5
         assert 2.5 <= majority_bound(2, 1)
 
-    def test_r0_is_zero(self):
-        assert majority_bound(8, 0) == 0.0
+    def test_r0_dominates_exact(self):
+        # only the two-sided plateau is flat at r=0; the one-sided run still
+        # has to reach n/2 ones (exact 17.2 at n=100)
+        for n in (2, 8, 100, 1000):
+            exact = expected_under_init(majority_hitting_by_level(n, 0), n, Uniform())
+            assert 0.0 < exact <= majority_bound(n, 0)
+        assert majority_bound(100, 0) == majority_of_ones_bound(100, 50)
 
     def test_block_bound_identity(self):
         for k in range(2, 40, 2):
@@ -162,4 +169,5 @@ class TestBoundSet:
         b = BoundSet.for_params(12, 0)
         assert math.isnan(b.lam)
         assert b.plateau_center == 0.0
-        assert b.majority_uniform == 0.0
+        exact = expected_under_init(majority_hitting_by_level(12, 0), 12, Uniform())
+        assert 0.0 < exact <= b.majority_uniform
