@@ -443,20 +443,35 @@ def _sample_subsets(n: int, ell: int, draws: Draws, k: int) -> np.ndarray:
     if k <= 2:
         # a lockstep shuffle of one or two rows is slower than scalar ones
         return np.array([_shuffle_prefix(n, row) for row in js.tolist()], dtype=np.int64)
-    # the k shuffles run in lockstep on one flat index array.  Step i never
-    # touches position i again, so it only reads each row's target (the
-    # row's i-th entry) and moves the value at position i there.
-    base = np.arange(0, k * n, n)
-    targets = np.ascontiguousarray(js.T)
-    targets += base
-    here = np.arange(ell)[:, None] + base
-    idx = np.arange(k * n)
+    # the k shuffles run in lockstep on one flat copy of the frame, row r's
+    # positions at r * n.  Step i never touches position i again, so it
+    # only reads each row's target (the row's i-th entry) and moves the
+    # position at i there.
+    base, here, frame = _lockstep_frame(n, ell, k)
+    targets = np.add(js.T, base, out=np.empty((ell, k), dtype=np.int64))
+    idx = frame.copy()
     out = np.empty((ell, k), dtype=np.int64)
     for t, h, o in zip(targets, here, out):
         o[...] = idx[t]
         idx[t] = idx[h]
-    out -= base
     return out.T
+
+
+@functools.lru_cache(maxsize=8)
+def _lockstep_frame(n: int, m: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What a lockstep batch of k shuffles of m steps over n positions
+    reads, read-only: the row offsets r * n, the flat index of step i's
+    position in every row (i + r * n, one row per step), and the frame,
+    range(n) k times over in the narrowest unsigned dtype that holds
+    n - 1 (uint8 up to n = 256).  A run's batches cycle through at most
+    about five (m, k), so eight entries keep a run's frames alive; none
+    is larger than an int64 index array of the batch."""
+    base = np.arange(0, k * n, n)
+    here = np.arange(m)[:, None] + base
+    frame = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), k)
+    for a in (base, here, frame):
+        a.flags.writeable = False
+    return base, here, frame
 
 
 class InitDistribution:

@@ -42,8 +42,9 @@ _BYTE_LIMIT = 256
 # its cost per row), each later one twice as many, capped so that a batch
 # holds at most this many rejection draws' indices or lockstep positions.
 # Past that cap (n > 128) lockstep batches still double up to the first
-# batch's rows, as long as their flat index array stays within
-# _SHUFFLE_POSITIONS
+# batch's rows, as long as their frame of positions stays within
+# _SHUFFLE_POSITIONS: that bounds the bytes of each cached frame and of
+# the copy a batch shuffles, 1 MiB at two bytes a position (n <= 65536)
 _REJECTION_ROWS_FIRST = 16
 _SHUFFLE_ROWS_FIRST = 64
 _SUBSET_BUDGET = 8192

@@ -305,12 +305,6 @@ def _check_flip(n: int, ell: int) -> None:
         raise ValueError(f"ell must lie in [1..n], got ell={ell}, n={n}")
 
 
-def _support(n: int, ell: int, j: int) -> range:
-    """Levels an exact-ell-bit flip can move level j to (step 2)."""
-    a = overlap_support(n, j, ell)
-    return range(j + ell - 2 * a[-1], j + ell - 2 * a[0] + 1, 2)
-
-
 def trapped_level(
     n: int, ell: int, fitness_by_level: Callable[[int], float], starts: Iterable[int]
 ) -> Optional[int]:
@@ -321,6 +315,10 @@ def trapped_level(
     argmax levels.  The support is symmetric, so the levels that can reach
     an optimum are found by a backward search from the optima over the
     same ranges.  O(n ell) time.
+
+    An exact-ell-bit flip moves level j to j + ell - 2a for each overlap a
+    in ``overlap_support(n, j, ell)``: every other level from |j - ell| to
+    min(j + ell, 2n - j - ell).
     """
     _check_flip(n, ell)
     values = [fitness_by_level(j) for j in range(n + 1)]
@@ -331,7 +329,7 @@ def trapped_level(
     while stack and left:
         t = stack.pop()
         vt = values[t]
-        for s in _support(n, ell, t):
+        for s in range(abs(t - ell), min(t + ell, 2 * n - t - ell) + 1, 2):
             if not escapes[s] and values[s] <= vt:
                 escapes[s] = True
                 left -= 1
@@ -348,7 +346,8 @@ def trapped_level(
             return j
         seen.add(j)
         vj = values[j]
-        stack.extend(t for t in _support(n, ell, j) if values[t] >= vj and t not in seen)
+        reach = range(abs(j - ell), min(j + ell, 2 * n - j - ell) + 1, 2)
+        stack.extend(t for t in reach if values[t] >= vj and t not in seen)
     return None
 
 

@@ -22,7 +22,7 @@ from plateaulab.core import (
     sample_bitstring,
     sample_uniform_subset,
 )
-from plateaulab.core import _rejection_rows, _shuffle_prefix
+from plateaulab.core import _lockstep_frame, _rejection_rows, _shuffle_prefix
 from plateaulab.fitness import MajorityFitness, NeutralityFitness, OneMax
 
 
@@ -314,7 +314,9 @@ class TestSubsetSampling:
             counts[sample_uniform_subset(3, 1, rng)[0]] += 1
         assert np.all(np.abs(counts / draws - 1 / 3) < 0.01)
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 1000])
+    # 255-257 and 65536-65537 sit on both sides of the lockstep frame's
+    # uint8 and uint16 positions
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 255, 256, 257, 1000, 65536, 65537])
     @pytest.mark.parametrize("k", [1, 2, 17])
     def test_batch_replays_consecutive_draws(self, n, k):
         for ell in sorted({1, n >> 6, (n >> 6) + 1, n} & set(range(1, n + 1))):
@@ -324,6 +326,28 @@ class TestSubsetSampling:
             assert rows.shape == (k, ell)
             assert np.array_equal(rows, np.stack(expected))
             assert batched.integers(0, 2**63) == single.integers(0, 2**63)
+
+    def test_lockstep_batches_share_read_only_frames(self):
+        # interleaved (n, m, k) keys on one stream: each batch replays its
+        # single draws, and the cached arrays of a key stay as built while
+        # the other keys' batches run
+        keys = [(100, 2, 64), (300, 10, 17), (100, 2, 81), (100, 50, 64), (70000, 1100, 3)]
+        batched, single = rng_for(13), rng_for(13)
+        kept = {}
+        for n, m, k in keys + keys[::-1] + keys:
+            rows = sample_uniform_subset(n, m, batched, size=k)
+            expected = [sample_uniform_subset(n, m, single) for _ in range(k)]
+            assert np.array_equal(rows, np.stack(expected))
+            kept.setdefault((n, m, k), _lockstep_frame(n, m, k))
+        assert batched.integers(0, 2**63) == single.integers(0, 2**63)
+        for (n, m, k), arrays in kept.items():
+            assert all(a is b for a, b in zip(arrays, _lockstep_frame(n, m, k)))
+            base, here, frame = arrays
+            assert not any(a.flags.writeable for a in arrays)
+            assert np.array_equal(base, np.arange(k) * n)
+            assert np.array_equal(here, np.arange(m)[:, None] + base)
+            assert frame.dtype == {100: np.uint8, 300: np.uint16, 70000: np.uint32}[n]
+            assert np.array_equal(frame, np.tile(np.arange(n), k))
 
     @settings(max_examples=80, deadline=None)
     @given(case=subset_batches())
