@@ -70,6 +70,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _exact_levels(function: str, n: int, r: int, ell: int) -> np.ndarray:
+    oracle._check_flip(n, ell)
     if function == "plateau" and r == 0:
         return np.zeros(n + 1)  # constant function: every start is optimal
     if function == "majority":

@@ -22,7 +22,7 @@ from .core import (
     sample_bitstring,
     sample_uniform_subset,
 )
-from .fitness import BlockedFitness, FitnessFunction, MajorityFitness
+from .fitness import ROW_LIMIT, BlockedFitness, FitnessFunction, MajorityFitness
 
 DEFAULT_CAP = 10**9
 # ell=1 proposal batches: the first reads this many bytes of the stream up
@@ -189,9 +189,8 @@ def run(cfg: RunConfig, run_index: int) -> RunResult:
         # the record holds the start and each phase exit, at these times
         n, top = fit.n, fit.threshold
         times = [0]
-        phases = fit.phase_rows if n <= _BYTE_LIMIT else fit.phase_tables
         runtime = 0 if state >= top else _walk(
-            n, state, draws, cfg.max_iters, *phases, top, n - top, times, traj
+            n, state, draws, cfg.max_iters, *fit.phase_tables, top, n - top, times, traj
         )
     else:
         runtime = engine(fit, ell, state, draws, cfg.max_iters, traj)
@@ -334,8 +333,7 @@ def _run_level(fit, ell, ones, draws, cap, traj):
     per-level tables; at ell=1 a proposal moves the incumbent to its level's
     successor one set bit down or up, which is the level itself when the
     step is rejected.  An unrecorded ell=1 run is a ``_walk`` of one phase,
-    on the objective's ``stop_rows`` up to n = 256 and its ``stop_tables``
-    past it, whose every exit is a hit.
+    the objective's ``stop_tables``, whose every exit is a hit.
     """
     n = fit.n
     optimal = fit.optimal_levels
@@ -344,7 +342,7 @@ def _run_level(fit, ell, ones, draws, cap, traj):
     if ell == 1 and traj is None:
         # every exit reads back a count j >= 0 = top, so the first ends the
         # run; low = -1 never picks the second phase
-        stops = fit.stop_rows if n <= _BYTE_LIMIT else fit.stop_tables
+        stops = fit.stop_tables
         return _walk(n, ones, draws, cap, stops, stops, 0, -1, None, None)
     fmax = fit.max_value
     vals, lower, higher = fit.level_tables
@@ -397,16 +395,16 @@ def _walk(n, ones, draws, cap, seeking, returning, top, low, times, counts):
     """Single-flip walk of a level run from ``ones``: the proposal at which
     it exits onto ``top`` ones or more, or None after ``cap`` proposals.
 
-    A phase is its rows up to n = 256, one lookup a step, and past it its
-    (lower, higher) pair.  An exit onto j moves to n + 1 + j
-    (``FitnessFunction._exit_tables``), so the next lookup, even the next
+    A phase is an objective's ``stop_tables``: its rows up to n =
+    ``ROW_LIMIT``, one lookup a step, and past it its (lower, higher) pair.
+    An exit onto j moves to n + 1 + j, so the next lookup, even the next
     batch's first, raises IndexError before it applies its index; that
     index is applied from j under ``returning`` at ``low`` ones or fewer,
     else under ``seeking``.  With ``times``, the time and count of each
     exit are appended to ``times`` and ``counts``; nothing per proposal.
     """
     stop = n + 1
-    rowed = n <= _BYTE_LIMIT
+    rowed = n <= ROW_LIMIT
     phase = returning if ones <= low else seeking
     t = 0
     for batch in _flip_lists(n, draws, cap):

@@ -9,11 +9,9 @@ from .core import BitString
 from .theory import _check_params
 
 
-def _position_rows(lower: list[int], higher: list[int]) -> list[list[int]]:
-    """Per count j of 0..n, the count a single flip of each position
-    0..n-1 moves j to: ``lower[j]`` below j, ``higher[j]`` from j up."""
-    n = len(lower) - 1
-    return [[down] * j + [up] * (n - j) for j, (down, up) in enumerate(zip(lower, higher))]
+# the largest n whose stop tables are rows per ones count, not a pair:
+# the n + 1 rows of n entries grow as n**2 (about 0.5 MB at n = 256)
+ROW_LIMIT = 256
 
 
 class FitnessFunction:
@@ -64,28 +62,22 @@ class FitnessFunction:
         top = self.max_value
         return [v == top for v in self.level_tables[0]]
 
-    def _exit_tables(self, exits) -> tuple[list[int], list[int]]:
-        """``lower`` and ``higher`` of ``level_tables`` with every move onto
-        a count j where ``exits(j)`` holds replaced by n + 1 + j, which
-        indexes neither: a single-flip walk stops on the lookup after an
-        exit, without testing each count it reaches, and reads j back."""
+    @functools.cached_property
+    def stop_tables(self) -> list[list[int]] | tuple[list[int], list[int]]:
+        """The single-flip moves of ``level_tables`` with every move onto an
+        optimal count j replaced by n + 1 + j, which indexes no table: a
+        single-flip walk stops on the lookup after a hit, without testing
+        each count it reaches, and reads j back.  Up to n = ``ROW_LIMIT``
+        they are one row per ones count j, indexed by position: row j holds
+        ``lower[j]`` at the positions below j and ``higher[j]`` at the
+        others, so a flip of position i moves j to ``rows[j][i]``.  Past it
+        they are the (lower, higher) pair.  Built once."""
         _, lower, higher = self.level_tables
-        stop = self.n + 1
-        return tuple([stop + j if exits(j) else j for j in t] for t in (lower, higher))
-
-    @functools.cached_property
-    def stop_tables(self) -> tuple[list[int], list[int]]:
-        """``_exit_tables`` that exit at the optimal counts; built once."""
-        return self._exit_tables(self.optimal_levels.__getitem__)
-
-    @functools.cached_property
-    def stop_rows(self) -> list[list[int]]:
-        """``stop_tables`` as one row per ones count j, indexed by position:
-        row j holds ``lower[j]`` at the positions below j and ``higher[j]``
-        at the others, exits included, so a single flip of position i moves
-        j to ``rows[j][i]``.  The n + 1 rows of n entries grow as n**2; the
-        single-flip walk reads them up to n = 256 only.  Built once."""
-        return _position_rows(*self.stop_tables)
+        n, optimal = self.n, self.optimal_levels
+        lower, higher = ([n + 1 + j if optimal[j] else j for j in t] for t in (lower, higher))
+        if n > ROW_LIMIT:
+            return lower, higher
+        return [[down] * j + [up] * (n - j) for j, (down, up) in enumerate(zip(lower, higher))]
 
 
 class _ThresholdFitness(FitnessFunction):
@@ -119,23 +111,14 @@ class MajorityFitness(_ThresholdFitness):
         return 1 if ones >= self.threshold else 0
 
     @functools.cached_property
-    def phase_tables(self) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
-        """``_exit_tables`` of the two phases of a restart-statistics run: the
-        seeking phase exits at n/2 + r ones or more or at n/2 - r or fewer,
-        the returning phase at n/2 or more; built once."""
-        n, half, top = self.n, self.n // 2, self.threshold
-        return (
-            self._exit_tables(lambda j: j >= top or j <= n - top),
-            self._exit_tables(lambda j: j >= half),
-        )
-
-    @functools.cached_property
-    def phase_rows(self) -> tuple[list[list[int]], list[list[int]]]:
-        """``phase_tables`` as rows per ones count, as ``stop_rows`` holds
-        ``stop_tables``: the seeking phase's, then the returning phase's;
-        built once."""
-        seeking, returning = self.phase_tables
-        return _position_rows(*seeking), _position_rows(*returning)
+    def phase_tables(self):
+        """The ``stop_tables`` of the two phases of a restart-statistics run,
+        which are the paper's two objectives: the seeking phase is
+        ``PlateauFitness(n, r)``, which stops at n/2 + r ones or more or at
+        n/2 - r or fewer, and the returning phase ``MajorityFitness(n, 0)``,
+        which stops at n/2 or more.  Built once, and freed with this
+        objective."""
+        return PlateauFitness(self.n, self.r).stop_tables, MajorityFitness(self.n, 0).stop_tables
 
 
 class OneMax(FitnessFunction):

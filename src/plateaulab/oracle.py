@@ -566,12 +566,9 @@ def majority_hitting_by_level(n: int, r: int) -> np.ndarray:
 def plateau_hitting_by_level(n: int, r: int) -> np.ndarray:
     """Exact expected run times on the two-sided plateau, per ones count 0..n."""
     times = bd_hitting_times(plateau_chain(n, r))
-    half = n // 2
-    out = np.zeros(n + 1)
-    for j in range(n + 1):
-        m = max(j, n - j)
-        out[j] = times[m - half] if m <= half + r else 0.0
-    return out
+    # count j sits |j - n/2| from the middle; from r on it is optimal, and
+    # times[r] is the absorbing level's 0.0
+    return times[np.minimum(np.abs(np.arange(n + 1) - n // 2), r)]
 
 
 def expected_under_init(

@@ -129,6 +129,17 @@ class TestExact:
         assert code == EXIT_OK
         assert float(parse_csv(out)[0]["expected"]) == 0.0
 
+    # a constant objective answers 0.0 without a kernel, but its flip size
+    # must still lie in [1..n], as for every other objective
+    @pytest.mark.parametrize("function,r", [("plateau", "0"), ("plateau", "2"), ("majority", "0")])
+    @pytest.mark.parametrize("ell", ["0", "9"])
+    def test_flip_size_outside_1_to_n_exits_2(self, capsys, function, r, ell):
+        code, out, err = run_cli(
+            capsys, "exact", "--function", function, "--n", "8", "--r", r, "--ell", ell
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "ell must lie in [1..n]" in err
+
 
     def test_kernel_rows_exact_at_n1000(self, capsys):
         code, out, err = run_cli(capsys, "exact", "--n", "1000", "--r", "4", "--ell", "3")

@@ -1112,6 +1112,64 @@ class TestPhaseEngine:
         run(RunConfig(fit, RlsMutation(1), Uniform(), 1, record_restart_stats=True), 1)
         assert fit.phase_tables is tables
 
+    # r = 1, a middle r and r = n/2 on both sides of the row limit (n = 256),
+    # and one cell far past it
+    PHASE_CELLS = [(n, r) for n in (20, 100, 256, 258) for r in (1, 8, n // 2)] + [(1000, 31)]
+
+    @pytest.mark.parametrize("n,r", PHASE_CELLS)
+    def test_phases_run_as_the_old_exit_rule(self, n, r):
+        # restart runs on the paper's two objectives' stop tables and on the
+        # exit rule they replaced; at r = n/2 nearly every run is cut at the cap
+        old = MajorityFitness(n, r)
+        old.phase_tables = old_phase_tables(old)
+        for cap in (300, 20_000):
+            for i in range(60):
+                was, now = (
+                    run(RunConfig(fit, RlsMutation(1), Uniform(), 5, max_iters=cap,
+                                  record_restart_stats=True), i)
+                    for fit in (old, MajorityFitness(n, r))
+                )
+                assert (now.runtime, now.init_ones, now.restart) == (
+                    was.runtime, was.init_ones, was.restart
+                )
+
+    @pytest.mark.parametrize("n,r", PHASE_CELLS)
+    def test_phases_differ_from_the_old_rule_at_three_exits(self, n, r):
+        # every entry that differs is a move from one of its phase's own exit
+        # counts, which no walk applies: the seeking phase's higher at
+        # n/2 - r, the returning phase's lower at n/2 and at n/2 + r
+        differ = set()
+        for phase, old, new in zip(("seeking", "returning"),
+                                   old_phase_tables(MajorityFitness(n, r)),
+                                   MajorityFitness(n, r).phase_tables):
+            if n <= 256:
+                differ |= {(phase, j, "lower" if i < j else "higher")
+                           for j in range(n + 1) for i in range(n) if old[j][i] != new[j][i]}
+            else:
+                differ |= {(phase, j, side) for side, a, b in zip(("lower", "higher"), old, new)
+                           for j in range(n + 1) if a[j] != b[j]}
+        half = n // 2
+        assert differ == {("seeking", half - r, "higher"), ("returning", half, "lower"),
+                          ("returning", half + r, "lower")}
+
+
+def old_phase_tables(fit):
+    """The restart phases by the exit rule the two objectives' stop tables
+    replaced: the majority objective's single-flip moves, with a move onto
+    n/2 + r ones or more or n/2 - r or fewer exiting the seeking phase, and
+    one onto n/2 or more the returning phase.  An exit onto j is n + 1 + j;
+    rows per count up to n = 256, the (lower, higher) pair past it."""
+    n, half, top = fit.n, fit.n // 2, fit.threshold
+    _, lower, higher = fit.level_tables
+
+    def phase(exits):
+        pair = [[n + 1 + j if exits(j) else j for j in t] for t in (lower, higher)]
+        if n > 256:
+            return tuple(pair)
+        return [[pair[0][j] if i < j else pair[1][j] for i in range(n)] for j in range(n + 1)]
+
+    return phase(lambda j: j >= top or j <= n - top), phase(lambda j: j >= half)
+
 
 def searchsorted_restart_stats(trajectory, n, r):
     """The index-search form of ``extract_restart_stats`` it replaced, as the

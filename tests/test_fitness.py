@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from plateaulab.core import BitString, FixedOnes, RngStream, flip_bits, sample_bitstring, Uniform
 from plateaulab.ea import RlsMutation, RunConfig, run
 from plateaulab.fitness import (
+    ROW_LIMIT,
     BlockMajorityFitness,
     MajorityFitness,
     NeutralityFitness,
@@ -256,11 +257,9 @@ class TestLevelTables:
         assert lower == [j - 1 if j > 0 and fit.level_value(j - 1) >= fit.level_value(j)
                          else j for j in range(n + 1)]
         assert fit.level_tables is fit.level_tables
-        # the stop tables mark every move onto an optimal count j with n + 1 + j
-        for table, stop in zip((lower, higher), fit.stop_tables):
-            assert stop == [
-                n + 1 + j if fit.level_value(j) == fit.max_value else j for j in table
-            ]
+        # the stop tables mark every move onto an optimal count j with
+        # n + 1 + j, as one row per count at these n
+        assert fit.stop_tables == walk_form(fit)
         assert fit.stop_tables is fit.stop_tables
 
 
@@ -280,19 +279,58 @@ def compare_rule(lower, higher):
     return [[lower[j] if i < j else higher[j] for i in range(n)] for j in range(n + 1)]
 
 
+def stop_pair(fit):
+    """Per count j, the count an elitist single flip moves j to from
+    ``fit``'s level values, clearing a set bit and setting one, with every
+    move onto an optimal count k written n + 1 + k."""
+    n = fit.n
+    vals = [fit.level_value(j) for j in range(n + 1)]
+
+    def stop(j):
+        return n + 1 + j if vals[j] == fit.max_value else j
+
+    lower = [stop(j - 1 if j > 0 and vals[j - 1] >= vals[j] else j) for j in range(n + 1)]
+    higher = [stop(j + 1 if j < n and vals[j + 1] >= vals[j] else j) for j in range(n + 1)]
+    return lower, higher
+
+
+def walk_form(fit):
+    """``stop_pair`` as the single-flip walk reads it: rows up to n = 256,
+    the pair past it."""
+    pair = stop_pair(fit)
+    return compare_rule(*pair) if fit.n <= 256 else pair
+
+
 class TestPositionRows:
     @pytest.mark.parametrize("fit", ROW_FITS, ids=repr)
     def test_rows_follow_the_compare_rule(self, fit):
-        lower, higher = fit.stop_tables
-        assert fit.stop_rows == compare_rule(lower, higher)
-        assert fit.stop_rows is fit.stop_rows
+        n = fit.n
+        assert n <= ROW_LIMIT == 256
+        lower, higher = stop_pair(fit)
+        assert fit.stop_tables == compare_rule(lower, higher)
+        assert fit.stop_tables is fit.stop_tables
         # a move onto an optimum j keeps its exit n + 1 + j
-        exits = {j for j in lower + higher if j > fit.n}
-        assert {j for row in fit.stop_rows for j in row if j > fit.n} == exits
+        exits = {j for j in lower + higher if j > n}
+        assert {j for row in fit.stop_tables for j in row if j > n} == exits
         if isinstance(fit, MajorityFitness):
-            for rows, tables in zip(fit.phase_rows, fit.phase_tables):
-                assert rows == compare_rule(*tables)
-            assert fit.phase_rows is fit.phase_rows
+            # the restart phases are the stop tables of the paper's two objectives
+            assert fit.phase_tables == (
+                walk_form(PlateauFitness(n, fit.r)), walk_form(MajorityFitness(n, 0))
+            )
+            assert fit.phase_tables is fit.phase_tables
+
+    # past n = 256 the tables are the (lower, higher) pair
+    @pytest.mark.parametrize(
+        "fit", [OneMax(257), PlateauFitness(258, 8), MajorityFitness(258, 129),
+                MajorityFitness(1000, 31)], ids=repr
+    )
+    def test_pairs_past_the_row_limit(self, fit):
+        assert fit.stop_tables == stop_pair(fit)
+        assert fit.stop_tables is fit.stop_tables
+        if isinstance(fit, MajorityFitness):
+            assert fit.phase_tables == (
+                stop_pair(PlateauFitness(fit.n, fit.r)), stop_pair(MajorityFitness(fit.n, 0))
+            )
 
     # a start at n/2 ones: no run of these cells starts optimal
     @pytest.mark.parametrize("n", [100, 256, 258])
@@ -306,14 +344,17 @@ class TestPositionRows:
         for cfg in (cell(record_trajectory=True), cell(3),
                     cell(record_trajectory=True, record_restart_stats=True)):
             run(cfg, 0)
-        assert "stop_rows" not in vars(fit) and "phase_rows" not in vars(fit)
+        assert "stop_tables" not in vars(fit) and "phase_tables" not in vars(fit)
         built = {}
-        for name, cfg in (("stop_rows", cell()), ("phase_rows", cell(record_restart_stats=True))):
+        for name, cfg in (("stop_tables", cell()),
+                          ("phase_tables", cell(record_restart_stats=True))):
             run(cfg, 0)
-            assert (name in vars(fit)) == (n <= 256)
-            built[name] = vars(fit).get(name)
+            built[name] = vars(fit)[name]
             run(cfg, 1)
-            assert vars(fit).get(name) is built[name]
+            assert vars(fit)[name] is built[name]
+        # rows per count up to n = 256, the (lower, higher) pair past it
+        for tables in (built["stop_tables"], *built["phase_tables"]):
+            assert len(tables) == (n + 1 if n <= 256 else 2)
 
 
 class TestRegistry:

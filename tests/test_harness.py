@@ -206,8 +206,8 @@ class TestTableLifetime:
             cfgs = cells()
             for cfg in cfgs:
                 harness.run_cell(cfg, 5)
-            assert "stop_rows" in vars(cfgs[0].fitness)
-            assert "phase_rows" in vars(cfgs[1].fitness)
+            assert "stop_tables" in vars(cfgs[0].fitness)
+            assert "phase_tables" in vars(cfgs[1].fitness)
             refs = [weakref.ref(cfg.fitness) for cfg in cfgs]
             del cfgs, cfg
             gc.collect()

@@ -240,6 +240,22 @@ class TestKernelSolver:
             scale = np.maximum(folded, 1.0)
             assert np.max(np.abs(dense - folded) / scale) < 1e-10
 
+    # the ends of n, r = 1, and r = n/2, where only the ends are optimal
+    @pytest.mark.parametrize(
+        "n,r", [(2, 1), (4, 2), (8, 1), (8, 3), (20, 4), (50, 25), (1000, 31), (1000, 500)]
+    )
+    def test_plateau_fold_per_level(self, n, r):
+        # count j reads the ladder at its majority count max(j, n - j), and
+        # an optimal count reads 0.0
+        times = bd_hitting_times(plateau_chain(n, r))
+        reference = [
+            times[max(j, n - j) - n // 2] if max(j, n - j) < n // 2 + r else 0.0
+            for j in range(n + 1)
+        ]
+        folded = plateau_hitting_by_level(n, r)
+        assert folded.dtype == np.float64
+        assert folded.tobytes() == np.array(reference).tobytes()
+
     def test_singular_system_is_inf(self):
         # levels 0 and 1 swap for ever; level 2 absorbs
         band = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
