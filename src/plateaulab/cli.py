@@ -219,7 +219,7 @@ def _cmd_trajectory(args) -> int:
     result = harness.trajectory_capture(args.n, args.r, args.ell, args.seed, cap=args.cap)
     lines = ["t,ones"]
     assert result.trajectory is not None
-    lines.extend(f"{t},{int(v)}" for t, v in enumerate(result.trajectory))
+    lines.extend(f"{t},{v}" for t, v in enumerate(result.trajectory.tolist()))
     _emit(lines, args.out)
     if result.censored:
         print("run censored by the iteration cap", file=sys.stderr)

@@ -330,14 +330,12 @@ def _run_level(fit, ell, ones, draws, cap, traj):
     incumbent, so by exchangeability its ones may be taken to sit at
     positions 0..ones-1: a proposal turns ``a`` ones into zeros when ``a``
     of its flips lie below ``ones``.  Fitness is read from the objective's
-    per-level tables; at ell=1 a proposal moves the incumbent to its level's
-    successor one set bit down or up, which is the level itself when the
-    step is rejected.  An unrecorded ell=1 run is a ``_walk`` of one phase,
-    the objective's ``stop_tables``, whose every exit is a hit.
+    per-level values.  An unrecorded ell=1 run is a ``_walk`` of one phase,
+    the objective's ``stop_tables``, whose every exit is a hit; every other
+    run, recorded ell=1 runs included, takes the flip-set loop.
     """
     n = fit.n
-    optimal = fit.optimal_levels
-    if optimal[ones]:
+    if fit.optimal_levels[ones]:
         return 0
     if ell == 1 and traj is None:
         # every exit reads back a count j >= 0 = top, so the first ends the
@@ -345,21 +343,9 @@ def _run_level(fit, ell, ones, draws, cap, traj):
         stops = fit.stop_tables
         return _walk(n, ones, draws, cap, stops, stops, 0, -1, None, None)
     fmax = fit.max_value
-    vals, lower, higher = fit.level_tables
+    vals = fit.level_tables[0]
     append = traj.append if traj is not None else None
     t = 0
-    if ell == 1:
-        # a hit at index p of a batch leaves len(batch) - p - 1 entries in
-        # its iterator, and each batch run through adds its length once
-        for batch in _flip_lists(n, draws, cap):
-            it = iter(batch)
-            for i in it:
-                ones = lower[ones] if i < ones else higher[ones]
-                append(ones)
-                if optimal[ones]:
-                    return t + len(batch) - length_hint(it)
-            t += len(batch)
-        return None
     fx = vals[ones]
     # above n/2 a proposal draws the n - ell positions it keeps, a uniform
     # set whose complement is uniform too; at ell=n it draws nothing.  A
@@ -369,13 +355,15 @@ def _run_level(fit, ell, ones, draws, cap, traj):
     sign = 1 if m == ell else -1
     # a batch's sorted rows lie end to end, proposal j's in lo..lo+m-1 for
     # lo = j * m, so its a is their bisect less lo.  At ell=n each proposal
-    # has one entry and an empty row, which bisects to lo
+    # has one entry and an empty row, which bisects to lo.  At ell=1 (n > 1)
+    # a row is the one position a single-flip walk draws
     step = m or 1
-    batches = (
-        (_listed(np.sort(b, axis=1), n) for b in _subset_batches(n, m, draws, cap))
-        if m
-        else [range(cap)]
-    )
+    if not m:
+        batches = [range(cap)]
+    elif ell == 1:
+        batches = _flip_lists(n, draws, cap)
+    else:
+        batches = (_listed(np.sort(b, axis=1), n) for b in _subset_batches(n, m, draws, cap))
     for flat in batches:
         for lo in range(0, len(flat), step):
             cand = ell + sign * (ones - 2 * (bisect_left(flat, ones, lo, lo + m) - lo))

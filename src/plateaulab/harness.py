@@ -21,8 +21,9 @@ from .fitness import (
     make_fitness,
 )
 
-# the default cap of a recorded trajectory: 10**6 proposals take about 0.5 s
-# and peak at 131 MB, and their CSV is 9.9 MB (2-vCPU Xeon)
+# the default cap of a recorded trajectory: `plateaulab trajectory` over
+# 10**6 proposals takes about 0.6 s and peaks at 139 MB, and its CSV is
+# 9.9 MB (2-vCPU Xeon)
 TRAJECTORY_CAP = 10**6
 
 

@@ -592,13 +592,22 @@ def expected_under_init(
         return float(levels[x.ones])
     if isinstance(init, (Uniform, UniformNonOptimal)):
         log_half = n * math.log(2.0)
-        # lg[i] = lgamma(i + 1), so each weight is exp(log C(n, j) - log_half)
-        # with log C(n, j) = lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1)
-        lg = [math.lgamma(i) for i in range(1, n + 2)]
-        top = lg[n]
-        weights = np.array(
-            [math.exp(top - lg[j] - lg[n - j] - log_half) for j in range(n + 1)]
-        )
+        # each weight is exp(log C(n, j) - log_half) with log C(n, j) =
+        # lgamma(n + 1) - lgamma(j + 1) - lgamma(n - j + 1).  C(n, j) / 2**n
+        # <= exp(-2 (j - n/2)**2 / n), so every weight with |j - n/2| >
+        # sqrt(373 n) underflows to 0.0 and only the window within it (plus
+        # 2 levels) is evaluated; the array stays full length, so a sum over
+        # it keeps numpy's pairwise grouping
+        top = math.lgamma(n + 1)
+        width = math.isqrt(373 * n) + 2
+        lo, hi = max(0, (n + 1) // 2 - width), min(n, n // 2 + width)
+        # the window is its own mirror, n - hi = lo: lg[i] = lgamma(lo + i + 1)
+        # and lg[-1 - i] = lgamma(n - (lo + i) + 1)
+        lg = [math.lgamma(j + 1) for j in range(lo, hi + 1)]
+        weights = np.zeros(n + 1)
+        weights[lo : hi + 1] = [
+            math.exp(top - a - b - log_half) for a, b in zip(lg, reversed(lg))
+        ]
         if isinstance(init, UniformNonOptimal):
             fit = init.fitness
             if fit.n != n:

@@ -574,6 +574,26 @@ class TestLevelEngine:
                     sides.add(traj[-1] > middle)
             assert cap < 256 or sides == {False, True}, fit
 
+    # recorded single flips on the two smallest level objectives: at n = 1
+    # the flip set is the whole string (m = 0), so the loop draws nothing;
+    # at n = 2 a proposal reads one byte-rule position.  Cap 1 censors the
+    # runs that need two proposals
+    @pytest.mark.parametrize("fit", [OneMax(1), MajorityFitness(2, 1)], ids=repr)
+    @pytest.mark.parametrize("init", [Uniform(), FixedOnes(0)], ids=repr)
+    @pytest.mark.parametrize("cap", [1, 2, 300])
+    def test_smallest_recorded_single_flips(self, fit, init, cap):
+        cfg = RunConfig(fit, RlsMutation(1), init, 7, max_iters=cap, record_trajectory=True)
+        runtimes = set()
+        for i in range(20):
+            res = run(cfg, i)
+            runtime, traj = reference_run(cfg, i)
+            assert res.runtime == runtime
+            assert res.trajectory.tolist() == traj
+            runtimes.add(runtime)
+        if fit.n == 2 and cap == 300:
+            # from no ones some runs step back to 0 before they hit
+            assert len(runtimes - {None, 0, 1}) > 1
+
     # n=1000: rejection rows (ell <= 15) and lockstep shuffles of 8, 16,
     # 32, then 64 rows (ell >= 16); n=8200: rejection rows and lockstep
     # shuffles of 1, 2, ..., 32, then 63 rows.  The caps cross batch ends

@@ -872,6 +872,34 @@ class TestExpectedUnderInit:
         expected = float(np.dot(weights[mask], levels[mask]))
         assert expected_under_init(levels, n, Uniform()) == expected
 
+    def test_windowed_weights_equal_the_full_list_form(self):
+        # every weight outside |j - n/2| <= isqrt(373 n) + 2 underflows, so
+        # evaluating only that window changes no bit.  The reference
+        # evaluates all n + 1 weights in two list comprehensions: lgamma at
+        # every count, then exp at every level.  Majority needs an even n,
+        # so odd n renormalise over OneMax's non-optimal levels
+        def expected(weights, levels):
+            mask = weights > 0.0
+            return float(np.dot(weights[mask], levels[mask]))
+
+        rng = np.random.default_rng(36)
+        for n in [*range(1, 2001), 10**5, 10**6]:
+            log_half = n * math.log(2.0)
+            lg = [math.lgamma(i) for i in range(1, n + 2)]
+            top = lg[n]
+            weights = np.array(
+                [math.exp(top - lg[j] - lg[n - j] - log_half) for j in range(n + 1)]
+            )
+            levels = rng.random(n + 1) * 1000.0
+            assert expected_under_init(levels, n, Uniform()) == expected(weights, levels), n
+            if n > 2000:
+                continue
+            fit = MajorityFitness(n, n // 8) if n % 2 == 0 else OneMax(n)
+            weights[fit.optimal_levels] = 0.0
+            weights /= weights.sum()
+            got = expected_under_init(levels, n, UniformNonOptimal(fit))
+            assert got == expected(weights, levels), n
+
     def test_point_takes_its_ones_count(self):
         levels = majority_hitting_by_level(10, 2)
         assert expected_under_init(levels, 10, Point("0110100001")) == levels[4]
