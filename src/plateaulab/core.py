@@ -504,6 +504,13 @@ class Point(InitDistribution):
 
     bits: str
 
+    def checked(self, n: int) -> BitString:
+        """The string, after checking its characters and that its length is ``n``."""
+        x = BitString.from01(self.bits)
+        if x.n != n:
+            raise ValueError(f"point has length {x.n}, expected {n}")
+        return x
+
 
 @dataclass(frozen=True)
 class UniformNonOptimal(InitDistribution):
@@ -530,10 +537,7 @@ def sample_bitstring(
         # the subset is distinct and in range, so it needs no re-check
         return BitString(n, _bits_at(n, sample_uniform_subset(n, j, draws)))
     if isinstance(dist, Point):
-        x = BitString.from01(dist.bits)
-        if x.n != n:
-            raise ValueError(f"point has length {x.n}, expected {n}")
-        return x
+        return dist.checked(n)
     if isinstance(dist, UniformNonOptimal):
         fit = dist.fitness
         for _ in range(_NONOPT_ATTEMPTS):

@@ -15,6 +15,7 @@ from .core import (
     Draws,
     FixedOnes,
     InitDistribution,
+    Point,
     RngStream,
     UniformNonOptimal,
     rejection_regime,
@@ -108,7 +109,7 @@ class RunConfig:
             )
         if self.record_restart_stats and self.fitness.r < 1:
             raise ValueError(f"restart statistics need a surplus r >= 1, got r={self.fitness.r}")
-        if isinstance(self.init, FixedOnes):
+        if isinstance(self.init, (FixedOnes, Point)):
             self.init.checked(self.fitness.n)
         if isinstance(self.init, UniformNonOptimal):
             target = self.init.fitness
@@ -343,7 +344,7 @@ def _run_level(fit, ell, ones, draws, cap, traj):
         stops = fit.stop_tables
         return _walk(n, ones, draws, cap, stops, stops, 0, -1, None, None)
     fmax = fit.max_value
-    vals = fit.level_tables[0]
+    vals = fit.level_values
     append = traj.append if traj is not None else None
     t = 0
     fx = vals[ones]

@@ -45,36 +45,37 @@ class FitnessFunction:
         )
 
     @functools.cached_property
-    def level_tables(self) -> tuple[list[int], list[int], list[int]]:
-        """``level_value`` at every ones count 0..n, and per count j the count
-        an elitist single flip moves to from j: ``lower[j]`` when it clears
-        a set bit, ``higher[j]`` when it sets one.  Each is the neighbouring
-        count when that scores at least as high, else j; built once."""
-        n = self.n
-        vals = [self.level_value(j) for j in range(n + 1)]
-        lower = [j - 1 if j > 0 and vals[j - 1] >= vals[j] else j for j in range(n + 1)]
-        higher = [j + 1 if j < n and vals[j + 1] >= vals[j] else j for j in range(n + 1)]
-        return vals, lower, higher
+    def level_values(self) -> list[int]:
+        """``level_value`` at every ones count 0..n; built once."""
+        return [self.level_value(j) for j in range(self.n + 1)]
 
     @functools.cached_property
     def optimal_levels(self) -> list[bool]:
         """Per ones count 0..n, whether it attains ``max_value``; built once."""
         top = self.max_value
-        return [v == top for v in self.level_tables[0]]
+        return [v == top for v in self.level_values]
 
     @functools.cached_property
     def stop_tables(self) -> list[list[int]] | tuple[list[int], list[int]]:
-        """The single-flip moves of ``level_tables`` with every move onto an
-        optimal count j replaced by n + 1 + j, which indexes no table: a
-        single-flip walk stops on the lookup after a hit, without testing
-        each count it reaches, and reads j back.  Up to n = ``ROW_LIMIT``
-        they are one row per ones count j, indexed by position: row j holds
-        ``lower[j]`` at the positions below j and ``higher[j]`` at the
-        others, so a flip of position i moves j to ``rows[j][i]``.  Past it
-        they are the (lower, higher) pair.  Built once."""
-        _, lower, higher = self.level_tables
-        n, optimal = self.n, self.optimal_levels
-        lower, higher = ([n + 1 + j if optimal[j] else j for j in t] for t in (lower, higher))
+        """Per ones count j, the count an elitist single flip moves to from
+        j: ``lower[j]`` when it clears a set bit, ``higher[j]`` when it sets
+        one.  Each is the neighbouring count when that scores at least as
+        high, else j.  A move onto an optimal count k is written n + 1 + k,
+        which indexes no table, so a single-flip walk stops on the lookup
+        after a hit, without testing each count it reaches, and reads k
+        back.  Up to n = ``ROW_LIMIT`` they are one row per ones count j,
+        indexed by position: row j holds ``lower[j]`` at the positions
+        below j and ``higher[j]`` at the others, so a flip of position i
+        moves j to ``rows[j][i]``.  Past it they are the (lower, higher)
+        pair.  Built once."""
+        n, vals, optimal = self.n, self.level_values, self.optimal_levels
+
+        def move(j: int, k: int) -> int:
+            to = k if 0 <= k <= n and vals[k] >= vals[j] else j
+            return n + 1 + to if optimal[to] else to
+
+        lower = [move(j, j - 1) for j in range(n + 1)]
+        higher = [move(j, j + 1) for j in range(n + 1)]
         if n > ROW_LIMIT:
             return lower, higher
         return [[down] * j + [up] * (n - j) for j, (down, up) in enumerate(zip(lower, higher))]

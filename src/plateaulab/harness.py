@@ -6,6 +6,7 @@ import configparser
 import functools
 import math
 import os
+import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional, Sequence, get_type_hints
 
@@ -159,7 +160,7 @@ def check_runs_finish(config: RunConfig) -> None:
     if isinstance(init, FixedOnes):
         starts = [init.ones]
     elif isinstance(init, Point):
-        starts = [init.bits.count("1")]
+        starts = [init.checked(fit.n).ones]
     else:
         starts = range(fit.n + 1)
     ell = config.mutation.ell
@@ -233,7 +234,7 @@ def sweep(spec: ExperimentSpec) -> list[CellResult]:
         stats = CellStats.from_runtimes([res.runtime for res in cell])
         rows.append(CellResult(n, r, ell, stats))
     if spec.csv_path:
-        write_csv(rows, spec.csv_path)
+        write_csv(table_lines(rows), spec.csv_path)
     if spec.svg_path:
         emit_sweep_svg(rows, spec.svg_path)
     return rows
@@ -380,9 +381,12 @@ def trajectory_capture(
 
 
 def format_value(v) -> str:
-    """CSV cell text: None as nan, floats at full precision via repr."""
+    """CSV cell text: None as nan, booleans as true/false, floats at full
+    precision via repr."""
     if v is None:
         return "nan"
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -410,20 +414,31 @@ def _values(record) -> list:
     return values
 
 
-def table_lines(records: Sequence) -> list[str]:
-    """CSV lines of same-class records: the header is their field names."""
-    if not records:
-        raise ValueError("refusing to write an empty table")
-    lines = [",".join(_header(type(records[0])))]
-    lines.extend(",".join(format_value(v) for v in _values(rec)) for rec in records)
+def csv_lines(header: Sequence[str], rows: Sequence[Sequence]) -> list[str]:
+    """CSV lines of a table: the header line, then each row's cells
+    through ``format_value``."""
+    lines = [",".join(header)]
+    lines.extend(",".join(format_value(v) for v in row) for row in rows)
     return lines
 
 
-def write_csv(rows: Sequence[CellResult], path: str) -> None:
-    """Write sweep rows under their field-name header; floats keep full precision."""
-    lines = table_lines(rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def table_lines(records: Sequence) -> list[str]:
+    """``csv_lines`` of same-class records: the header is their field
+    names, nested records inlined."""
+    if not records:
+        raise ValueError("refusing to write an empty table")
+    return csv_lines(_header(type(records[0])), [_values(rec) for rec in records])
+
+
+def write_csv(lines: Sequence[str], path: Optional[str] = None) -> None:
+    """Write CSV lines, each ended by a newline, to the file at ``path``,
+    else to stdout: every command's table and a sweep's ``--out`` file."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def read_table(path: str) -> tuple[list[str], list[list[float]]]:

@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import theory
-from .core import BitString, FixedOnes, InitDistribution, Point, Uniform, UniformNonOptimal
+from .core import FixedOnes, InitDistribution, Point, Uniform, UniformNonOptimal
 from .core import hypergeom_pmf, overlap_support
 
 # band entries (n + 1)(2 ell + 1) of the largest kernel rlsl_kernel builds:
@@ -586,10 +586,7 @@ def expected_under_init(
     if isinstance(init, FixedOnes):
         return float(levels[init.checked(n)])
     if isinstance(init, Point):
-        x = BitString.from01(init.bits)
-        if x.n != n:
-            raise ValueError(f"point has length {x.n}, expected {n}")
-        return float(levels[x.ones])
+        return float(levels[init.checked(n).ones])
     if isinstance(init, (Uniform, UniformNonOptimal)):
         log_half = n * math.log(2.0)
         # each weight is exp(log C(n, j) - log_half) with log C(n, j) =

@@ -562,6 +562,33 @@ class TestTrappedRuns:
         assert [row["censored"] for row in parse_csv(out)] == ["true"] * 3
 
 
+# every table command at a toy size; the simulate runs are cut at the cap
+# 2 of 6 times, so its rows print both true and false
+TABLE_COMMANDS = [
+    ["bounds", "--n", "4,6", "--r", "1,2"],
+    ["exact", "--n", "10", "--r", "2"],
+    ["drift-check", "--n", "12", "--r", "3"],
+    ["compliance", "--n", "12", "--ell", "3"],
+    ["simulate", "--n", "20", "--r", "2", "--runs", "6", "--cap", "20"],
+    ["sweep", "--n", "20", "--r", "2", "--ell", "1,3", "--runs", "5"],
+    ["restarts", "--n", "20", "--r", "2", "--runs", "5"],
+    ["wmodel", "--blocks", "4", "--k", "4", "--runs", "5"],
+    ["trajectory", "--n", "20", "--r", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=lambda argv: argv[0])
+def test_out_file_is_the_printed_table(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    path = tmp_path / "table.csv"
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == EXIT_OK and printed == ""
+    assert path.read_bytes() == out.encode()
+    if argv[0] == "simulate":
+        assert {row["censored"] for row in parse_csv(out)} == {"true", "false"}
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "--n", "4", "--r", "1", "--bogus")

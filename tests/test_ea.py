@@ -106,6 +106,14 @@ class TestRunConfigValidation:
         with pytest.raises(ValueError, match="exceeds length"):
             RunConfig(MajorityFitness(4, 1), RlsMutation(1), FixedOnes(ones), 1)
 
+    @pytest.mark.parametrize(
+        "bits,message", [("0101", "point has length 4"), ("01x10", "non-empty string")]
+    )
+    def test_point_start_checked(self, bits, message):
+        # a level run starts at the point's ones count, without a draw to check it
+        with pytest.raises(ValueError, match=message):
+            RunConfig(MajorityFitness(6, 1), RlsMutation(1), Point(bits), 1)
+
     def test_restart_stats_need_majority(self):
         with pytest.raises(ValueError):
             RunConfig(
@@ -1180,7 +1188,9 @@ def old_phase_tables(fit):
     one onto n/2 or more the returning phase.  An exit onto j is n + 1 + j;
     rows per count up to n = 256, the (lower, higher) pair past it."""
     n, half, top = fit.n, fit.n // 2, fit.threshold
-    _, lower, higher = fit.level_tables
+    vals = fit.level_values
+    lower = [j - 1 if j > 0 and vals[j - 1] >= vals[j] else j for j in range(n + 1)]
+    higher = [j + 1 if j < n and vals[j + 1] >= vals[j] else j for j in range(n + 1)]
 
     def phase(exits):
         pair = [[n + 1 + j if exits(j) else j for j in t] for t in (lower, higher)]
@@ -1264,6 +1274,21 @@ class TestRestartStats:
         assert not stats.retried
         assert stats.first_hit_majority
         assert not stats.partial
+
+    # below the threshold every move is accepted, a walk the complement maps
+    # onto itself, so from a uniform start the first plateau hit is on the
+    # ones side with chance 1/2 at every ell.  Three two-sided 3-SE checks
+    # raise a false alarm about 0.8% of the time
+    @pytest.mark.parametrize("ell,seed", [(2, 1), (3, 2), (5, 3)])
+    def test_first_hit_is_a_fair_coin_past_single_flips(self, ell, seed):
+        cfg = RunConfig(MajorityFitness(100, 10), RlsMutation(ell), Uniform(), seed,
+                        record_restart_stats=True)
+        runs = 1500
+        results = [run(cfg, i).restart for i in range(runs)]
+        assert not any(rs.partial for rs in results)
+        p0 = sum(rs.first_hit_majority for rs in results) / runs
+        # the sample standard error, as CellStats takes it
+        assert abs(p0 - 0.5) <= 3 * math.sqrt(p0 * (1 - p0) / (runs - 1))
 
     def test_partial_when_unfinished(self):
         stats = extract_restart_stats([2, 1, 0, 1], 4, 2)

@@ -247,18 +247,11 @@ class TestLevelTables:
         "fit", [PlateauFitness(8, 2), MajorityFitness(8, 0), MajorityFitness(10, 3), OneMax(7)]
     )
     def test_tables_follow_level_value(self, fit):
-        vals, lower, higher = fit.level_tables
-        n = fit.n
-        assert vals == [fit.level_value(j) for j in range(n + 1)]
+        assert fit.level_values == [fit.level_value(j) for j in range(fit.n + 1)]
+        assert fit.level_values is fit.level_values
         # a single flip moves to the neighbouring count iff that scores at
-        # least as high; past either end there is no neighbour to move to
-        assert higher == [j + 1 if j < n and fit.level_value(j + 1) >= fit.level_value(j)
-                          else j for j in range(n + 1)]
-        assert lower == [j - 1 if j > 0 and fit.level_value(j - 1) >= fit.level_value(j)
-                         else j for j in range(n + 1)]
-        assert fit.level_tables is fit.level_tables
-        # the stop tables mark every move onto an optimal count j with
-        # n + 1 + j, as one row per count at these n
+        # least as high, and the stop tables mark every move onto an optimal
+        # count j with n + 1 + j (``stop_pair``), as one row per count at these n
         assert fit.stop_tables == walk_form(fit)
         assert fit.stop_tables is fit.stop_tables
 

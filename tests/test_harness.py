@@ -24,6 +24,7 @@ from plateaulab.harness import (
     read_table,
     restart_experiment,
     sweep,
+    table_lines,
     trajectory_capture,
     write_csv,
 )
@@ -313,20 +314,20 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         rows = sweep(small_spec(ell_values=(1, 3), runs=50))
         path = tmp_path / "table.csv"
-        write_csv(rows, str(path))
+        write_csv(table_lines(rows), str(path))
         _, table = read_table(str(path))
         assert table == [[row.n, row.r, row.ell, *astuple(row.stats)] for row in rows]
 
     def test_header_exact(self, tmp_path):
         rows = sweep(small_spec(runs=10))
         path = tmp_path / "table.csv"
-        write_csv(rows, str(path))
+        write_csv(table_lines(rows), str(path))
         first = path.read_text().splitlines()[0]
         assert first == "n,r,ell,runs,mean,median,p25,p75,stderr,censored"
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_csv([], str(tmp_path / "x.csv"))
+            write_csv(table_lines([]), str(tmp_path / "x.csv"))
 
     def test_read_table_generic(self, tmp_path):
         path = tmp_path / "g.csv"
