@@ -14,7 +14,14 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from plateaulab import theory
-from plateaulab.harness import ExperimentSpec, PlotSpec, emit_svg, sweep
+from plateaulab.harness import (
+    ExperimentSpec,
+    PlotSpec,
+    csv_lines,
+    emit_svg,
+    sweep,
+    write_csv,
+)
 
 
 def main() -> int:
@@ -56,10 +63,7 @@ def main() -> int:
         )
 
     csv_path = os.path.join(args.out_dir, f"r_sweep_n{n}.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(",".join(repr(v) for v in row) + "\n")
+    write_csv(csv_lines(header, table), csv_path)
     svg_path = os.path.join(args.out_dir, f"r_sweep_n{n}.svg")
     emit_svg(
         header,

@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from plateaulab.harness import PlotSpec, emit_svg, trajectory_capture
+from plateaulab.harness import PlotSpec, emit_svg, trajectory_capture, write_csv
 
 
 def main() -> int:
@@ -37,9 +37,7 @@ def main() -> int:
         status = "censored" if result.censored else f"hit at t={result.runtime}"
         print(f"ell={ell:5d}: start {int(traj[0])} ones, {status}")
         csv_path = os.path.join(args.out_dir, f"trajectory_n{n}_ell{ell}.csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("t,ones\n")
-            fh.writelines(f"{t},{int(v)}\n" for t, v in enumerate(traj))
+        write_csv(["t,ones", *(f"{t},{v}" for t, v in enumerate(traj.tolist()))], csv_path)
         stride = max(1, len(traj) // 2000)
         for t in range(0, len(traj), stride):
             table.append([float(t), float(traj[t])])

@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import oracle
 from .core import (
     BitString,
     Draws,
@@ -78,6 +79,11 @@ class RunConfig:
     (``cell_seed``, i), a 64-bit BLAKE2b digest of the master seed, the
     objective's repr (function, n, r, k), ell and the init's repr: not of
     the cap, what the run records, or the other cells of a sweep.
+
+    Building a config decides whether its cell may run.  At the default
+    cap a level cell whose init can reach a level with no accepted path to
+    an optimum (``oracle.trapped_level``) would spin to that cap, so it is
+    rejected; blocked objectives are not checked yet.
     """
 
     fitness: FitnessFunction
@@ -109,16 +115,29 @@ class RunConfig:
             )
         if self.record_restart_stats and self.fitness.r < 1:
             raise ValueError(f"restart statistics need a surplus r >= 1, got r={self.fitness.r}")
-        if isinstance(self.init, (FixedOnes, Point)):
-            self.init.checked(self.fitness.n)
-        if isinstance(self.init, UniformNonOptimal):
-            target = self.init.fitness
+        fit, init, ell = self.fitness, self.init, self.mutation.ell
+        starts: Sequence[int] = range(fit.n + 1)  # the init's ones-count support
+        if isinstance(init, FixedOnes):
+            starts = [init.checked(fit.n)]
+        elif isinstance(init, Point):
+            starts = [init.checked(fit.n).ones]
+        elif isinstance(init, UniformNonOptimal):
+            target = init.fitness
             if target.level_symmetric and all(target.optimal_levels):
                 # the rejection sampler would draw in vain until it gives up
                 raise ValueError("every level is optimal: no non-optimal start exists")
+        if self.max_iters == DEFAULT_CAP and fit.level_symmetric:
+            # O(n ell), once per cell
+            level = oracle.trapped_level(fit.n, ell, fit.level_value, starts)
+            if level is not None:
+                raise ValueError(
+                    f"runs can never finish: {fit!r} with ell={ell} has no accepted path "
+                    f"to an optimum from ones count {level}, which the initialization "
+                    "can reach; pass --cap to censor such runs instead"
+                )
         import hashlib  # loaded by numpy.random, which every run needs anyway
 
-        cell = f"{self.master_seed}|{self.fitness!r}|ell={self.mutation.ell}|{self.init!r}"
+        cell = f"{self.master_seed}|{fit!r}|ell={ell}|{init!r}"
         digest = hashlib.blake2b(cell.encode(), digest_size=8).digest()
         object.__setattr__(self, "cell_seed", int.from_bytes(digest, "little"))
 

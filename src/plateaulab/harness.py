@@ -144,42 +144,12 @@ def _run_task(task: RunTask) -> list[RunResult]:
     return [run(task.config, i) for i in task.runs]
 
 
-def check_runs_finish(config: RunConfig) -> None:
-    """Reject a cell whose runs can get stuck for good under the default cap.
-
-    A level-symmetric run that reaches a level with no accepted path to an
-    optimum (``oracle.trapped_level``) would spin until the 10^9-proposal
-    default cap; any other cap censors such runs as usual.  Blocked
-    objectives are not checked.  O(n ell): call it once per cell, not per
-    run.
-    """
-    fit = config.fitness
-    if config.max_iters != DEFAULT_CAP or not fit.level_symmetric:
-        return
-    init = config.init
-    if isinstance(init, FixedOnes):
-        starts = [init.ones]
-    elif isinstance(init, Point):
-        starts = [init.checked(fit.n).ones]
-    else:
-        starts = range(fit.n + 1)
-    ell = config.mutation.ell
-    level = oracle.trapped_level(fit.n, ell, fit.level_value, starts)
-    if level is not None:
-        raise ValueError(
-            f"runs can never finish: {fit!r} with ell={ell} has no accepted path "
-            f"to an optimum from ones count {level}, which the initialization "
-            "can reach; pass --cap to censor such runs instead"
-        )
-
-
 def _tasks(config: RunConfig, runs: int, workers: int) -> list[RunTask]:
     """Split run indices 0..runs-1 into about 4 blocks per worker."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    check_runs_finish(config)
     size = math.ceil(runs / (workers * 4))
     return [
         RunTask(config, range(start, min(start + size, runs)))
@@ -362,9 +332,9 @@ def trajectory_capture(
 ) -> RunResult:
     """One instrumented run on the one-sided objective from a non-optimal
     uniform start.  It records one entry per proposal, so without ``cap``
-    it stops at ``TRAJECTORY_CAP`` proposals, once a run that could never
-    finish is rejected as at a sweep's default cap; the run's stream does
-    not depend on the cap."""
+    it stops at ``TRAJECTORY_CAP`` proposals, after its config at the
+    default cap has rejected a run that could never finish; the run's
+    stream does not depend on the cap."""
     fit = MajorityFitness(n, r)
     cfg = RunConfig(
         fit,
@@ -375,7 +345,6 @@ def trajectory_capture(
         record_trajectory=True,
     )
     if cap is None:
-        check_runs_finish(cfg)
         cfg = replace(cfg, max_iters=TRAJECTORY_CAP)
     return run_cell(cfg, 1)[0]
 
@@ -442,13 +411,19 @@ def write_csv(lines: Sequence[str], path: Optional[str] = None) -> None:
 
 
 def read_table(path: str) -> tuple[list[str], list[list[float]]]:
-    """Read any numeric CSV as (header, rows of floats) for plotting."""
+    """Read any numeric CSV as (header, rows of floats) for plotting; blank
+    lines are skipped, and every row must have the header's cell count."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        lines = [(i, line.strip()) for i, line in enumerate(fh, 1) if line.strip()]
     if len(lines) < 2:
         raise ValueError("table must have a header and at least one row")
-    header = lines[0].split(",")
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    header = lines[0][1].split(",")
+    rows = []
+    for i, line in lines[1:]:
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"{path} line {i}: {len(cells)} cells under a header of {len(header)}")
+        rows.append([float(v) for v in cells])
     return header, rows
 
 

@@ -25,9 +25,8 @@ _RESIDUAL_TOL = 1e-9
 # less than its numpy calls; numpy's add.reduce sums a row of at most 7
 # entries left to right, so both loops give the same bits there
 _LIST_WIDTH = 7
-_LIST_BLOCK = 4096
-# levels whose transient rows rlsl_kernel sets up at a time, and transient
-# rows kernel_hitting_times sets up at a time
+# levels rlsl_kernel and kernel_hitting_times set up, and the list
+# elimination moves to lists, at a time; no block size changes a bit
 _SETUP_ROWS = 1024
 # significand bits past the leading one of a long double; overlap_rows
 # divides in long double only when it is x87 extended (63), whose division
@@ -512,12 +511,12 @@ def _eliminate_lists(band: np.ndarray, rhs: np.ndarray, w: int) -> list[int]:
     ``band`` holds Q[i, k] at column w + k - i.  A pivot row's entries are
     summed left to right, which is how numpy's add.reduce sums fewer than
     8 entries, so for w <= 7 both eliminations give the same bits.  The
-    levels go to lists _LIST_BLOCK at a time, with the w below them that
+    levels go to lists _SETUP_ROWS at a time, with the w below them that
     they update, so the lists stay small at any m.
     """
     unfolded = []
-    for stop in range(len(band), 0, -_LIST_BLOCK):
-        start = max(0, stop - _LIST_BLOCK)
+    for stop in range(len(band), 0, -_SETUP_ROWS):
+        start = max(0, stop - _SETUP_ROWS)
         base = max(0, start - w)
         rows, ends = band[base:stop].tolist(), rhs[base:stop].tolist()
         # z and i count from base; lo follows the same rule as in _eliminate_views

@@ -516,6 +516,17 @@ class TestTrajectoryAndPlot:
         assert code == EXIT_OK
         assert ET.parse(str(svg_path)).getroot() is not None
 
+    @pytest.mark.parametrize("row", ["1", "1,2,3"], ids=["short", "long"])
+    def test_plot_rejects_a_ragged_row(self, capsys, tmp_path, row):
+        csv_path = tmp_path / "ragged.csv"
+        csv_path.write_text(f"ell,mean\n{row}\n")
+        code, out, err = run_cli(
+            capsys, "plot", "--in", str(csv_path), "--out", str(tmp_path / "r.svg")
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "line 2:" in err
+        assert not (tmp_path / "r.svg").exists()
+
 
 class TestTrappedRuns:
     """Runs that can never reach an optimum: exit 2 up front, never a hang."""

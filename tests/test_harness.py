@@ -10,7 +10,7 @@ import pytest
 
 from plateaulab import harness, oracle
 from plateaulab.core import FixedOnes, Point, Uniform, UniformNonOptimal
-from plateaulab.ea import RlsMutation, RunConfig
+from plateaulab.ea import RlsMutation, RunConfig, run
 from plateaulab.harness import (
     CellResult,
     CellStats,
@@ -292,14 +292,22 @@ class TestRunsFinish:
         fit = OneMax(10)
         # 2-bit flips keep the parity of an even start, which reaches 10 ones
         for init in (FixedOnes(4), Point("1100000000")):
-            harness.check_runs_finish(RunConfig(fit, RlsMutation(2), init, 1))
+            RunConfig(fit, RlsMutation(2), init, 1)
         for init in (FixedOnes(3), Point("1110000000"), Uniform()):
             with pytest.raises(ValueError, match="never finish"):
-                harness.check_runs_finish(RunConfig(fit, RlsMutation(2), init, 1))
+                RunConfig(fit, RlsMutation(2), init, 1)
 
     def test_blocked_objectives_not_checked(self):
         fit = NeutralityFitness(OneMax(5), 2)
-        harness.check_runs_finish(RunConfig(fit, RlsMutation(10), Uniform(), 1))
+        RunConfig(fit, RlsMutation(10), Uniform(), 1)
+
+    def test_library_runs_checked_when_built(self):
+        # at ell = n majority swaps a string with its equally fit complement
+        fit = MajorityFitness(100, 10)
+        with pytest.raises(ValueError, match="never finish"):
+            RunConfig(fit, RlsMutation(100), FixedOnes(50), 1)
+        config = RunConfig(fit, RlsMutation(100), FixedOnes(50), 1, max_iters=500)
+        assert run(config, 0).censored
 
     def test_trajectory_rejected(self):
         with pytest.raises(ValueError, match="never finish"):

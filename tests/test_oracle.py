@@ -682,7 +682,7 @@ class TestBandedSolver:
             row = rng.random(hi - lo) * 10.0 ** rng.integers(-6, 1, hi - lo)
             band[s, width + lo - s : width + hi - s] = row / row.sum()
         kernel = KernelChain.from_band(band, absorbing)
-        monkeypatch.setattr(oracle, "_LIST_BLOCK", block)
+        monkeypatch.setattr(oracle, "_SETUP_ROWS", block)
         lists = kernel_hitting_times(kernel)
         monkeypatch.setattr(oracle, "_LIST_WIDTH", -1)
         assert lists.tobytes() == kernel_hitting_times(kernel).tobytes()
