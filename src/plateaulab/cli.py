@@ -7,8 +7,6 @@ import functools
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import harness, oracle, theory
 from .core import Uniform
 from .ea import DEFAULT_CAP, RlsMutation, RunConfig
@@ -56,27 +54,9 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _exact_levels(function: str, n: int, r: int, ell: int) -> np.ndarray:
-    oracle._check_flip(n, ell)
-    if function == "plateau" and r == 0:
-        return np.zeros(n + 1)  # constant function: every start is optimal
-    if function == "majority":
-        if ell == 1:
-            return oracle.majority_hitting_by_level(n, r)
-        fit = make_fitness("majority", n, r=r)
-    elif function == "plateau":
-        if ell == 1:
-            return oracle.plateau_hitting_by_level(n, r)
-        fit = make_fitness("plateau", n, r=r)
-    else:
-        raise ValueError(f"exact expectations support majority and plateau, not {function!r}")
-    kernel = oracle.rlsl_kernel(n, ell, fit.level_value)
-    return oracle.kernel_hitting_times(kernel)
-
-
 def _cmd_exact(args) -> int:
-    levels = _exact_levels(args.function, args.n, args.r, args.ell)
     fit = make_fitness(args.function, args.n, r=args.r)
+    levels = oracle.exact_levels(fit, args.ell)
     init = parse_init(args.init, fit)
     expected = oracle.expected_under_init(levels, args.n, init)
     uniform = (

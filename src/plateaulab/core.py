@@ -518,6 +518,16 @@ class UniformNonOptimal(InitDistribution):
 
     fitness: object
 
+    def checked(self, n: int):
+        """The objective, after checking its length and that not every level is optimal."""
+        fit = self.fitness
+        if fit.n != n:
+            raise ValueError(f"the init's objective has length {fit.n}, expected {n}")
+        if fit.level_symmetric and all(fit.optimal_levels):
+            # the rejection sampler would draw in vain until it gives up
+            raise ValueError("every level is optimal: no non-optimal start exists")
+        return fit
+
 
 def sample_bitstring(
     n: int, dist: InitDistribution, rng: np.random.Generator | Draws

@@ -122,18 +122,15 @@ class RunConfig:
         elif isinstance(init, Point):
             starts = [init.checked(fit.n).ones]
         elif isinstance(init, UniformNonOptimal):
-            target = init.fitness
-            if target.level_symmetric and all(target.optimal_levels):
-                # the rejection sampler would draw in vain until it gives up
-                raise ValueError("every level is optimal: no non-optimal start exists")
+            init.checked(fit.n)
         if self.max_iters == DEFAULT_CAP and fit.level_symmetric:
             # O(n ell), once per cell
             level = oracle.trapped_level(fit.n, ell, fit.level_value, starts)
             if level is not None:
                 raise ValueError(
                     f"runs can never finish: {fit!r} with ell={ell} has no accepted path "
-                    f"to an optimum from ones count {level}, which the initialization "
-                    "can reach; pass --cap to censor such runs instead"
+                    f"to an optimum from ones count {level}, which the initialization can "
+                    "reach; pass --cap (max_iters in a RunConfig) to censor such runs instead"
                 )
         import hashlib  # loaded by numpy.random, which every run needs anyway
 

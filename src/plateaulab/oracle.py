@@ -11,14 +11,13 @@ import numpy as np
 from . import theory
 from .core import FixedOnes, InitDistribution, Point, Uniform, UniformNonOptimal
 from .core import hypergeom_pmf, overlap_support
+from .fitness import FitnessFunction, MajorityFitness, PlateauFitness
 
-# band entries (n + 1)(2 ell + 1) of the largest kernel rlsl_kernel builds:
-# every n <= 4096 at every ell <= n
+# band entries (n + 1)(2 ell + 1) of rlsl_kernel's largest kernel (every n <= 4096
+# at every ell <= n), and the (n + 1)**2 comparisons of compliance_check (n <= 5792)
 BAND_LIMIT = 4097 * 8193
 # relative tolerance of the drift floors
 DRIFT_TOL = 1e-9
-# largest n the exhaustive compliance check accepts
-EXHAUSTIVE_LIMIT = 64
 _ROW_TOL = 1e-12
 _RESIDUAL_TOL = 1e-9
 # half-widths up to this eliminate on Python floats, where a level costs
@@ -164,7 +163,7 @@ class KernelChain:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense transition matrix, built afresh on every access."""
+        """Dense transition matrix, built afresh on each access; for tests and the benchmark."""
         size, width = self.size, self.width
         P = np.zeros((size, size))
         for d in range(-width, width + 1):
@@ -570,6 +569,19 @@ def plateau_hitting_by_level(n: int, r: int) -> np.ndarray:
     return times[np.minimum(np.abs(np.arange(n + 1) - n // 2), r)]
 
 
+def exact_levels(fit: FitnessFunction, ell: int) -> np.ndarray:
+    """Exact expected run times of RLS_ell on a level objective, per ones count 0..n.
+
+    Single flips on majority, and on a plateau with r >= 1, climb the
+    width-1 ladder; every other case solves the banded kernel.
+    """
+    if ell == 1 and isinstance(fit, MajorityFitness):
+        return majority_hitting_by_level(fit.n, fit.r)
+    if ell == 1 and isinstance(fit, PlateauFitness) and fit.r >= 1:
+        return plateau_hitting_by_level(fit.n, fit.r)
+    return kernel_hitting_times(rlsl_kernel(fit.n, ell, fit.level_value))
+
+
 def expected_under_init(
     hitting_by_level: np.ndarray, n: int, init: InitDistribution
 ) -> float:
@@ -605,13 +617,11 @@ def expected_under_init(
             math.exp(top - a - b - log_half) for a, b in zip(lg, reversed(lg))
         ]
         if isinstance(init, UniformNonOptimal):
-            fit = init.fitness
-            if fit.n != n:
-                raise ValueError(f"the init's objective has length {fit.n}, expected {n}")
+            fit = init.checked(n)
             weights[fit.optimal_levels] = 0.0
             total = weights.sum()
             if total == 0.0:
-                raise ValueError("every level is optimal: no non-optimal start exists")
+                raise ValueError("no non-optimal level has a uniform weight above 0")
             weights /= total
         mask = weights > 0.0
         if np.any(~np.isfinite(levels[mask])):
@@ -675,17 +685,20 @@ def compliance_check(n: int, ell: int) -> tuple[bool, Optional[tuple[int, int, i
     walks can only meet at levels of equal parity; compliance therefore
     compares starting levels two apart.  Compliant means: for every
     threshold i, the higher of two comparable starts is at least as
-    likely to land at or above i.  Survival functions come from the
-    all-accepting kernel, whose rows are the overlap law; the first violating
+    likely to land at or above i, which a flip from level j does exactly
+    when its overlap a is at most (j + ell - i) / 2.  The first violating
     (lower level, higher level, threshold) is returned when one exists.
     """
     _check_flip(n, ell)
-    if n > EXHAUSTIVE_LIMIT:
-        raise ValueError(f"n={n} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}")
-    moves = rlsl_kernel(n, ell, lambda j: 0, absorbing=()).matrix
-    survival = moves[:, ::-1].cumsum(axis=1)[:, ::-1]
+    if (n + 1) ** 2 > BAND_LIMIT:
+        raise ValueError(f"{(n + 1) ** 2} level pairs exceed the band limit {BAND_LIMIT}")
+    sums = overlap_rows(n, ell, range(n + 1))
+    sums.cumsum(axis=1, out=sums)
     for j in range(n - 1):
-        for i in range(n + 1):
-            if survival[j, i] > survival[j + 2, i] + 1e-12:
-                return False, (j, j + 2, i)
+        # no flip from j lands past j + ell, so no threshold there shows a violation
+        most = (j + ell - np.arange(min(n, j + ell) + 1)) // 2
+        low, high = sums[j, np.minimum(most, ell)], sums[j + 2, np.minimum(most + 1, ell)]
+        bad = np.flatnonzero(low > high + 1e-12)
+        if bad.size:
+            return False, (j, j + 2, int(bad[0]))
     return True, None

@@ -127,6 +127,12 @@ class TestRunConfigValidation:
             RunConfig(fit, RlsMutation(1), UniformNonOptimal(fit), 1)
         RunConfig(fit, RlsMutation(1), Uniform(), 1)
 
+    def test_nonoptimal_start_needs_an_objective_of_the_same_length(self):
+        # rejected when the cell is built, not at its first run
+        init = UniformNonOptimal(MajorityFitness(20, 2))
+        with pytest.raises(ValueError, match="has length 20, expected 10"):
+            RunConfig(MajorityFitness(10, 2), RlsMutation(1), init, 1)
+
     @pytest.mark.parametrize("index", [-1, 2**64])
     @pytest.mark.parametrize("spare", [False, True])
     def test_run_index_within_key_range(self, index, spare, monkeypatch):

@@ -304,7 +304,8 @@ class TestRunsFinish:
     def test_library_runs_checked_when_built(self):
         # at ell = n majority swaps a string with its equally fit complement
         fit = MajorityFitness(100, 10)
-        with pytest.raises(ValueError, match="never finish"):
+        # the error names the library's setting beside the CLI's
+        with pytest.raises(ValueError, match=r"never finish.*--cap \(max_iters"):
             RunConfig(fit, RlsMutation(100), FixedOnes(50), 1)
         config = RunConfig(fit, RlsMutation(100), FixedOnes(50), 1, max_iters=500)
         assert run(config, 0).censored

@@ -851,6 +851,27 @@ class TestHittingByLevel:
         assert levels[4] == 0.0 and levels[6] == 0.0
         assert levels[3] > 0.0
 
+    @pytest.mark.parametrize("n,r", [(8, 2), (20, 1), (64, 10)])
+    def test_exact_levels_picks_the_solver(self, n, r):
+        # single flips climb the ladders; every other flip size solves the kernel
+        majority, plateau = MajorityFitness(n, r), PlateauFitness(n, r)
+        assert oracle.exact_levels(majority, 1).tobytes() == (
+            majority_hitting_by_level(n, r).tobytes()
+        )
+        assert oracle.exact_levels(plateau, 1).tobytes() == (
+            plateau_hitting_by_level(n, r).tobytes()
+        )
+        for fit in (majority, plateau, OneMax(n)):
+            kernel = rlsl_kernel(n, 3, fit.level_value)
+            assert oracle.exact_levels(fit, 3).tobytes() == (
+                kernel_hitting_times(kernel).tobytes()
+            )
+
+    @pytest.mark.parametrize("ell", [1, 2, 7])
+    def test_exact_levels_constant_plateau_is_zero(self, ell):
+        # at r = 0 every level is optimal, so every start takes 0 steps
+        assert oracle.exact_levels(PlateauFitness(8, 0), ell).tolist() == [0.0] * 9
+
 
 class TestExpectedUnderInit:
     def test_uniform_n2_r1(self):
@@ -990,8 +1011,14 @@ class TestCompliance:
         assert violation == (0, 2, 1)
 
     def test_exhaustive_limit(self):
-        with pytest.raises(ValueError):
-            compliance_check(100, 1)
+        # the scan compares (n + 1)**2 pairs of a level and a threshold
+        assert 5793**2 <= BAND_LIMIT < 5794**2
+        with pytest.raises(ValueError, match=f"exceed the band limit {BAND_LIMIT}"):
+            compliance_check(5793, 1)
+
+    @pytest.mark.parametrize("n", [1000, 4096])
+    def test_single_flip_compliant_at_large_n(self, n):
+        assert compliance_check(n, 1) == (True, None)
 
     @staticmethod
     def reference(n, ell):
@@ -1013,6 +1040,10 @@ class TestCompliance:
     def test_matches_per_level_reference(self):
         for n in range(1, 25):
             for ell in range(1, n + 1):
+                assert compliance_check(n, ell) == self.reference(n, ell), (n, ell)
+        # larger n, at small flips and at flips of half or all the bits
+        for n in [*range(65, 101), 128, 150, 200]:
+            for ell in (1, 2, 3, 4, 7, n // 2, n - 1, n):
                 assert compliance_check(n, ell) == self.reference(n, ell), (n, ell)
 
     @pytest.mark.parametrize("n", [0, -3])
