@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import configparser
-import functools
 import math
 import os
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Optional, Sequence, get_type_hints
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -129,50 +128,37 @@ def parse_init(text: str, fitness: FitnessFunction) -> InitDistribution:
     )
 
 
-@dataclass(frozen=True)
-class RunTask:
-    """A block of seeded runs of one cell; picklable for process pools.
+def run_cells(configs: Sequence[RunConfig], runs: int, workers: int) -> list[RunResult]:
+    """Results of runs 0..runs-1 of every cell in ``configs``, cell by cell
+    in run order.
 
-    Run ``i`` of ``runs`` is ``run(config, i)``.
+    Run i of a cell is ``run(config, i)`` wherever it runs, so the results
+    do not depend on ``workers``.  A pool takes the runs in chunks of
+    ceil(runs / (4 procs)) and starts procs processes, no more than
+    ``workers``, the CPUs or the chunks; when one is enough, every run
+    stays in this process.
     """
-
-    config: RunConfig
-    runs: range
-
-
-def _run_task(task: RunTask) -> list[RunResult]:
-    return [run(task.config, i) for i in task.runs]
-
-
-def _tasks(config: RunConfig, runs: int, workers: int) -> list[RunTask]:
-    """Split run indices 0..runs-1 into about 4 blocks per worker."""
     if runs < 1:
         raise ValueError("runs must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    size = math.ceil(runs / (workers * 4))
-    return [
-        RunTask(config, range(start, min(start + size, runs)))
-        for start in range(0, runs, size)
-    ]
+    procs = min(workers, os.cpu_count() or 1)
+    chunk = math.ceil(runs / (4 * procs))
+    procs = min(procs, math.ceil(len(configs) * runs / chunk))
+    if procs <= 1:
+        return [run(config, i) for config in configs for i in range(runs)]
+    # imported here: multiprocessing costs every other command ~13 ms to load
+    from concurrent.futures import ProcessPoolExecutor
 
-
-def _execute(tasks: list[RunTask], workers: int) -> list[RunResult]:
-    """Results of every task's runs, in task order."""
-    if workers <= 1 or len(tasks) <= 1:
-        blocks = [_run_task(t) for t in tasks]
-    else:
-        # imported here: multiprocessing costs every other command ~13 ms to load
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_run_task, tasks))
-    return [res for block in blocks for res in block]
+    cells = [config for config in configs for _ in range(runs)]
+    indices = [i for _ in configs for i in range(runs)]
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        return list(pool.map(run, cells, indices, chunksize=chunk))
 
 
 def run_cell(config: RunConfig, runs: int, workers: int = 1) -> list[RunResult]:
     """Results of runs 0..runs-1 of the cell ``config``, in run order."""
-    return _execute(_tasks(config, runs, workers), workers)
+    return run_cells([config], runs, workers)
 
 
 def sweep(spec: ExperimentSpec) -> list[CellResult]:
@@ -186,18 +172,19 @@ def sweep(spec: ExperimentSpec) -> list[CellResult]:
     cells = [
         (n, spec.resolve_r(n), ell) for n in spec.n_values for ell in spec.ell_values
     ]
-    tasks = []
+    configs = []
     for n, r, ell in cells:
         fit = make_fitness(spec.function, n, r=r, k=spec.k)
-        config = RunConfig(
-            fit,
-            RlsMutation(ell),
-            parse_init(spec.init, fit),
-            spec.master_seed,
-            max_iters=spec.cap,
+        configs.append(
+            RunConfig(
+                fit,
+                RlsMutation(ell),
+                parse_init(spec.init, fit),
+                spec.master_seed,
+                max_iters=spec.cap,
+            )
         )
-        tasks += _tasks(config, spec.runs, spec.workers)
-    results = _execute(tasks, spec.workers)
+    results = run_cells(configs, spec.runs, spec.workers)
     rows = []
     for cell_index, (n, r, ell) in enumerate(cells):
         cell = results[cell_index * spec.runs : (cell_index + 1) * spec.runs]
@@ -361,26 +348,15 @@ def format_value(v) -> str:
     return str(v)
 
 
-@functools.cache
-def _header(cls) -> tuple[str, ...]:
-    """Column names of a record class: its field names, nested records
-    inlined.  Resolving the annotations costs about 115 us a class, so
-    each class's names are found once."""
-    hints = get_type_hints(cls)
-    names = []
-    for f in fields(cls):
-        kind = hints[f.name]
-        names.extend(_header(kind) if is_dataclass(kind) else [f.name])
-    return tuple(names)
-
-
-def _values(record) -> list:
-    """Field values of a record in column order, nested records inlined."""
-    values = []
+def _columns(record):
+    """(name, value) of each field of a record in column order, nested
+    records inlined."""
     for f in fields(record):
         v = getattr(record, f.name)
-        values.extend(_values(v) if is_dataclass(v) else [v])
-    return values
+        if is_dataclass(v):
+            yield from _columns(v)
+        else:
+            yield f.name, v
 
 
 def csv_lines(header: Sequence[str], rows: Sequence[Sequence]) -> list[str]:
@@ -396,7 +372,8 @@ def table_lines(records: Sequence) -> list[str]:
     names, nested records inlined."""
     if not records:
         raise ValueError("refusing to write an empty table")
-    return csv_lines(_header(type(records[0])), [_values(rec) for rec in records])
+    header = [name for name, _ in _columns(records[0])]
+    return csv_lines(header, [[v for _, v in _columns(rec)] for rec in records])
 
 
 def write_csv(lines: Sequence[str], path: Optional[str] = None) -> None:
@@ -597,7 +574,9 @@ def emit_svg(
 
 def emit_sweep_svg(rows: Sequence[CellResult], path: str) -> None:
     """Mean and median run time against ell, one series group per n, log-log."""
-    table = [[float(v) for v in _values(row)] for row in rows]
+    # emit_svg refuses an empty table
+    header = [name for name, _ in _columns(rows[0])] if rows else []
+    table = [[float(v) for _, v in _columns(row)] for row in rows]
     groups = [row.n for row in rows]
     multi = len(set(groups)) > 1
     spec = PlotSpec(
@@ -607,7 +586,7 @@ def emit_sweep_svg(rows: Sequence[CellResult], path: str) -> None:
         logy=True,
         title="run time vs flip count",
     )
-    emit_svg(_header(CellResult), table, spec, path, groups=groups if multi else None)
+    emit_svg(header, table, spec, path, groups=groups if multi else None)
 
 
 def load_config(path: str) -> dict[str, str]:

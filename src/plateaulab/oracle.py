@@ -573,8 +573,12 @@ def exact_levels(fit: FitnessFunction, ell: int) -> np.ndarray:
     """Exact expected run times of RLS_ell on a level objective, per ones count 0..n.
 
     Single flips on majority, and on a plateau with r >= 1, climb the
-    width-1 ladder; every other case solves the banded kernel.
+    width-1 ladder; an objective whose every level is optimal takes 0
+    steps from each; every other case solves the banded kernel.
     """
+    _check_flip(fit.n, ell)
+    if all(fit.optimal_levels):
+        return np.zeros(fit.n + 1)
     if ell == 1 and isinstance(fit, MajorityFitness):
         return majority_hitting_by_level(fit.n, fit.r)
     if ell == 1 and isinstance(fit, PlateauFitness) and fit.r >= 1:

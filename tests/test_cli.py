@@ -129,8 +129,8 @@ class TestExact:
         assert code == EXIT_OK
         assert float(parse_csv(out)[0]["expected"]) == 0.0
 
-    # a constant objective answers 0.0 from an all-absorbing kernel, whose
-    # flip size must lie in [1..n], as for every other objective
+    # a constant objective answers 0.0 without a kernel, but its flip size
+    # must still lie in [1..n], as for every other objective
     @pytest.mark.parametrize("function,r", [("plateau", "0"), ("plateau", "2"), ("majority", "0")])
     @pytest.mark.parametrize("ell", ["0", "9"])
     def test_flip_size_outside_1_to_n_exits_2(self, capsys, function, r, ell):

@@ -1,9 +1,10 @@
 import gc
 import math
+import os
 import tracemalloc
 import weakref
 import xml.etree.ElementTree as ET
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -85,9 +86,57 @@ class TestSweep:
         assert sweep(small_spec()) == sweep(small_spec())
 
     def test_workers_do_not_change_results(self):
-        serial = sweep(small_spec(runs=120))
-        parallel = sweep(small_spec(runs=120, workers=2))
-        assert serial == parallel
+        # 13 runs a cell in chunks of 2 (2 or 3 processes), so some chunks
+        # hold the last run of one cell and the first of the next
+        spec = small_spec(n_values=(10, 12), ell_values=(1, 3), runs=13)
+        serial = sweep(spec)
+        assert sweep(replace(spec, workers=2)) == serial
+        assert sweep(replace(spec, workers=3)) == serial
+
+    # (CPUs, n values, runs a cell, the (processes, chunks) each pool is
+    # asked for); the machine's own CPU count leaves the pool size open
+    @pytest.mark.parametrize(
+        "cpus,n_values,runs,pools",
+        [
+            (None, (10, 12), 5, None),
+            (3, (10, 12), 5, [(3, 20)]),
+            (8, (10,), 3, [(6, 6)]),
+            (8, (10,), 1, [(2, 2)]),
+            (1, (10, 12), 50, []),
+        ],
+    )
+    def test_pool_size_capped_by_cpus_and_chunks(
+        self, monkeypatch, cpus, n_values, runs, pools
+    ):
+        # a stand-in pool that records what it is asked for and maps in
+        # this process, so no process is started whatever the worker count
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                items = list(zip(*iterables))
+                asked.append((self.max_workers, math.ceil(len(items) / chunksize)))
+                return [fn(*args) for args in items]
+
+        spec = small_spec(n_values=n_values, ell_values=(1, 3), runs=runs)
+        serial = sweep(spec)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+        if cpus is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert sweep(replace(spec, workers=10**6)) == serial
+        for procs, chunks in asked:
+            assert 2 <= procs <= min(os.cpu_count() or 1, chunks)
+        if pools is not None:
+            assert asked == pools
 
     def test_point_init_at_optimum(self):
         spec = small_spec(

@@ -868,8 +868,13 @@ class TestHittingByLevel:
             )
 
     @pytest.mark.parametrize("ell", [1, 2, 7])
-    def test_exact_levels_constant_plateau_is_zero(self, ell):
-        # at r = 0 every level is optimal, so every start takes 0 steps
+    def test_exact_levels_constant_plateau_is_zero(self, monkeypatch, ell):
+        # at r = 0 every level is optimal, so every start takes 0 steps,
+        # and no kernel is built to say so
+        def no_kernel(*args):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(oracle, "rlsl_kernel", no_kernel)
         assert oracle.exact_levels(PlateauFitness(8, 0), ell).tolist() == [0.0] * 9
 
 
